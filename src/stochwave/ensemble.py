@@ -15,6 +15,7 @@ import numpy as np
 from .diffusion import Diffusion
 from .drift import PolynomialDrift
 from .fem import FeSpace
+from .linsolve import LinearSolveError
 from .mesh import build_interval_mesh, build_unit_square_tri_mesh
 from .noise import sample_path
 from .parallel import parallel_map
@@ -73,7 +74,7 @@ def _run_batch(task: tuple[_EnsembleSpec, list[int]]) -> list[_SampleSummary]:
         )
         try:
             traj = stepper.run(path, init)
-        except NewtonDivergedError as exc:
+        except (NewtonDivergedError, LinearSolveError) as exc:
             out.append(_SampleSummary(index=idx, failure=str(exc)))
             continue
         out.append(

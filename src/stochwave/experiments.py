@@ -611,6 +611,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
                 degree=cfg.degree,
                 scheme=cfg.scheme,
                 master_seed=cfg.master_seed,
+                newton_abs_tol=cfg.newton_abs_tol,
             )
             path = out / f"{cfg.name}_{study.label}.csv"
             write_rate_csv(path, table, mhash, cfg)

@@ -237,7 +237,7 @@ class FeSpace:
 
     @cached_property
     def mass_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        return spd_solver(self.mass, self.mesh.dimension)
+        return spd_solver(self.mass)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -21,6 +21,7 @@ from .diffusion import Diffusion
 from .drift import MODIFIED_CN, PolynomialDrift
 from .ensemble import tree_sum
 from .fem import FeSpace, transfer_matrix
+from .linsolve import LinearSolveError
 from .mesh import Mesh, build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
 from .noise import BrownianPath, coarsen, sample_path
 from .parallel import parallel_map
@@ -275,7 +276,7 @@ def _rate_batch(task: tuple[_RateSpec, list[int]]) -> list[dict]:
                     err_u = (row["E"] @ Uc.T).T - Ur[::factor]
                     err_v = (row["E"] @ Vc.T).T - Vr[::factor]
                 rec["rows"].append(_error_norms_sq(err_u, err_v, Mref, Kref))
-        except NewtonDivergedError as exc:
+        except (NewtonDivergedError, LinearSolveError) as exc:
             rec["failure"] = str(exc)
         out.append(rec)
     return out
@@ -310,6 +311,8 @@ def convergence_table(
     times.  ``mode="temporal"``: rows iterate over the ``taus`` ladder on the
     single mesh level; the reference halves the finest tau.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     levels = [int(l) for l in levels]
     taus = [float(t) for t in taus]
     if mode == "spatial":
@@ -434,6 +437,7 @@ def analytic_error_table(
     degree: int = 1,
     scheme: str = MODIFIED_CN,
     master_seed: int = 0,
+    newton_abs_tol: float = 1e-11,
 ) -> ErrorTable:
     """Spatial convergence against a closed-form solution (zero noise).
 
@@ -443,7 +447,9 @@ def analytic_error_table(
     if not diffusion.is_zero:
         raise ValueError("analytic study requires the zero diffusion")
     n_steps = _steps_for(T, tau)
-    cfg = SchemeConfig(tau=tau, n_steps=n_steps, scheme=scheme)
+    cfg = SchemeConfig(
+        tau=tau, n_steps=n_steps, scheme=scheme, newton_abs_tol=newton_abs_tol
+    )
     mesh = _build_mesh(1, int(levels[0]))
     l2 = []
     h1_err = []

@@ -8,11 +8,25 @@ for the new displacement coefficients c, where b_drift carries either the
 fully implicit drift f(c) or the two-point potential quotient against u^n,
 and b_g is the load of g(u^n).  Afterwards v^{n+1} = (c - u^n)/tau, which
 keeps the two-step history u^{n-1} = u^n - tau v^n implicit in the state.
-Newton uses the analytic Jacobian and the explicit predictor u^n + tau v^n.
+
+The solver is the chord method (Kelley, *Iterative Methods for Linear and
+Nonlinear Equations*, SIAM 1995, ch. 5): starting from the explicit predictor
+u^n + tau v^n, every correction reuses one factor of the Jacobian frozen at
+the zero state, J0 = M + tau^2 K - tau^2 w(0, 0) M, made once per stepper
+(w is the pointwise drift derivative: f' for `implicit`, the quotient's
+derivative in its first argument for `mcn`).  For a linear drift J0 is the
+exact Jacobian.  Otherwise chord iterates converge only linearly, so the
+iterate that first meets the tolerance gets one more frozen correction;
+stopping at the tolerance leaves rate-table rows ~1e-4 away from Newton's.
+A frozen correction that does not cut the residual by CHORD_CONTRACTION is
+rejected, and the step continues from the last accepted iterate with full
+Newton, which assembles and factors the analytic Jacobian on every
+iteration.  So every step that Newton alone solves is still solved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,9 +48,16 @@ __all__ = [
     "hamiltonian",
 ]
 
+# A frozen correction must shrink the residual's max-norm at least this much
+# to be accepted.
+CHORD_CONTRACTION = 0.1
+
 
 class NewtonDivergedError(RuntimeError):
-    """Newton failed to converge; usually tau is too large or the drift invalid."""
+    """A step's nonlinear solve did not converge or met a non-finite residual.
+
+    Usually tau is too large or the drift invalid.
+    """
 
     def __init__(self, step: int, residual_history: list[float]):
         self.step = step
@@ -56,7 +77,6 @@ class SchemeConfig:
     newton_abs_tol: float = 1e-11
     newton_rel_tol: float = 1e-10
     newton_max_iter: int = 30
-    linear_rtol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.tau <= 0:
@@ -65,7 +85,7 @@ class SchemeConfig:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if min(self.newton_abs_tol, self.newton_rel_tol, self.linear_rtol) <= 0:
+        if min(self.newton_abs_tol, self.newton_rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
 
     @property
@@ -84,7 +104,12 @@ class State:
 
 @dataclass
 class Trajectory:
-    """Per-node norm and energy series of one sample path, plus diagnostics."""
+    """Per-node norm and energy series of one sample path, plus diagnostics.
+
+    ``newton_iters`` holds, per step, the number of accepted corrections:
+    frozen-Jacobian (chord) and full-Newton ones alike, the extra chord
+    correction included; rejected frozen corrections are not counted.
+    """
 
     times: np.ndarray
     l2sq: np.ndarray
@@ -135,13 +160,9 @@ class WaveStepper:
         self.M = space.mass
         self.K = space.stiffness
         self.A = (self.M + tau * tau * self.K).tocsr()
-        self._dim = space.mesh.dimension
-        # Linear drifts have a state-independent Jacobian: factorize once.
-        self._const_jacobian_solve: Callable | None = None
-        if drift.is_linear:
-            w = self._jacobian_weight(np.zeros(1), np.zeros(1))[0]
-            J = (self.A - tau * tau * w * self.M).tocsr()
-            self._const_jacobian_solve = spd_solver(J, self._dim, config.linear_rtol)
+        w0 = self._jacobian_weight(np.zeros(1), np.zeros(1))[0]
+        self._frozen_solve = spd_solver(self.A - tau * tau * w0 * self.M)
+        self._frozen_is_exact = drift.is_linear
 
     # -- pointwise drift terms at quadrature points ---------------------------
 
@@ -194,30 +215,37 @@ class WaveStepper:
         rnorm = float(np.max(np.abs(r)))
         tol = max(cfg.newton_abs_tol, cfg.newton_rel_tol * rnorm)
         history = [rnorm]
+        if not math.isfinite(rnorm):
+            raise NewtonDivergedError(state.n, history)
         iters = 0
-        converged = rnorm <= tol
-        while not converged:
+        newton = False  # set once a frozen correction is rejected
+        polish = False  # the next correction is the extra one after chord converged
+        while rnorm > tol or polish:
             if iters >= cfg.newton_max_iter:
+                if polish:  # c already meets the tolerance
+                    break
                 raise NewtonDivergedError(state.n, history)
-            if self._const_jacobian_solve is not None:
-                delta = self._const_jacobian_solve(-r)
-            else:
+            if newton:
                 cq = space.values_at_qpoints(c)
                 D = assemble_weighted_mass(space, self._jacobian_weight(cq, unq))
-                J = (self.A - tau2 * D).tocsr()
-                delta = spd_solver(J, self._dim, cfg.linear_rtol)(-r)
-            c = c + delta
-            r = residual(c)
-            rnorm = float(np.max(np.abs(r)))
-            history.append(rnorm)
+                delta = spd_solver(self.A - tau2 * D)(-r)
+            else:
+                delta = self._frozen_solve(-r)
+            trial = c + delta
+            r_trial = residual(trial)
+            rnorm_trial = float(np.max(np.abs(r_trial)))
+            # written so that a NaN residual also rejects the frozen correction
+            if not (newton or polish or rnorm_trial <= CHORD_CONTRACTION * rnorm):
+                newton = True
+                continue
+            history.append(rnorm_trial)
+            if not math.isfinite(rnorm_trial):
+                raise NewtonDivergedError(state.n, history)
+            polish = not (newton or polish or self._frozen_is_exact) and rnorm_trial <= tol
+            c, r, rnorm = trial, r_trial, rnorm_trial
             iters += 1
-            converged = rnorm <= tol
 
         v_new = (c - un) / tau
-        # mixed-form consistency: (u^{n+1} - u^n) - tau v^{n+1} vanishes
-        gap = float(np.max(np.abs((c - un) - tau * v_new)))
-        if gap > 1e-10 * max(1.0, float(np.max(np.abs(c)))):
-            raise AssertionError(f"mixed-form consistency violated: gap={gap:.3e}")
         new_state = State(state.n + 1, FeFunction(space, c), FeFunction(space, v_new))
         return new_state, iters, noise_vec
 

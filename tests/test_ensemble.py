@@ -11,6 +11,7 @@ from stochwave.ensemble import (
 )
 from stochwave.fem import FeSpace
 from stochwave.fields import Constant, CosineProduct
+from stochwave.linsolve import LinearSolveError
 from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
 from stochwave.metrics import quadrature_degree_for
 from stochwave.noise import sample_path
@@ -119,6 +120,25 @@ def test_failure_abort_above_threshold():
             space, cfg, CUBIC, Diffusion.linear(1.0),
             CosineProduct(kx=1), Constant(0.0), 5, master_seed=6,
         )
+
+
+def test_linear_solve_failure_is_contained_per_sample(monkeypatch):
+    original = WaveStepper.run
+
+    def run(self, path, initial, store_states=False):
+        if path.sample_index == 1:
+            raise LinearSolveError("singular factor")
+        return original(self, path, initial, store_states)
+
+    monkeypatch.setattr(WaveStepper, "run", run)
+    space, cfg = _setup_1d()
+    stats = run_ensemble(
+        space, cfg, CUBIC, Diffusion.linear(1.0),
+        CosineProduct(kx=1), Constant(0.0), 3, master_seed=6,
+        max_failure_fraction=0.5,
+    )
+    assert stats.n_failures == 1
+    assert stats.n_samples == 2
 
 
 def test_rejects_empty_ensemble():

@@ -5,6 +5,7 @@ from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
 from stochwave.fem import FeSpace
 from stochwave.fields import Constant, CosineProduct, LinearWaveSolution
+from stochwave.linsolve import LinearSolveError
 from stochwave.mesh import build_interval_mesh, refine_uniform
 from stochwave.metrics import (
     analytic_error_table,
@@ -175,6 +176,34 @@ def test_convergence_table_validates_ladders():
         convergence_table(mode="temporal", levels=[8], taus=[0.1, 0.04], **common)
     with pytest.raises(ValueError):
         convergence_table(mode="sideways", levels=[4], taus=[0.01], **common)
+
+
+def test_convergence_table_rejects_empty_sample_set():
+    with pytest.raises(ValueError):
+        convergence_table(
+            mode="temporal", dimension=1, levels=[8], taus=[0.1, 0.05], T=0.2,
+            drift=CUBIC, diffusion=Diffusion.linear(1.0),
+            h1=CosineProduct(kx=1), h2=Constant(0.0), n_samples=0, master_seed=0,
+        )
+
+
+def test_convergence_table_contains_linear_solve_failure(monkeypatch):
+    original = WaveStepper.run
+
+    def run(self, path, initial, store_states=False):
+        if path.sample_index == 1:
+            raise LinearSolveError("singular factor")
+        return original(self, path, initial, store_states)
+
+    monkeypatch.setattr(WaveStepper, "run", run)
+    table = convergence_table(
+        mode="temporal", dimension=1, levels=[8], taus=[0.1, 0.05], T=0.2,
+        drift=CUBIC, diffusion=Diffusion.linear(1.0),
+        h1=CosineProduct(kx=1), h2=Constant(0.0),
+        n_samples=3, master_seed=3, max_failure_fraction=0.5,
+    )
+    assert table.n_failures == 1
+    assert table.n_samples == 2
 
 
 def test_convergence_table_thread_determinism():

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse.linalg as spla
 
+import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
-from stochwave.fem import FeSpace, evaluate, norm_l2
+from stochwave.fem import (
+    FeFunction,
+    FeSpace,
+    assemble_pointwise_load,
+    assemble_weighted_mass,
+    evaluate,
+    norm_l2,
+)
 from stochwave.fields import Constant, CosineProduct, LinearWaveSolution, TentBump
 from stochwave.mesh import build_interval_mesh
 from stochwave.metrics import quadrature_degree_for
@@ -18,6 +27,7 @@ from stochwave.stepper import (
 )
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
+DEG11 = PolynomialDrift([-1.0] + [0.0] * 9 + [-1.0], alpha=1.0, lam=1.0 / 6.0)
 ZERO = PolynomialDrift([0.0])
 
 
@@ -154,6 +164,84 @@ def test_newton_divergence_reports_step_and_history():
         stepper.run(_zeros_path(0.5, 1), st)
     assert exc_info.value.step == 0
     assert len(exc_info.value.residual_history) > 1
+
+
+def test_nonfinite_residual_raises_at_once():
+    # cubing 1e200 overflows: the predictor's residual is not finite
+    space = _space(8)
+    cfg = SchemeConfig(tau=0.01, n_steps=1)
+    stepper = WaveStepper(space, CUBIC, Diffusion.zero(), cfg)
+    st = initial_state(space, Constant(1e200), Constant(0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NewtonDivergedError) as exc_info:
+            stepper.step(st, 0.0)
+    assert len(exc_info.value.residual_history) == 1
+    assert not np.isfinite(exc_info.value.residual_history[0])
+
+
+def _full_newton_step(space, drift, g, cfg, state, dW):
+    """Reference step: Newton with a freshly assembled Jacobian every iteration.
+
+    Same predictor and stopping rule as the stepper, but no frozen Jacobian.
+    """
+    tau = cfg.tau
+    M, K = space.mass, space.stiffness
+    A = M + tau * tau * K
+    un, vn = state.u.coeffs, state.v.coeffs
+    unq = space.values_at_qpoints(un)
+    rhs = M @ (un + tau * vn) + tau * dW * assemble_pointwise_load(
+        space, g.value, state.u
+    )
+    if cfg.scheme == "implicit":
+        f = drift.value
+        df = drift.derivative
+    else:
+        f = lambda c: drift.potential_quotient(c, unq)  # noqa: E731
+        df = lambda c: drift.potential_quotient_da(c, unq)  # noqa: E731
+
+    def residual(c):
+        load = assemble_pointwise_load(space, f, FeFunction(space, c))
+        return A @ c - tau * tau * load - rhs
+
+    c = un + tau * vn
+    r = residual(c)
+    tol = max(cfg.newton_abs_tol, cfg.newton_rel_tol * np.abs(r).max())
+    for _ in range(cfg.newton_max_iter):
+        if np.abs(r).max() <= tol:
+            return c
+        cq = space.values_at_qpoints(c)
+        J = A - tau * tau * assemble_weighted_mass(space, df(cq))
+        c = c - spla.spsolve(J.tocsc(), r)
+        r = residual(c)
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize("scheme", ["mcn", "implicit"])
+@pytest.mark.parametrize("drift", [CUBIC, DEG11], ids=["cubic", "deg11"])
+@pytest.mark.parametrize(
+    "tau, amplitude, fallback", [(1e-3, 1.0, False), (0.1, 1.0, False), (0.5, 3.0, True)]
+)
+def test_chord_step_matches_full_newton(monkeypatch, scheme, drift, tau, amplitude, fallback):
+    space = _space(16, drift)
+    g = Diffusion.linear(1.0)
+    cfg = SchemeConfig(tau=tau, n_steps=1, scheme=scheme)
+    stepper = WaveStepper(space, drift, g, cfg)
+    st = initial_state(space, CosineProduct(kx=1), Constant(0.5))
+    st.u.coeffs[:] *= amplitude
+    dW = 0.3 * np.sqrt(tau)
+
+    assemblies = []
+
+    def counted(space, weights):
+        assemblies.append(1)
+        return assemble_weighted_mass(space, weights)
+
+    monkeypatch.setattr(stochwave.stepper, "assemble_weighted_mass", counted)
+    new = stepper.step(st, dW)
+    ref = _full_newton_step(space, drift, g, cfg, st, dW)
+    assert np.abs(new.u.coeffs - ref).max() <= 1e-9 * np.abs(ref).max()
+    # the Newton fallback is the only path that assembles a Jacobian
+    assert bool(assemblies) == fallback
 
 
 # ---------------------------------------------------------------------------
