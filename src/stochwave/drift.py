@@ -83,15 +83,17 @@ class PolynomialDrift:
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        s = np.ones(np.broadcast(a, b).shape)
-        bpow = np.ones_like(s)
-        total = np.zeros_like(s)
+        bpow = b
+        s = a + b  # s_1; updated in place, the same arithmetic as bpow + a * s
+        total = np.zeros(s.shape)
         for j in range(1, self.q + 1):
-            bpow = bpow * b
-            s = bpow + a * s
+            if j > 1:
+                bpow = bpow * b
+                s *= a
+                s += bpow
             aj = self.coeffs[j - 1]
             if aj != 0.0:
-                total = total + (aj / (j + 1)) * s
+                total += (aj / (j + 1)) * s
         return total
 
     def potential_quotient_da(self, a, b):

@@ -239,11 +239,39 @@ class FeSpace:
     def mass_solve(self) -> Callable[[np.ndarray], np.ndarray]:
         return spd_solver(self.mass)
 
+    @cached_property
+    def _qpoint_operator(self) -> sp.csr_matrix:
+        """Q with (Q c)[cell * nq + q] = value of c at quadrature point q of cell."""
+        nc, nl = self.cell_dofs.shape
+        nq = self.phi.shape[1]
+        rows = np.broadcast_to(np.arange(nc * nq).reshape(nc, nq, 1), (nc, nq, nl))
+        cols = np.broadcast_to(self.cell_dofs[:, None, :], (nc, nq, nl))
+        vals = np.broadcast_to(self.phi.T, (nc, nq, nl))
+        return sp.coo_matrix(
+            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nc * nq, self.n_dofs)
+        ).tocsr()
+
+    @cached_property
+    def _load_operator(self) -> sp.csr_matrix:
+        """Q^T scaled by the quadrature weights: the load of point values."""
+        Q = self._qpoint_operator.tocoo()
+        data = Q.data * self.wdet.ravel()[Q.row]
+        return sp.coo_matrix((data, (Q.col, Q.row)), shape=Q.shape[::-1]).tocsr()
+
     # -- evaluation ----------------------------------------------------------
 
     def values_at_qpoints(self, coeffs: np.ndarray) -> np.ndarray:
-        """Function values at all quadrature points, shape (nc, nq)."""
-        return np.einsum("cl,lq->cq", coeffs[self.cell_dofs], self.phi)
+        """Function values at all quadrature points.
+
+        Shape (nc, nq) for one coefficient vector; (nc, nq, S) for an
+        (n_dofs, S) block with one sample per column.  Each column's values
+        are the same bits whatever the other columns hold.
+        """
+        return (self._qpoint_operator @ coeffs).reshape(self.wdet.shape + coeffs.shape[1:])
+
+    def qpoint_load(self, vals: np.ndarray) -> np.ndarray:
+        """b[i] = quadrature of vals * phi_i, for vals shaped as values_at_qpoints returns."""
+        return self._load_operator @ vals.reshape((self.wdet.size,) + vals.shape[2:])
 
     def zero_function(self) -> "FeFunction":
         return FeFunction(self, np.zeros(self.n_dofs))
@@ -295,12 +323,6 @@ def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     return space._scatter_matrix(_symmetrize(local))
 
 
-def _scatter_vector(space: FeSpace, local: np.ndarray) -> np.ndarray:
-    return np.bincount(
-        space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs
-    )
-
-
 def assemble_pointwise_load(
     space: FeSpace, fn: Callable, *states: FeFunction
 ) -> np.ndarray:
@@ -309,17 +331,13 @@ def assemble_pointwise_load(
     ``fn`` is applied to the quadrature-point values of the given states (one
     array per state) and must vectorize over numpy arrays.
     """
-    vals = fn(*(space.values_at_qpoints(s.coeffs) for s in states))
-    local = np.einsum("cq,iq->ci", space.wdet * vals, space.phi)
-    return _scatter_vector(space, local)
+    return space.qpoint_load(fn(*(space.values_at_qpoints(s.coeffs) for s in states)))
 
 
 def load_vector(space: FeSpace, field: Callable) -> np.ndarray:
     """b[i] = integral of field(x) phi_i(x) for a pointwise coordinate field."""
     pts = space.qpoints.reshape(-1, space.mesh.dimension)
-    vals = _eval_field(field, pts).reshape(space.wdet.shape)
-    local = np.einsum("cq,iq->ci", space.wdet * vals, space.phi)
-    return _scatter_vector(space, local)
+    return space.qpoint_load(_eval_field(field, pts))
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,13 @@ import scipy.sparse as sp
 
 from .diffusion import Diffusion
 from .drift import MODIFIED_CN, PolynomialDrift
-from .ensemble import tree_sum
+from .ensemble import EnsembleFailureError, sample_blocks, tree_sum
 from .fem import FeSpace, transfer_matrix
-from .linsolve import LinearSolveError
 from .mesh import Mesh, build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
 from .noise import BrownianPath, coarsen, sample_path
 from .parallel import parallel_map
-from .stepper import (
-    NewtonDivergedError,
-    SchemeConfig,
-    Trajectory,
-    WaveStepper,
-    initial_state,
-)
+from .quadrature import interval_rule, triangle_rule
+from .stepper import SchemeConfig, WaveStepper, column_sums, initial_state
 
 __all__ = [
     "ErrorTable",
@@ -59,35 +53,35 @@ def _steps_for(T: float, tau: float) -> int:
 # Per-node error norms
 # ---------------------------------------------------------------------------
 
-def _error_norms_sq(
-    err_u: np.ndarray, err_v: np.ndarray, M: sp.csr_matrix, K: sp.csr_matrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadratic-form norms of displacement/velocity error stacks.
+def _error_sq(
+    E: sp.csr_matrix | None,
+    Uc: np.ndarray,
+    Vc: np.ndarray,
+    Ur: np.ndarray,
+    Vr: np.ndarray,
+    M: sp.csr_matrix,
+    K: sp.csr_matrix,
+) -> np.ndarray:
+    """Squared (L2, H1-seminorm, velocity L2) errors, one triple per column.
 
-    The third series is the velocity error at nodes 1..N: each solution's own
-    difference quotient, compared at shared nodes.  With equal time steps this
-    is identical to differencing the displacement error at consecutive nodes;
-    across step sizes it avoids the Brownian-bridge mismatch that a cross-step
-    difference quotient would inject at every node.
+    The columns of the coarse blocks Uc, Vc are lifted to the reference space
+    by E (None when the spaces coincide) and compared with the matching
+    columns of Ur, Vr.  Returns shape (3, n_columns).  The velocity error is
+    each solution's own difference quotient compared at a shared node.  With
+    equal time steps this is identical to differencing the displacement
+    error at consecutive nodes; across step sizes it avoids the
+    Brownian-bridge mismatch that a cross-step difference quotient would
+    inject at every node.
     """
-    l2sq = np.einsum("nd,nd->n", err_u, (M @ err_u.T).T)
-    h1sq = np.einsum("nd,nd->n", err_u, (K @ err_u.T).T)
-    ev = err_v[1:]
-    dtl2sq = np.einsum("nd,nd->n", ev, (M @ ev.T).T)
-    return l2sq, h1sq, dtl2sq
-
-
-def _coeff_stacks(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    if traj.states is None:
-        raise ValueError("trajectory was run without store_states=True")
-    U = np.stack([s.u.coeffs for s in traj.states])
-    V = np.stack([s.v.coeffs for s in traj.states])
-    return U, V
+    if E is not None:
+        Uc, Vc = E @ Uc, E @ Vc
+    eu, ev = Uc - Ur, Vc - Vr
+    return column_sums(np.stack([eu * (M @ eu), eu * (K @ eu), ev * (M @ ev)], axis=1))
 
 
 def error_norms(
-    coarse_traj: Trajectory,
-    ref_traj: Trajectory,
+    coarse: tuple[np.ndarray, np.ndarray],
+    ref: tuple[np.ndarray, np.ndarray],
     coarse_space: FeSpace,
     ref_space: FeSpace,
     tau_coarse: float,
@@ -95,29 +89,27 @@ def error_norms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node (L2, H1-seminorm, d_t L2) error norms of one coupled pair.
 
-    The coarse solution is lifted to the reference space.  The d_t series is
-    the mixed-form velocity error at the shared nodes, starting at node 1.
+    ``coarse`` and ``ref`` are (U, V) coefficient stacks, row n holding the
+    displacement or velocity at time node n.  The coarse solution is lifted
+    to the reference space.  The d_t series is the mixed-form velocity error
+    at the shared nodes, starting at node 1.
     """
     factor = round(tau_coarse / tau_ref)
     if factor < 1 or not math.isclose(factor * tau_ref, tau_coarse, rel_tol=1e-9):
         raise ValueError(f"tau_ref={tau_ref} must divide tau_coarse={tau_coarse}")
-    Uc, Vc = _coeff_stacks(coarse_traj)
-    Ur, Vr = _coeff_stacks(ref_traj)
+    (Uc, Vc), (Ur, Vr) = coarse, ref
     Ur, Vr = Ur[::factor], Vr[::factor]
     if Uc.shape[0] != Ur.shape[0]:
         raise ValueError("trajectories do not cover the same time span")
-    if coarse_space is ref_space:
-        err_u, err_v = Uc - Ur, Vc - Vr
-    else:
+    E = None
+    if coarse_space is not ref_space:
         if not ref_space.mesh.descends_from(coarse_space.mesh):
             raise ValueError("reference mesh does not descend from the coarse mesh")
         E = transfer_matrix(coarse_space, ref_space)
-        err_u = (E @ Uc.T).T - Ur
-        err_v = (E @ Vc.T).T - Vr
-    l2sq, h1sq, dtl2sq = _error_norms_sq(
-        err_u, err_v, ref_space.mass, ref_space.stiffness
+    l2sq, h1sq, dtl2sq = _error_sq(
+        E, Uc.T, Vc.T, Ur.T, Vr.T, ref_space.mass, ref_space.stiffness
     )
-    return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(dtl2sq)
+    return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(dtl2sq[1:])
 
 
 def sup_rms_errors(errors: np.ndarray) -> float:
@@ -148,7 +140,6 @@ class ErrorTable:
     reference: str
     max_energy_violation: float
     n_failures: int
-    total_newton_failures: int = 0
 
     def orders(self, errors: np.ndarray) -> list[float | None]:
         out: list[float | None] = [None]
@@ -221,65 +212,76 @@ def _space_chain(spec: _RateSpec) -> dict[int, FeSpace]:
     return {l: FeSpace(meshes[l], spec.degree, spec.quad_degree) for l in levels}
 
 
-def _rate_batch(task: tuple[_RateSpec, list[int]]) -> list[dict]:
-    """Per-sample squared error series for every table row (one worker batch)."""
+def _rate_batch(task: tuple[_RateSpec, range]) -> list[dict]:
+    """Per-sample squared error series for every table row (one sample block).
+
+    The block steps the reference first and keeps the nodes some row reads;
+    each row then steps the samples still running and reduces its errors to
+    per-node norms as it goes, so no row's states are stored.
+    """
     spec, indices = task
+    S = len(indices)
     spaces = _space_chain(spec)
     ref_space = spaces[spec.ref_level]
+    Mref, Kref = ref_space.mass, ref_space.stiffness
     ref_cfg = spec.config_for(spec.ref_tau)
-    ref_stepper = WaveStepper(ref_space, spec.drift, spec.diffusion, ref_cfg)
-    ref_init = initial_state(ref_space, spec.h1, spec.h2)
+    inits = {spec.ref_level: initial_state(ref_space, spec.h1, spec.h2)}
+    factors = [round(tau / spec.ref_tau) for tau in spec.row_taus]
+    stride = math.gcd(*factors)
+    shape = (ref_cfg.n_steps // stride + 1, ref_space.n_dofs, S)
+    Ur, Vr = np.empty(shape), np.empty(shape)
 
+    def keep(n, live, U, V):
+        if n % stride == 0:
+            Ur[n // stride][:, live] = U
+            Vr[n // stride][:, live] = V
+
+    ref_paths = [
+        sample_path(spec.master_seed, idx, ref_cfg.n_steps, spec.ref_tau) for idx in indices
+    ]
+    violation = np.full(S, -np.inf)
+    failure: dict[int, str] = {}
+
+    def absorb(traj, alive):
+        done = alive[traj.samples]
+        violation[done] = np.maximum(violation[done], traj.max_energy_violation)
+        failure.update((int(alive[k]), str(exc)) for k, exc in traj.failures.items())
+
+    ref_stepper = WaveStepper(ref_space, spec.drift, spec.diffusion, ref_cfg)
+    absorb(ref_stepper.run(ref_paths, inits[spec.ref_level], observe=keep), np.arange(S))
     rows = []
-    for level, tau in zip(spec.row_levels, spec.row_taus):
+    for level, tau, factor in zip(spec.row_levels, spec.row_taus, factors):
+        alive = np.array([p for p in range(S) if p not in failure], dtype=np.int64)
+        if not alive.size:
+            break
         space = spaces[level]
         cfg = spec.config_for(tau)
-        rows.append(
-            {
-                "space": space,
-                "cfg": cfg,
-                "stepper": WaveStepper(space, spec.drift, spec.diffusion, cfg),
-                "init": initial_state(space, spec.h1, spec.h2)
-                if space is not ref_space
-                else ref_init,
-                "factor": round(tau / spec.ref_tau),
-                "E": None
-                if space is ref_space
-                else transfer_matrix(space, ref_space),
-            }
-        )
+        if level not in inits:
+            inits[level] = initial_state(space, spec.h1, spec.h2)
+        E = None if space is ref_space else transfer_matrix(space, ref_space)
+        err = np.empty((3, S, cfg.n_steps + 1))
 
-    Mref, Kref = ref_space.mass, ref_space.stiffness
-    out = []
-    for idx in indices:
-        path_ref = sample_path(
-            spec.master_seed, idx, ref_cfg.n_steps, spec.ref_tau
-        )
-        rec: dict = {"index": idx, "rows": [], "violation": -np.inf, "failure": None}
-        try:
-            ref_traj = ref_stepper.run(path_ref, ref_init, store_states=True)
-            rec["violation"] = max(rec["violation"], ref_traj.max_energy_violation)
-            Ur, Vr = _coeff_stacks(ref_traj)
-            for row in rows:
-                factor = row["factor"]
-                path = coarsen(path_ref, factor) if factor > 1 else path_ref
-                # coupling contract: the row path must be the exactly-summed
-                # reference path
-                assert math.isclose(path.tau, row["cfg"].tau, rel_tol=1e-12)
-                traj = row["stepper"].run(path, row["init"], store_states=True)
-                rec["violation"] = max(rec["violation"], traj.max_energy_violation)
-                Uc, Vc = _coeff_stacks(traj)
-                if row["E"] is None:
-                    err_u = Uc - Ur[::factor]
-                    err_v = Vc - Vr[::factor]
-                else:
-                    err_u = (row["E"] @ Uc.T).T - Ur[::factor]
-                    err_v = (row["E"] @ Vc.T).T - Vr[::factor]
-                rec["rows"].append(_error_norms_sq(err_u, err_v, Mref, Kref))
-        except (NewtonDivergedError, LinearSolveError) as exc:
-            rec["failure"] = str(exc)
-        out.append(rec)
-    return out
+        def compare(n, live, U, V):
+            pos = alive[live]
+            m = n * factor // stride
+            err[:, pos, n] = _error_sq(E, U, V, Ur[m][:, pos], Vr[m][:, pos], Mref, Kref)
+
+        # coupling contract: every row path is the exactly-summed reference path
+        paths = [coarsen(ref_paths[p], factor) if factor > 1 else ref_paths[p] for p in alive]
+        assert all(math.isclose(p.tau, cfg.tau, rel_tol=1e-12) for p in paths)
+        stepper = WaveStepper(space, spec.drift, spec.diffusion, cfg)
+        absorb(stepper.run(paths, inits[level], observe=compare), alive)
+        rows.append(err)
+
+    return [
+        {
+            "index": idx,
+            "rows": [(e[0, pos], e[1, pos], e[2, pos, 1:]) for e in rows],
+            "violation": float(violation[pos]),
+            "failure": failure.get(pos),
+        }
+        for pos, idx in enumerate(indices)
+    ]
 
 
 def convergence_table(
@@ -359,13 +361,10 @@ def convergence_table(
         master_seed=master_seed,
     )
     workers = max(1, threads)
-    n_chunks = min(n_samples, workers * 4)
-    bounds = np.linspace(0, n_samples, n_chunks + 1).astype(int)
-    tasks = [
-        (spec, list(range(bounds[i], bounds[i + 1])))
-        for i in range(n_chunks)
-        if bounds[i] < bounds[i + 1]
-    ]
+    rule = interval_rule if dimension == 1 else triangle_rule
+    ref_cells = ref_level if dimension == 1 else 2 * ref_level**2
+    ref_points = ref_cells * rule(spec.quad_degree)[1].size
+    tasks = [(spec, block) for block in sample_blocks(n_samples, workers, ref_points)]
     records: list[dict] = []
     for batch in parallel_map(_rate_batch, tasks, workers):
         records.extend(batch)
@@ -374,7 +373,7 @@ def convergence_table(
     failures = [r for r in records if r["failure"] is not None]
     good = [r for r in records if r["failure"] is None]
     if len(failures) > max_failure_fraction * n_samples or not good:
-        raise RuntimeError(
+        raise EnsembleFailureError(
             f"{len(failures)}/{n_samples} samples failed; "
             f"first: {failures[0]['failure']}"
         )
@@ -462,28 +461,25 @@ def analytic_error_table(
             raise ValueError(f"ladder level {level} not reachable by halving")
         space = FeSpace(mesh, degree, quadrature_degree_for(degree, drift))
         stepper = WaveStepper(space, drift, diffusion, cfg)
-        init = initial_state(space, h1, h2)
+        U = np.empty((space.n_dofs, n_steps + 1))  # one column per time node
+
+        def keep(n, live, Un, Vn):
+            U[:, n] = Un[:, 0]
+
         path = BrownianPath(tau, np.zeros(n_steps), master_seed, 0)
-        traj = stepper.run(path, init, store_states=True)
+        traj = stepper.run(path, initial_state(space, h1, h2), observe=keep)
         violation = max(violation, traj.max_energy_violation)
 
-        U, _ = _coeff_stacks(traj)  # (N+1, ndof)
-        xq = space.qpoints[..., 0]  # (nc, nq)
-        cell_vals = np.einsum("ncl,lq->ncq", U[:, space.cell_dofs], space.phi)
-        grad_vals = np.einsum(
-            "ncl,clqd->ncqd", U[:, space.cell_dofs], space.grad_phys
-        )[..., 0]
+        xq = space.qpoints[..., 0, None]  # (nc, nq, 1)
         times = np.arange(n_steps + 1) * tau
-        e_val = np.empty_like(cell_vals)
-        e_grad = np.empty_like(grad_vals)
-        for n, t in enumerate(times):
-            e_val[n] = cell_vals[n] - exact.value(xq, t)
-            e_grad[n] = grad_vals[n] - exact.dx(xq, t)
+        e_val = space.values_at_qpoints(U) - exact.value(xq, times)
+        grad = np.einsum("cln,clq->cqn", U[space.cell_dofs], space.grad_phys[..., 0])
+        e_grad = grad - exact.dx(xq, times)
         w = space.wdet
-        l2sq = np.einsum("ncq,cq->n", e_val * e_val, w)
-        h1sq = np.einsum("ncq,cq->n", e_grad * e_grad, w)
-        de = (e_val[1:] - e_val[:-1]) / tau
-        dtsq = np.einsum("ncq,cq->n", de * de, w)
+        l2sq = np.einsum("cqn,cq->n", e_val * e_val, w)
+        h1sq = np.einsum("cqn,cq->n", e_grad * e_grad, w)
+        de = np.diff(e_val, axis=2) / tau
+        dtsq = np.einsum("cqn,cq->n", de * de, w)
         l2.append(np.sqrt(np.max(l2sq)))
         h1_err.append(np.sqrt(np.max(h1sq)))
         dtl2.append(np.sqrt(np.max(dtsq)))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import stochwave.ensemble
+import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
 from stochwave.ensemble import (
+    BLOCK_POINTS,
     EnsembleFailureError,
     run_ensemble,
+    sample_blocks,
     subset_fraction,
     tree_sum,
 )
@@ -14,7 +18,7 @@ from stochwave.fields import Constant, CosineProduct
 from stochwave.linsolve import LinearSolveError
 from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
 from stochwave.metrics import quadrature_degree_for
-from stochwave.noise import sample_path
+from stochwave.noise import BrownianPath, sample_path
 from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
@@ -123,22 +127,48 @@ def test_failure_abort_above_threshold():
 
 
 def test_linear_solve_failure_is_contained_per_sample(monkeypatch):
-    original = WaveStepper.run
+    # sample 1 meets a huge increment: its frozen correction is rejected and
+    # full Newton meets a Jacobian made indefinite here (LinearSolveError),
+    # while samples 0 and 2 of the same batch stay on the chord
+    def path(seed, idx, n_steps, tau):
+        p = sample_path(seed, idx, n_steps, tau)
+        if idx != 1:
+            return p
+        inc = p.increments.copy()
+        inc[3] = 1e3
+        return BrownianPath(tau, inc, seed, idx)
 
-    def run(self, path, initial, store_states=False):
-        if path.sample_index == 1:
-            raise LinearSolveError("singular factor")
-        return original(self, path, initial, store_states)
-
-    monkeypatch.setattr(WaveStepper, "run", run)
+    monkeypatch.setattr(stochwave.ensemble, "sample_path", path)
+    monkeypatch.setattr(
+        stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
+    )
     space, cfg = _setup_1d()
+    h1, h2 = CosineProduct(kx=1), Constant(0.0)
     stats = run_ensemble(
-        space, cfg, CUBIC, Diffusion.linear(1.0),
-        CosineProduct(kx=1), Constant(0.0), 3, master_seed=6,
+        space, cfg, CUBIC, Diffusion.linear(1.0), h1, h2, 3, master_seed=6,
         max_failure_fraction=0.5,
     )
     assert stats.n_failures == 1
     assert stats.n_samples == 2
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    with pytest.raises(LinearSolveError):
+        stepper.run(path(6, 1, cfg.n_steps, cfg.tau), initial_state(space, h1, h2))
+    kept = [
+        stepper.run(sample_path(6, k, cfg.n_steps, cfg.tau), initial_state(space, h1, h2))
+        for k in (0, 2)
+    ]
+    assert np.array_equal(stats.mean_H, (kept[0].hamiltonians + kept[1].hamiltonians) / 2)
+
+
+def test_sample_blocks_are_contiguous_and_capped():
+    assert sample_blocks(4, 1, 100) == [range(0, 4)]
+    assert sample_blocks(4, 2, 100) == [range(0, 2), range(2, 4)]
+    assert sample_blocks(5, 3, 100) == [range(0, 2), range(2, 4), range(4, 5)]
+    assert sample_blocks(3, 1, 2 * BLOCK_POINTS) == [range(0, 1), range(1, 2), range(2, 3)]
+    blocks = sample_blocks(200, 1, 3072)  # 2D level 16, cubic drift
+    assert all(len(b) == BLOCK_POINTS // 3072 for b in blocks[:-1])
+    assert 0 < len(blocks[-1]) <= BLOCK_POINTS // 3072
+    assert [i for b in blocks for i in b] == list(range(200))
 
 
 def test_rejects_empty_ensemble():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import stochwave.metrics
+import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
 from stochwave.fem import FeSpace
 from stochwave.fields import Constant, CosineProduct, LinearWaveSolution
-from stochwave.linsolve import LinearSolveError
+from stochwave.ensemble import EnsembleFailureError
 from stochwave.mesh import build_interval_mesh, refine_uniform
 from stochwave.metrics import (
     analytic_error_table,
@@ -14,7 +16,7 @@ from stochwave.metrics import (
     quadrature_degree_for,
     sup_rms_errors,
 )
-from stochwave.noise import coarsen, sample_path
+from stochwave.noise import BrownianPath, coarsen, sample_path
 from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
@@ -39,14 +41,26 @@ def test_sup_rms_dominates_each_node():
     assert np.all(sup >= per_node - 1e-12)
 
 
+def _run_states(stepper, path, init):
+    """Run one path; return its (U, V) coefficient stacks, row n at node n."""
+    U, V = [], []
+
+    def keep(n, live, Un, Vn):
+        U.append(Un[:, 0].copy())
+        V.append(Vn[:, 0].copy())
+
+    stepper.run(path, init, observe=keep)
+    return np.array(U), np.array(V)
+
+
 def test_error_norms_self_is_zero():
     space = FeSpace(build_interval_mesh(8), 1, quadrature_degree_for(1, CUBIC))
     cfg = SchemeConfig(tau=0.02, n_steps=5, newton_abs_tol=1e-13)
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     path = sample_path(3, 0, 5, 0.02)
-    traj = stepper.run(path, init, store_states=True)
-    l2, h1, dt = error_norms(traj, traj, space, space, 0.02, 0.02)
+    states = _run_states(stepper, path, init)
+    l2, h1, dt = error_norms(states, states, space, space, 0.02, 0.02)
     assert np.all(l2 == 0.0)
     assert np.all(h1 == 0.0)
     assert np.all(dt == 0.0)
@@ -64,11 +78,11 @@ def test_error_norms_coupled_pair_quadrature_oracle():
     path = sample_path(8, 0, 4, tau)
     sc = WaveStepper(coarse, CUBIC, Diffusion.linear(1.0), cfg)
     sf = WaveStepper(fine, CUBIC, Diffusion.linear(1.0), cfg)
-    tc = sc.run(path, initial_state(coarse, CosineProduct(kx=1), Constant(0.0)), store_states=True)
-    tf = sf.run(path, initial_state(fine, CosineProduct(kx=1), Constant(0.0)), store_states=True)
+    tc = _run_states(sc, path, initial_state(coarse, CosineProduct(kx=1), Constant(0.0)))
+    tf = _run_states(sf, path, initial_state(fine, CosineProduct(kx=1), Constant(0.0)))
     l2, h1, dt = error_norms(tc, tf, coarse, fine, tau, tau)
 
-    from stochwave.fem import evaluate
+    from stochwave.fem import FeFunction, evaluate
 
     n = 2  # check one interior node against brute-force quadrature
     xs, ws = np.polynomial.legendre.leggauss(50)
@@ -77,8 +91,8 @@ def test_error_norms_coupled_pair_quadrature_oracle():
         a = fine_mesh.vertices[fine_mesh.cells[cell, 0], 0]
         b = fine_mesh.vertices[fine_mesh.cells[cell, 1], 0]
         pts = 0.5 * (b - a) * (xs + 1) + a
-        diff = evaluate(tc.states[n].u, pts[:, None]) - evaluate(
-            tf.states[n].u, pts[:, None]
+        diff = evaluate(FeFunction(coarse, tc[0][n]), pts[:, None]) - evaluate(
+            FeFunction(fine, tf[0][n]), pts[:, None]
         )
         acc += 0.5 * (b - a) * np.dot(ws, diff**2)
     assert np.sqrt(acc) == pytest.approx(l2[n], abs=1e-10)
@@ -89,23 +103,59 @@ def test_error_norms_validates_tau_ratio():
     cfg = SchemeConfig(tau=0.02, n_steps=2)
     stepper = WaveStepper(space, ZERO, Diffusion.zero(), cfg)
     init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    from stochwave.noise import BrownianPath
-
-    traj = stepper.run(BrownianPath(0.02, np.zeros(2), 0, 0), init, store_states=True)
+    states = _run_states(stepper, BrownianPath(0.02, np.zeros(2), 0, 0), init)
     with pytest.raises(ValueError):
-        error_norms(traj, traj, space, space, 0.02, 0.015)
+        error_norms(states, states, space, space, 0.02, 0.015)
 
 
-def test_error_norms_requires_states():
+def test_error_norms_rejects_unequal_spans():
     space = FeSpace(build_interval_mesh(4), 1)
     cfg = SchemeConfig(tau=0.02, n_steps=2)
     stepper = WaveStepper(space, ZERO, Diffusion.zero(), cfg)
     init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    from stochwave.noise import BrownianPath
-
-    traj = stepper.run(BrownianPath(0.02, np.zeros(2), 0, 0), init)
+    U, V = _run_states(stepper, BrownianPath(0.02, np.zeros(2), 0, 0), init)
     with pytest.raises(ValueError):
-        error_norms(traj, traj, space, space, 0.02, 0.02)
+        error_norms((U[:2], V[:2]), (U, V), space, space, 0.02, 0.02)
+
+
+@pytest.mark.parametrize("mode", ["spatial", "temporal"])
+def test_rate_rows_match_error_norms_of_stored_states(mode):
+    # the table reduces each row's errors node by node as the row runs; one
+    # sample's rows must equal error_norms over the stored trajectories
+    levels, taus = ([4, 8], [0.05]) if mode == "spatial" else ([8], [0.1, 0.05])
+    table = convergence_table(
+        mode=mode, dimension=1, levels=levels, taus=taus, T=0.2,
+        drift=CUBIC, diffusion=Diffusion.linear(1.0),
+        h1=CosineProduct(kx=1), h2=Constant(0.0),
+        n_samples=1, master_seed=4, reference_extra_levels=1, newton_abs_tol=1e-13,
+    )
+    quad = quadrature_degree_for(1, CUBIC)
+    ref_level = 16 if mode == "spatial" else 8
+    ref_tau = 0.05 if mode == "spatial" else 0.025
+    meshes = {4: build_interval_mesh(4)}
+    for level in (8, 16):
+        meshes[level] = refine_uniform(meshes[level // 2])
+    spaces = {level: FeSpace(mesh, 1, quad) for level, mesh in meshes.items()}
+    h1, h2 = CosineProduct(kx=1), Constant(0.0)
+
+    def states(level, tau, path):
+        cfg = SchemeConfig(tau=tau, n_steps=round(0.2 / tau), newton_abs_tol=1e-13)
+        stepper = WaveStepper(spaces[level], CUBIC, Diffusion.linear(1.0), cfg)
+        return _run_states(stepper, path, initial_state(spaces[level], h1, h2))
+
+    ref_path = sample_path(4, 0, round(0.2 / ref_tau), ref_tau)
+    ref = states(ref_level, ref_tau, ref_path)
+    for k, (level, tau) in enumerate(
+        [(l, taus[0]) for l in levels] if mode == "spatial" else [(levels[0], t) for t in taus]
+    ):
+        factor = round(tau / ref_tau)
+        path = coarsen(ref_path, factor) if factor > 1 else ref_path
+        l2, h1_err, dt = error_norms(
+            states(level, tau, path), ref, spaces[level], spaces[ref_level], tau, ref_tau
+        )
+        assert table.l2[k] == np.max(l2)
+        assert table.h1[k] == np.max(h1_err)
+        assert table.dtl2[k] == np.max(dt)
 
 
 def test_path_coupling_is_exact():
@@ -188,22 +238,30 @@ def test_convergence_table_rejects_empty_sample_set():
 
 
 def test_convergence_table_contains_linear_solve_failure(monkeypatch):
-    original = WaveStepper.run
+    # sample 1's reference path meets a huge increment: its frozen correction
+    # is rejected and full Newton meets a Jacobian made indefinite here
+    def path(seed, idx, n_steps, tau):
+        p = sample_path(seed, idx, n_steps, tau)
+        if idx != 1:
+            return p
+        inc = p.increments.copy()
+        inc[3] = 1e3
+        return BrownianPath(tau, inc, seed, idx)
 
-    def run(self, path, initial, store_states=False):
-        if path.sample_index == 1:
-            raise LinearSolveError("singular factor")
-        return original(self, path, initial, store_states)
-
-    monkeypatch.setattr(WaveStepper, "run", run)
-    table = convergence_table(
+    monkeypatch.setattr(stochwave.metrics, "sample_path", path)
+    monkeypatch.setattr(
+        stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
+    )
+    kwargs = dict(
         mode="temporal", dimension=1, levels=[8], taus=[0.1, 0.05], T=0.2,
         drift=CUBIC, diffusion=Diffusion.linear(1.0),
-        h1=CosineProduct(kx=1), h2=Constant(0.0),
-        n_samples=3, master_seed=3, max_failure_fraction=0.5,
+        h1=CosineProduct(kx=1), h2=Constant(0.0), master_seed=3,
     )
+    table = convergence_table(n_samples=3, max_failure_fraction=0.5, **kwargs)
     assert table.n_failures == 1
     assert table.n_samples == 2
+    with pytest.raises(EnsembleFailureError, match="non-positive diagonal"):
+        convergence_table(n_samples=3, **kwargs)
 
 
 def test_convergence_table_thread_determinism():

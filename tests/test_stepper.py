@@ -15,7 +15,8 @@ from stochwave.fem import (
     norm_l2,
 )
 from stochwave.fields import Constant, CosineProduct, LinearWaveSolution, TentBump
-from stochwave.mesh import build_interval_mesh
+from stochwave.linsolve import LinearSolveError
+from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
 from stochwave.metrics import quadrature_degree_for
 from stochwave.noise import BrownianPath, sample_path
 from stochwave.stepper import (
@@ -37,6 +38,18 @@ def _space(n, drift=CUBIC, degree=1):
 
 def _zeros_path(tau, n):
     return BrownianPath(tau, np.zeros(n), 0, 0)
+
+
+def _run_states(stepper, path, init):
+    """Run one path; return the trajectory and its (U, V) coefficient stacks."""
+    U, V = [], []
+
+    def keep(n, live, Un, Vn):
+        U.append(Un[:, 0].copy())
+        V.append(Vn[:, 0].copy())
+
+    traj = stepper.run(path, init, observe=keep)
+    return traj, np.array(U), np.array(V)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +258,105 @@ def test_chord_step_matches_full_newton(monkeypatch, scheme, drift, tau, amplitu
 
 
 # ---------------------------------------------------------------------------
+# Batches: a sample's numbers do not depend on the samples stepped with it
+# ---------------------------------------------------------------------------
+
+SERIES = ("l2sq", "h1sq", "dtl2sq", "hamiltonians", "energy_residuals", "newton_iters")
+
+
+def _assert_batch_matches_alone(stepper, paths, init):
+    """Every finished sample of the batch equals its own run, bit for bit."""
+    nodes = {}
+
+    def keep(n, live, U, V):
+        nodes[n] = (live.copy(), U.copy(), V.copy())
+
+    batch = stepper.run(paths, init, observe=keep)
+    for row, k in enumerate(batch.samples):
+        alone, U, V = _run_states(stepper, paths[k], init)
+        for name in SERIES:
+            assert np.array_equal(getattr(batch, name)[row], getattr(alone, name)), name
+        for n, (live, Ub, Vb) in nodes.items():
+            col = list(live).index(k)
+            assert np.array_equal(Ub[:, col], U[n]) and np.array_equal(Vb[:, col], V[n])
+    return batch
+
+
+@pytest.mark.parametrize(
+    "dimension, scheme, tau",
+    [(1, "mcn", 0.01), (2, "mcn", 0.01), (1, "implicit", 0.01)],
+    ids=["mcn-1d", "p1-2d", "implicit-1d"],
+)
+def test_sample_alone_equals_sample_in_batch(dimension, scheme, tau):
+    if dimension == 1:
+        space = _space(32)
+        h1 = CosineProduct(kx=1)
+    else:
+        space = FeSpace(build_unit_square_tri_mesh(8), 1, quadrature_degree_for(1, CUBIC))
+        h1 = CosineProduct(kx=1, ky=2)
+    cfg = SchemeConfig(tau=tau, n_steps=10, scheme=scheme, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, h1, Constant(0.5))
+    paths = [sample_path(11, k, 10, tau) for k in range(6)]
+    batch = _assert_batch_matches_alone(stepper, paths, init)
+    assert list(batch.samples) == list(range(6)) and not batch.failures
+    assert batch.l2sq.shape == (6, 11) and batch.newton_iters.shape == (6, 10)
+
+
+def test_batch_with_partial_newton_fallback_equals_samples_alone(monkeypatch):
+    # degree-11 drift at a large step: some samples reject a frozen correction
+    # and finish their step with full Newton, the others stay on the chord
+    space = _space(16, DEG11)
+    cfg = SchemeConfig(tau=0.2, n_steps=4, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, DEG11, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
+    paths = [sample_path(11, k, 4, 0.2) for k in range(6)]
+    assemblies = []
+
+    def counted(space, weights):
+        assemblies.append(1)
+        return assemble_weighted_mass(space, weights)
+
+    monkeypatch.setattr(stochwave.stepper, "assemble_weighted_mass", counted)
+    fallback = []
+    for path in paths:
+        del assemblies[:]
+        stepper.run(path, init)
+        fallback.append(bool(assemblies))
+    assert any(fallback) and not all(fallback)
+    _assert_batch_matches_alone(stepper, paths, init)
+
+
+@pytest.mark.parametrize("error", [NewtonDivergedError, LinearSolveError])
+def test_failed_sample_is_dropped_and_leaves_batch_intact(monkeypatch, error):
+    space = _space(8)
+    cfg = SchemeConfig(tau=0.02, n_steps=10, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
+    paths = [sample_path(6, k, 10, 0.02) for k in range(5)]
+    inc = paths[2].increments.copy()
+    if error is NewtonDivergedError:
+        inc[3] = 1e200  # the cubic drift overflows
+    else:
+        # the frozen correction is rejected, and full Newton meets a Jacobian
+        # that is made indefinite here
+        inc[3] = 1e3
+        monkeypatch.setattr(
+            stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
+        )
+    paths[2] = BrownianPath(0.02, inc, 6, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = _assert_batch_matches_alone(stepper, paths, init)
+        with pytest.raises(error):
+            stepper.run(paths[2], init)
+    assert list(batch.samples) == [0, 1, 3, 4]
+    assert list(batch.failures) == [2] and isinstance(batch.failures[2], error)
+    clean = stepper.run(paths[:2] + paths[3:], init)
+    for name in SERIES:
+        assert np.array_equal(getattr(batch, name), getattr(clean, name)), name
+
+
+# ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
 
@@ -258,10 +370,10 @@ def test_linear_wave_tracks_exact_solution():
         cfg = SchemeConfig(tau=tau, n_steps=N)
         stepper = WaveStepper(space, ZERO, Diffusion.zero(), cfg)
         st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-        traj = stepper.run(_zeros_path(tau, N), st, store_states=True)
+        _, U, _ = _run_states(stepper, _zeros_path(tau, N), st)
         xs = np.linspace(0, 1, 101)[:, None]
         err = np.abs(
-            evaluate(traj.states[-1].u, xs) - exact.value(xs[:, 0], tau * N)
+            evaluate(FeFunction(space, U[-1]), xs) - exact.value(xs[:, 0], tau * N)
         ).max()
         errs.append(err)
     assert errs[2] < errs[1] < errs[0]
@@ -292,6 +404,10 @@ def test_hamiltonian_cosine_analytic_value():
     H = hamiltonian(space, CUBIC, st.u, st.v)
     expected = np.pi**2 / 4 + 0.25 + 3.0 / 32.0
     assert H == pytest.approx(expected, rel=0.01)
+    # the stepper's H comes from the products it shares with the norms
+    stepper = WaveStepper(space, CUBIC, Diffusion.zero(), SchemeConfig(tau=0.01, n_steps=1))
+    traj = stepper.run(_zeros_path(0.01, 1), st)
+    assert traj.hamiltonians[0] == pytest.approx(H, rel=1e-14)
 
 
 def test_hamiltonian_coercivity_lower_bound():
@@ -330,10 +446,10 @@ def test_deterministic_runs_seed_independent():
     cfg = SchemeConfig(tau=0.01, n_steps=20)
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    t1 = stepper.run(sample_path(1, 0, 20, 0.01), st, store_states=True)
-    t2 = stepper.run(sample_path(2, 5, 20, 0.01), st, store_states=True)
-    for a, b in zip(t1.states, t2.states):
-        assert np.array_equal(a.u.coeffs, b.u.coeffs)
+    _, U1, _ = _run_states(stepper, sample_path(1, 0, 20, 0.01), st)
+    _, U2, _ = _run_states(stepper, sample_path(2, 5, 20, 0.01), st)
+    assert U1.shape == (21, space.n_dofs)
+    assert np.array_equal(U1, U2)
 
 
 def test_mixed_primal_equivalence():
@@ -346,25 +462,22 @@ def test_mixed_primal_equivalence():
     stepper = WaveStepper(space, drift, g, cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     path = sample_path(3, 0, 10, tau)
-    traj = stepper.run(path, st, store_states=True)
+    _, U, V = _run_states(stepper, path, st)
     M = space.mass
     K = space.stiffness
     for n in range(1, cfg.n_steps):
-        prev, curr, new = traj.states[n - 1], traj.states[n], traj.states[n + 1]
-        u_pp = curr.u.coeffs - tau * curr.v.coeffs  # u^{n-1} reconstruction
-        assert np.abs(u_pp - prev.u.coeffs).max() < 1e-12
-        from stochwave.fem import assemble_pointwise_load
-
+        u_pp = U[n] - tau * V[n]  # u^{n-1} reconstruction
+        assert np.abs(u_pp - U[n - 1]).max() < 1e-12
         fvals = assemble_pointwise_load(
             space,
             lambda a, b: drift.potential_quotient(a, b),
-            new.u,
-            curr.u,
+            FeFunction(space, U[n + 1]),
+            FeFunction(space, U[n]),
         )
-        gvals = assemble_pointwise_load(space, g.value, curr.u)
+        gvals = assemble_pointwise_load(space, g.value, FeFunction(space, U[n]))
         res = (
-            M @ ((new.u.coeffs - 2 * curr.u.coeffs + u_pp) / tau)
-            + tau * (K @ new.u.coeffs)
+            M @ ((U[n + 1] - 2 * U[n] + u_pp) / tau)
+            + tau * (K @ U[n + 1])
             - tau * fvals
             - gvals * path.increments[n]
         )
