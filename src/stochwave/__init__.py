@@ -8,12 +8,10 @@ from .fem import (
     assemble_mass,
     assemble_stiffness,
     assemble_pointwise_load,
-    discrete_laplacian,
     evaluate,
     interpolate,
     l2_project,
     norm_l2,
-    norm_lp,
     seminorm_h1,
     transfer_to_fine,
 )

@@ -1,4 +1,4 @@
-"""Noise coefficients g(u): a closed family with analytic Lipschitz/growth bounds."""
+"""Noise coefficients g(u): the Lipschitz family 0, c*u and sqrt(u^2 + epsilon)."""
 
 from __future__ import annotations
 
@@ -48,19 +48,3 @@ class Diffusion:
         if self.kind == "linear":
             return self.c * u
         return np.sqrt(u * u + self.epsilon)
-
-    def lipschitz_bound(self) -> float:
-        """Analytic bound on |g'|: |c| for the linear family, 1 otherwise."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "linear":
-            return abs(self.c)
-        return 1.0  # |u| / sqrt(u^2 + eps) < 1
-
-    def growth_bound(self) -> float:
-        """C with g(u)^2 <= C (1 + u^2)."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "linear":
-            return self.c * self.c
-        return max(1.0, self.epsilon)

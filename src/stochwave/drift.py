@@ -128,7 +128,7 @@ class PolynomialDrift:
         gap[self.q + 1] -= 0.5 * self.lam
         return gap
 
-    def validate(self, dimension: int, scheme: str) -> list[str]:
+    def validate(self, scheme: str) -> list[str]:
         """Run the admissibility checks; return a list of violations (empty = ok)."""
         violations: list[str] = []
         if self.q % 2 == 0:
@@ -136,10 +136,6 @@ class PolynomialDrift:
                 f"drift polynomial degree must be odd, got q={self.q}"
             )
             return violations
-        if dimension == 3 and self.q > 3:
-            violations.append(
-                f"in three dimensions the drift degree is limited to 3, got q={self.q}"
-            )
         if scheme not in SCHEMES:
             violations.append(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
             return violations

@@ -1,23 +1,29 @@
-"""Monte Carlo driver: coupled sample trajectories and bit-stable statistics.
+"""Monte Carlo engine: one problem spec, sample blocks and bit-stable statistics.
 
-Samples run in contiguous index blocks, each stepped as one batch by
-`WaveStepper.run`.  Workers return per-sample summaries which are reduced in
-a fixed pairwise tree keyed by sample index; since a sample's numbers do not
-depend on its batch, the aggregate is identical for any worker count.
-Sample paths come from per-index counter-based streams.
+Every Monte Carlo study runs through the same pieces: a picklable
+`ProblemSpec`, spaces from `nested_spaces`, step counts from `steps_for`,
+ladders checked by `ladder_problems`, and `map_samples`, which runs a batch
+function over contiguous sample blocks (each stepped as one batch by
+`WaveStepper.run`), orders the per-sample records by index and accounts for
+failures.  The stability ensemble (`run_ensemble`) and the rate tables
+(`metrics`) differ only in their batch functions.  Per-sample series are
+reduced in a fixed pairwise tree keyed by sample index; since a sample's
+numbers do not depend on its batch, the aggregate is identical for any worker
+count.  Sample paths come from per-index counter-based streams.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .diffusion import Diffusion
 from .drift import PolynomialDrift
 from .fem import FeSpace
-from .mesh import build_interval_mesh, build_unit_square_tri_mesh
+from .mesh import build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
 from .noise import sample_path
 from .parallel import parallel_map
 from .stepper import SchemeConfig, WaveStepper, initial_state
@@ -43,65 +49,139 @@ class EnsembleFailureError(RuntimeError):
     """More than the tolerated fraction of samples failed to solve."""
 
 
+def steps_for(T: float, tau: float) -> int:
+    """The number of steps of size tau that make up T; ValueError unless it is whole."""
+    ratio = T / tau if tau > 0 else math.nan
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or not math.isclose(n * tau, T, rel_tol=1e-9, abs_tol=0.0):
+        raise ValueError(f"T={T} is not an integer multiple of tau={tau}")
+    return n
+
+
+def ladder_problems(
+    mode: str, levels: Sequence[int], taus: Sequence[float], reference_extra_levels: int = 1
+) -> list[str]:
+    """Faults of a refinement ladder, each message led by the name of its field.
+
+    ``mode="spatial"``: the mesh ``levels`` double at the single tau in
+    ``taus``.  ``mode="temporal"``: the ``taus`` halve on the single mesh
+    level.  An empty list means the ladder is runnable.
+    """
+    if mode not in ("spatial", "temporal"):
+        return [f"mode: must be spatial or temporal, got {mode!r}"]
+    problems = []
+    if mode == "spatial":
+        if len(taus) != 1:
+            problems.append("taus: spatial mode expects a single tau")
+        if not levels:
+            problems.append("levels: the ladder is empty")
+        elif any(b != 2 * a for a, b in zip(levels[:-1], levels[1:])):
+            problems.append(f"levels: ladder entries must double: {list(levels)}")
+    else:
+        if len(levels) != 1:
+            problems.append("levels: temporal mode expects a single level")
+        if not taus:
+            problems.append("taus: the ladder is empty")
+        elif any(not math.isclose(a, 2 * b, rel_tol=1e-12) for a, b in zip(taus[:-1], taus[1:])):
+            problems.append(f"taus: ladder entries must halve: {list(taus)}")
+    if any(l < 1 for l in levels):
+        problems.append(f"levels: must all be >= 1, got {list(levels)}")
+    if reference_extra_levels < 1:
+        problems.append(f"reference_extra_levels: must be >= 1, got {reference_extra_levels}")
+    return problems
+
+
+def nested_spaces(
+    dimension: int, degree: int, quad_degree: int, levels: Sequence[int]
+) -> dict[int, FeSpace]:
+    """Spaces at the given resolutions, on meshes refined from the coarsest.
+
+    Every level must be the coarsest one times a power of two, as on a
+    checked ladder and its reference, so each finer mesh descends from the
+    coarser ones and transfers between them are exact.
+    """
+    levels = sorted(set(levels))
+    build = build_interval_mesh if dimension == 1 else build_unit_square_tri_mesh
+    mesh = build(levels[0])
+    meshes = {mesh.resolution: mesh}
+    while mesh.resolution < levels[-1]:
+        mesh = refine_uniform(mesh)
+        meshes[mesh.resolution] = mesh
+    return {l: FeSpace(meshes[l], degree, quad_degree) for l in levels}
+
+
 @dataclass(frozen=True)
-class _EnsembleSpec:
-    """Everything a worker needs to rebuild the problem; must pickle."""
+class ProblemSpec:
+    """Everything a worker needs to rebuild the problem; must pickle.
+
+    ``config`` is the scheme of the run; a rate table's rows derive theirs
+    from it with `dataclasses.replace`.
+    """
 
     dimension: int
-    resolution: int
     degree: int
     quad_degree: int
     drift: PolynomialDrift
     diffusion: Diffusion
-    config: SchemeConfig
     h1: Callable
     h2: Callable
     master_seed: int
-
-    def build_space(self) -> FeSpace:
-        if self.dimension == 1:
-            mesh = build_interval_mesh(self.resolution)
-        else:
-            mesh = build_unit_square_tri_mesh(self.resolution)
-        return FeSpace(mesh, self.degree, self.quad_degree)
+    config: SchemeConfig
 
 
 @dataclass
-class _SampleSummary:
+class SampleRecord:
+    """One sample's outcome: its series (as its batch function lays them out)
+    and worst energy violation, or the message of its failure."""
+
     index: int
-    l2sq: np.ndarray | None = None
-    h1sq: np.ndarray | None = None
-    dtl2sq: np.ndarray | None = None
-    hamiltonians: np.ndarray | None = None
-    max_energy_violation: float = -np.inf
+    series: tuple = ()
+    violation: float = -np.inf
     failure: str | None = None
 
 
-def _run_batch(task: tuple[_EnsembleSpec, range]) -> list[_SampleSummary]:
-    spec, indices = task
-    space = spec.build_space()
-    stepper = WaveStepper(space, spec.drift, spec.diffusion, spec.config)
-    paths = [
-        sample_path(spec.master_seed, idx, spec.config.n_steps, spec.config.tau)
-        for idx in indices
-    ]
+def map_samples(
+    batch: Callable[[tuple], list[SampleRecord]],
+    payload: tuple,
+    n_samples: int,
+    threads: int,
+    points_per_sample: int,
+    max_failure_fraction: float,
+) -> tuple[list[SampleRecord], int]:
+    """Run ``batch((payload, block))`` over contiguous sample blocks.
+
+    Returns the finished samples' records in index order and the number of
+    failed samples.  Raises EnsembleFailureError when more than
+    ``max_failure_fraction`` of the samples failed, or all of them did.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    workers = max(1, threads)
+    tasks = [(payload, block) for block in sample_blocks(n_samples, workers, points_per_sample)]
+    records = sorted(
+        (r for out in parallel_map(batch, tasks, workers) for r in out), key=lambda r: r.index
+    )
+    failed = [r for r in records if r.failure is not None]
+    good = [r for r in records if r.failure is None]
+    if len(failed) > max_failure_fraction * n_samples or not good:
+        raise EnsembleFailureError(
+            f"{len(failed)}/{n_samples} samples failed; first: {failed[0].failure}"
+        )
+    return good, len(failed)
+
+
+def _run_batch(task: tuple[tuple[ProblemSpec, int], range]) -> list[SampleRecord]:
+    (spec, level), indices = task
+    space = nested_spaces(spec.dimension, spec.degree, spec.quad_degree, [level])[level]
+    cfg = spec.config
+    stepper = WaveStepper(space, spec.drift, spec.diffusion, cfg)
+    paths = [sample_path(spec.master_seed, idx, cfg.n_steps, cfg.tau) for idx in indices]
     traj = stepper.run(paths, initial_state(space, spec.h1, spec.h2))
-    out = [
-        _SampleSummary(index=indices[pos], failure=str(exc))
-        for pos, exc in traj.failures.items()
-    ]
+    out = [SampleRecord(indices[pos], failure=str(exc)) for pos, exc in traj.failures.items()]
     violations = traj.max_energy_violation
     for row, pos in enumerate(traj.samples):
-        out.append(
-            _SampleSummary(
-                index=indices[pos],
-                l2sq=traj.l2sq[row],
-                h1sq=traj.h1sq[row],
-                dtl2sq=traj.dtl2sq[row],
-                hamiltonians=traj.hamiltonians[row],
-                max_energy_violation=float(violations[row]),
-            )
-        )
+        series = (traj.l2sq[row], traj.h1sq[row], traj.dtl2sq[row], traj.hamiltonians[row])
+        out.append(SampleRecord(indices[pos], series, float(violations[row])))
     return out
 
 
@@ -139,11 +219,11 @@ class EnsembleStats:
     n_failures: int
     master_seed: int
     max_energy_violation: float
-    # per-sample series, retained only on request (needed for subset curves)
-    sample_l2sq: np.ndarray | None = field(default=None, repr=False)
-    sample_h1sq: np.ndarray | None = field(default=None, repr=False)
-    sample_dtl2sq: np.ndarray | None = field(default=None, repr=False)
-    sample_H: np.ndarray | None = field(default=None, repr=False)
+    # per-sample series, one row per finished sample (for subset curves)
+    sample_l2sq: np.ndarray = field(repr=False)
+    sample_h1sq: np.ndarray = field(repr=False)
+    sample_dtl2sq: np.ndarray = field(repr=False)
+    sample_H: np.ndarray = field(repr=False)
 
 
 def run_ensemble(
@@ -156,48 +236,28 @@ def run_ensemble(
     n_samples: int,
     master_seed: int,
     threads: int = 1,
-    retain_series: bool = False,
     max_failure_fraction: float = 0.10,
 ) -> EnsembleStats:
     """Run n_samples independent trajectories and aggregate statistics.
 
     ``h1``/``h2`` must pickle when threads > 1 (use the fields module).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    spec = _EnsembleSpec(
+    spec = ProblemSpec(
         dimension=space.mesh.dimension,
-        resolution=space.mesh.resolution,
         degree=space.degree,
         quad_degree=space.quad_degree,
         drift=drift,
         diffusion=diffusion,
-        config=config,
         h1=h1,
         h2=h2,
         master_seed=master_seed,
+        config=config,
     )
-    workers = max(1, threads)
-    blocks = sample_blocks(n_samples, workers, space.wdet.size)
-    tasks = [(spec, block) for block in blocks]
-    summaries: list[_SampleSummary] = []
-    for batch in parallel_map(_run_batch, tasks, workers):
-        summaries.extend(batch)
-    summaries.sort(key=lambda s: s.index)
-
-    failures = [s for s in summaries if s.failure is not None]
-    good = [s for s in summaries if s.failure is None]
-    if len(failures) > max_failure_fraction * n_samples:
-        raise EnsembleFailureError(
-            f"{len(failures)}/{n_samples} samples failed; first: {failures[0].failure}"
-        )
-    if not good:
-        raise EnsembleFailureError("all samples failed")
-
-    l2 = np.stack([s.l2sq for s in good])
-    h1s = np.stack([s.h1sq for s in good])
-    dt = np.stack([s.dtl2sq for s in good])
-    H = np.stack([s.hamiltonians for s in good])
+    payload = (spec, space.mesh.resolution)
+    good, n_failed = map_samples(
+        _run_batch, payload, n_samples, threads, space.wdet.size, max_failure_fraction
+    )
+    l2, h1s, dt, H = (np.stack(series) for series in zip(*(r.series for r in good)))
     n = len(good)
     times = np.arange(config.n_steps + 1) * config.tau
 
@@ -218,13 +278,13 @@ def run_ensemble(
         min_H=H.min(axis=0),
         max_H=H.max(axis=0),
         n_samples=n,
-        n_failures=len(failures),
+        n_failures=n_failed,
         master_seed=master_seed,
-        max_energy_violation=max(s.max_energy_violation for s in good),
-        sample_l2sq=l2 if retain_series else None,
-        sample_h1sq=h1s if retain_series else None,
-        sample_dtl2sq=dt if retain_series else None,
-        sample_H=H if retain_series else None,
+        max_energy_violation=max(r.violation for r in good),
+        sample_l2sq=l2,
+        sample_h1sq=h1s,
+        sample_dtl2sq=dt,
+        sample_H=H,
     )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,8 +20,14 @@ import numpy as np
 
 from .diffusion import Diffusion
 from .drift import MODIFIED_CN, SCHEMES, PolynomialDrift
-from .ensemble import EnsembleStats, run_ensemble, subset_fraction
-from .fem import FeSpace
+from .ensemble import (
+    EnsembleStats,
+    ladder_problems,
+    nested_spaces,
+    run_ensemble,
+    steps_for,
+    subset_fraction,
+)
 from .fields import (
     Constant,
     CosineProduct,
@@ -31,7 +36,6 @@ from .fields import (
     field_from_config,
     field_to_config,
 )
-from .mesh import build_interval_mesh, build_unit_square_tri_mesh
 from .metrics import (
     ErrorTable,
     analytic_error_table,
@@ -188,11 +192,6 @@ def manifest_hash(cfg: ExperimentConfig) -> str:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _check_steps(T: float, tau: float) -> bool:
-    n = round(T / tau)
-    return n >= 1 and math.isclose(n * tau, T, rel_tol=1e-9, abs_tol=0.0)
-
-
 def validate_config(cfg: ExperimentConfig) -> list[str]:
     """All violations with field paths; empty list means the config is runnable."""
     errors: list[str] = []
@@ -205,45 +204,42 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if cfg.n_samples < 1:
         errors.append(f"n_samples: must be >= 1, got {cfg.n_samples}")
     else:
-        for v in cfg.drift.validate(cfg.dimension, cfg.scheme):
+        for v in cfg.drift.validate(cfg.scheme):
             errors.append(f"drift: {v}")
     if not cfg.studies:
         errors.append("studies: at least one study is required")
     for i, s in enumerate(cfg.studies):
         p = f"studies[{i}]"
         if isinstance(s, RateStudy):
-            if s.mode not in ("spatial", "temporal"):
-                errors.append(f"{p}.mode: must be spatial or temporal, got {s.mode!r}")
-                continue
+            ladder = ladder_problems(s.mode, s.levels, s.taus, s.reference_extra_levels)
             taus = s.taus
-            if s.mode == "spatial":
-                if len(taus) != 1:
-                    errors.append(f"{p}.taus: spatial mode expects a single tau")
-                if any(b != 2 * a for a, b in zip(s.levels[:-1], s.levels[1:])):
-                    errors.append(f"{p}.levels: ladder entries must double: {s.levels}")
-            else:
-                if len(s.levels) != 1:
-                    errors.append(f"{p}.levels: temporal mode expects a single level")
-                if any(
-                    not math.isclose(a, 2 * b, rel_tol=1e-12)
-                    for a, b in zip(taus[:-1], taus[1:])
-                ):
-                    errors.append(f"{p}.taus: ladder entries must halve: {taus}")
-            for t in taus:
-                if not _check_steps(s.T, t):
-                    errors.append(f"{p}: T={s.T} is not an integer multiple of tau={t}")
-            if s.reference_extra_levels < 1:
-                errors.append(f"{p}.reference_extra_levels: must be >= 1")
         elif isinstance(s, StabilityStudy):
-            if not _check_steps(s.T, s.tau):
-                errors.append(f"{p}: T={s.T} is not an integer multiple of tau={s.tau}")
+            ladder = [] if s.level >= 1 else [f"level: must be >= 1, got {s.level}"]
             if s.kappa is not None and s.kappa < 0:
                 errors.append(f"{p}.kappa: must be >= 0")
+            taus = [s.tau]
         elif isinstance(s, AnalyticStudy):
+            ladder = ladder_problems("spatial", s.levels, [s.tau])
             if not cfg.drift.is_zero or not cfg.diffusion.is_zero:
                 errors.append(f"{p}: analytic study requires zero drift and diffusion")
-            if not _check_steps(s.T, s.tau):
-                errors.append(f"{p}: T={s.T} is not an integer multiple of tau={s.tau}")
+            if not (
+                cfg.dimension == 1
+                and isinstance(cfg.h1, CosineProduct)
+                and cfg.h2 == Constant(0.0)
+            ):
+                errors.append(
+                    f"{p}: the closed-form solution needs dimension 1, "
+                    "a cosine h1 and a zero h2"
+                )
+            taus = [s.tau]
+        else:
+            continue
+        errors.extend(f"{p}.{msg}" for msg in ladder)
+        for t in taus:
+            try:
+                steps_for(s.T, t)
+            except ValueError as exc:
+                errors.append(f"{p}: {exc}")
     return errors
 
 
@@ -401,15 +397,6 @@ class ExperimentResult:
     n_failures: int
 
 
-def _build_space(cfg: ExperimentConfig, level: int) -> FeSpace:
-    mesh = (
-        build_interval_mesh(level)
-        if cfg.dimension == 1
-        else build_unit_square_tri_mesh(level)
-    )
-    return FeSpace(mesh, cfg.degree, quadrature_degree_for(cfg.degree, cfg.drift))
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
@@ -486,34 +473,14 @@ def write_stability_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_rate_study(cfg: ExperimentConfig, study: RateStudy) -> ErrorTable:
-    return convergence_table(
-        mode=study.mode,
-        dimension=cfg.dimension,
-        levels=study.levels,
-        taus=study.taus,
-        T=study.T,
-        drift=cfg.drift,
-        diffusion=cfg.diffusion,
-        h1=cfg.h1,
-        h2=cfg.h2,
-        n_samples=cfg.n_samples,
-        master_seed=cfg.master_seed,
-        degree=cfg.degree,
-        scheme=cfg.scheme,
-        reference_extra_levels=study.reference_extra_levels,
-        threads=cfg.threads,
-        newton_abs_tol=cfg.newton_abs_tol,
-    )
-
-
 def _run_stability_study(
     cfg: ExperimentConfig, study: StabilityStudy
 ) -> tuple[EnsembleStats, EnsembleStats | None, float, np.ndarray]:
-    space = _build_space(cfg, study.level)
+    quad_degree = quadrature_degree_for(cfg.degree, cfg.drift)
+    space = nested_spaces(cfg.dimension, cfg.degree, quad_degree, [study.level])[study.level]
     scheme_cfg = SchemeConfig(
         tau=study.tau,
-        n_steps=round(study.T / study.tau),
+        n_steps=steps_for(study.T, study.tau),
         scheme=cfg.scheme,
         newton_abs_tol=cfg.newton_abs_tol,
     )
@@ -527,7 +494,6 @@ def _run_stability_study(
         cfg.n_samples,
         cfg.master_seed,
         threads=cfg.threads,
-        retain_series=True,
     )
     h1_full = stats.sample_l2sq + stats.sample_h1sq
     if study.kappa is not None:
@@ -548,7 +514,6 @@ def _run_stability_study(
             1,
             cfg.master_seed,
             threads=1,
-            retain_series=True,
         )
     return stats, det_stats, kappa, curve
 
@@ -566,16 +531,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
     violation = -np.inf
     failures = 0
     for study in cfg.studies:
-        if isinstance(study, RateStudy):
-            table = _run_rate_study(cfg, study)
-            path = out / f"{cfg.name}_{study.label}.csv"
-            write_rate_csv(path, table, mhash, cfg)
-            results.append(StudyResult(study.label, table=table, files=[path.name]))
-            violation = max(violation, table.max_energy_violation)
-            failures += table.n_failures
-        elif isinstance(study, StabilityStudy):
+        path = out / f"{cfg.name}_{study.label}.csv"
+        if isinstance(study, StabilityStudy):
             stats, det_stats, kappa, curve = _run_stability_study(cfg, study)
-            path = out / f"{cfg.name}_{study.label}.csv"
             write_stability_csv(path, stats, curve, kappa, mhash, cfg)
             files = [path.name]
             if det_stats is not None:
@@ -597,13 +555,32 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
             )
             violation = max(violation, stats.max_energy_violation)
             failures += stats.n_failures
-        elif isinstance(study, AnalyticStudy):
-            exact = LinearWaveSolution(k=cfg.h1.kx if isinstance(cfg.h1, CosineProduct) else 1)
+            continue
+        if isinstance(study, RateStudy):
+            table = convergence_table(
+                mode=study.mode,
+                dimension=cfg.dimension,
+                levels=study.levels,
+                taus=study.taus,
+                T=study.T,
+                drift=cfg.drift,
+                diffusion=cfg.diffusion,
+                h1=cfg.h1,
+                h2=cfg.h2,
+                n_samples=cfg.n_samples,
+                master_seed=cfg.master_seed,
+                degree=cfg.degree,
+                scheme=cfg.scheme,
+                reference_extra_levels=study.reference_extra_levels,
+                threads=cfg.threads,
+                newton_abs_tol=cfg.newton_abs_tol,
+            )
+        else:
             table = analytic_error_table(
                 levels=study.levels,
                 tau=study.tau,
                 T=study.T,
-                exact=exact,
+                exact=LinearWaveSolution(k=cfg.h1.kx),
                 drift=cfg.drift,
                 diffusion=cfg.diffusion,
                 h1=cfg.h1,
@@ -613,10 +590,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
                 master_seed=cfg.master_seed,
                 newton_abs_tol=cfg.newton_abs_tol,
             )
-            path = out / f"{cfg.name}_{study.label}.csv"
-            write_rate_csv(path, table, mhash, cfg)
-            results.append(StudyResult(study.label, table=table, files=[path.name]))
-            violation = max(violation, table.max_energy_violation)
+        write_rate_csv(path, table, mhash, cfg)
+        results.append(StudyResult(study.label, table=table, files=[path.name]))
+        violation = max(violation, table.max_energy_violation)
+        failures += table.n_failures
 
     manifest = {
         "config": config_to_dict(cfg),

@@ -1,7 +1,7 @@
 """Lagrange finite element spaces on structured meshes.
 
-Provides P1/P2 spaces, mass/stiffness/load assembly, L2 projection, the
-discrete (weak) Laplacian, quadrature norms, and exact transfer between
+Provides P1/P2 spaces, mass/stiffness/load assembly, L2 projection,
+interpolation, point evaluation, quadrature norms, and exact transfer between
 nested meshes.  Neumann boundary conditions are natural: no dof is ever
 constrained.
 """
@@ -28,12 +28,10 @@ __all__ = [
     "assemble_pointwise_load",
     "load_vector",
     "l2_project",
-    "discrete_laplacian",
     "interpolate",
     "evaluate",
     "norm_l2",
     "seminorm_h1",
-    "norm_lp",
     "transfer_matrix",
     "transfer_to_fine",
 ]
@@ -273,9 +271,6 @@ class FeSpace:
         """b[i] = quadrature of vals * phi_i, for vals shaped as values_at_qpoints returns."""
         return self._load_operator @ vals.reshape((self.wdet.size,) + vals.shape[2:])
 
-    def zero_function(self) -> "FeFunction":
-        return FeFunction(self, np.zeros(self.n_dofs))
-
 
 @dataclass
 class FeFunction:
@@ -341,17 +336,12 @@ def load_vector(space: FeSpace, field: Callable) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Projection, Laplacian, interpolation
+# Projection and interpolation
 # ---------------------------------------------------------------------------
 
 def l2_project(space: FeSpace, field: Callable) -> FeFunction:
     """Best L2 approximation: solve M c = (field, phi_i)."""
     return FeFunction(space, space.mass_solve(load_vector(space, field)))
-
-
-def discrete_laplacian(space: FeSpace, z: FeFunction) -> FeFunction:
-    """The weak Laplacian: solve M y = -K z."""
-    return FeFunction(space, space.mass_solve(-(space.stiffness @ z.coeffs)))
 
 
 def interpolate(space: FeSpace, field: Callable) -> FeFunction:
@@ -371,14 +361,6 @@ def norm_l2(u: FeFunction) -> float:
 def seminorm_h1(u: FeFunction) -> float:
     c = u.coeffs
     return float(np.sqrt(max(0.0, c @ (u.space.stiffness @ c))))
-
-
-def norm_lp(u: FeFunction, p: float) -> float:
-    """Quadrature L^p norm; exact only when |u|^p stays polynomial."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    vals = u.space.values_at_qpoints(u.coeffs)
-    return float(np.sum(u.space.wdet * np.abs(vals) ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +11,6 @@ __all__ = [
     "build_interval_mesh",
     "build_unit_square_tri_mesh",
     "refine_uniform",
-    "mesh_to_json",
 ]
 
 
@@ -41,20 +39,6 @@ class Mesh:
     @property
     def n_cells(self) -> int:
         return self.cells.shape[0]
-
-    def cell_measures(self) -> np.ndarray:
-        """Length (1D) or area (2D) of every cell."""
-        if self.dimension == 1:
-            a = self.vertices[self.cells[:, 0], 0]
-            b = self.vertices[self.cells[:, 1], 0]
-            return b - a
-        p0 = self.vertices[self.cells[:, 0]]
-        p1 = self.vertices[self.cells[:, 1]]
-        p2 = self.vertices[self.cells[:, 2]]
-        cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
-            p1[:, 1] - p0[:, 1]
-        ) * (p2[:, 0] - p0[:, 0])
-        return 0.5 * np.abs(cross)
 
     def descends_from(self, other: "Mesh") -> bool:
         """True if ``other`` appears in this mesh's refinement lineage (or is self)."""
@@ -111,17 +95,4 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         child = build_unit_square_tri_mesh(2 * mesh.resolution)
     return Mesh(
         child.dimension, child.vertices, child.cells, child.h, child.resolution, mesh
-    )
-
-
-def mesh_to_json(mesh: Mesh) -> str:
-    """Debug dump of geometry and connectivity."""
-    return json.dumps(
-        {
-            "dimension": mesh.dimension,
-            "resolution": mesh.resolution,
-            "h": mesh.h,
-            "vertices": mesh.vertices.tolist(),
-            "cells": mesh.cells.tolist(),
-        }
     )

@@ -10,6 +10,7 @@ quantity.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,11 +20,17 @@ import scipy.sparse as sp
 
 from .diffusion import Diffusion
 from .drift import MODIFIED_CN, PolynomialDrift
-from .ensemble import EnsembleFailureError, sample_blocks, tree_sum
+from .ensemble import (
+    ProblemSpec,
+    SampleRecord,
+    ladder_problems,
+    map_samples,
+    nested_spaces,
+    steps_for,
+    tree_sum,
+)
 from .fem import FeSpace, transfer_matrix
-from .mesh import Mesh, build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
 from .noise import BrownianPath, coarsen, sample_path
-from .parallel import parallel_map
 from .quadrature import interval_rule, triangle_rule
 from .stepper import SchemeConfig, WaveStepper, column_sums, initial_state
 
@@ -40,13 +47,6 @@ __all__ = [
 def quadrature_degree_for(degree: int, drift: PolynomialDrift) -> int:
     """Cell-rule exactness covering drift and potential integrands: r(q+1)."""
     return max(2 * degree, degree * (drift.q + 1))
-
-
-def _steps_for(T: float, tau: float) -> int:
-    n = round(T / tau)
-    if n < 1 or not math.isclose(n * tau, T, rel_tol=1e-9, abs_tol=0.0):
-        raise ValueError(f"T={T} is not an integer multiple of tau={tau}")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -160,73 +160,25 @@ class ErrorTable:
         return self.orders(self.dtl2)
 
 
-@dataclass(frozen=True)
-class _RateSpec:
-    mode: str
-    dimension: int
-    degree: int
-    quad_degree: int
-    row_levels: tuple[int, ...]
-    row_taus: tuple[float, ...]
-    ref_level: int
-    ref_tau: float
-    T: float
-    drift: PolynomialDrift
-    diffusion: Diffusion
-    scheme: str
-    newton_abs_tol: float
-    newton_rel_tol: float
-    newton_max_iter: int
-    h1: Callable
-    h2: Callable
-    master_seed: int
-
-    def config_for(self, tau: float) -> SchemeConfig:
-        return SchemeConfig(
-            tau=tau,
-            n_steps=_steps_for(self.T, tau),
-            scheme=self.scheme,
-            newton_abs_tol=self.newton_abs_tol,
-            newton_rel_tol=self.newton_rel_tol,
-            newton_max_iter=self.newton_max_iter,
-        )
-
-
-def _build_mesh(dimension: int, resolution: int) -> Mesh:
-    if dimension == 1:
-        return build_interval_mesh(resolution)
-    return build_unit_square_tri_mesh(resolution)
-
-
-def _space_chain(spec: _RateSpec) -> dict[int, FeSpace]:
-    """Spaces at every needed resolution, linked by refinement lineage."""
-    levels = sorted(set(spec.row_levels) | {spec.ref_level})
-    mesh = _build_mesh(spec.dimension, levels[0])
-    meshes = {levels[0]: mesh}
-    while mesh.resolution < levels[-1]:
-        mesh = refine_uniform(mesh)
-        meshes[mesh.resolution] = mesh
-    missing = [l for l in levels if l not in meshes]
-    if missing:
-        raise ValueError(f"ladder levels {missing} are not reachable by halving")
-    return {l: FeSpace(meshes[l], spec.degree, spec.quad_degree) for l in levels}
-
-
-def _rate_batch(task: tuple[_RateSpec, range]) -> list[dict]:
+def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
     """Per-sample squared error series for every table row (one sample block).
 
-    The block steps the reference first and keeps the nodes some row reads;
-    each row then steps the samples still running and reduces its errors to
-    per-node norms as it goes, so no row's states are stored.
+    The payload is the problem (its config is the reference scheme), the
+    rows' (level, scheme) pairs and the reference level.  The block steps the
+    reference first and keeps the nodes some row reads; each row then steps
+    the samples still running and reduces its errors to per-node norms as it
+    goes, so no row's states are stored.
     """
-    spec, indices = task
+    (spec, rows, ref_level), indices = task
     S = len(indices)
-    spaces = _space_chain(spec)
-    ref_space = spaces[spec.ref_level]
+    spaces = nested_spaces(
+        spec.dimension, spec.degree, spec.quad_degree, [l for l, _ in rows] + [ref_level]
+    )
+    ref_space = spaces[ref_level]
     Mref, Kref = ref_space.mass, ref_space.stiffness
-    ref_cfg = spec.config_for(spec.ref_tau)
-    inits = {spec.ref_level: initial_state(ref_space, spec.h1, spec.h2)}
-    factors = [round(tau / spec.ref_tau) for tau in spec.row_taus]
+    ref_cfg = spec.config
+    inits = {ref_level: initial_state(ref_space, spec.h1, spec.h2)}
+    factors = [round(cfg.tau / ref_cfg.tau) for _, cfg in rows]
     stride = math.gcd(*factors)
     shape = (ref_cfg.n_steps // stride + 1, ref_space.n_dofs, S)
     Ur, Vr = np.empty(shape), np.empty(shape)
@@ -237,7 +189,7 @@ def _rate_batch(task: tuple[_RateSpec, range]) -> list[dict]:
             Vr[n // stride][:, live] = V
 
     ref_paths = [
-        sample_path(spec.master_seed, idx, ref_cfg.n_steps, spec.ref_tau) for idx in indices
+        sample_path(spec.master_seed, idx, ref_cfg.n_steps, ref_cfg.tau) for idx in indices
     ]
     violation = np.full(S, -np.inf)
     failure: dict[int, str] = {}
@@ -248,14 +200,13 @@ def _rate_batch(task: tuple[_RateSpec, range]) -> list[dict]:
         failure.update((int(alive[k]), str(exc)) for k, exc in traj.failures.items())
 
     ref_stepper = WaveStepper(ref_space, spec.drift, spec.diffusion, ref_cfg)
-    absorb(ref_stepper.run(ref_paths, inits[spec.ref_level], observe=keep), np.arange(S))
-    rows = []
-    for level, tau, factor in zip(spec.row_levels, spec.row_taus, factors):
+    absorb(ref_stepper.run(ref_paths, inits[ref_level], observe=keep), np.arange(S))
+    errs = []
+    for (level, cfg), factor in zip(rows, factors):
         alive = np.array([p for p in range(S) if p not in failure], dtype=np.int64)
         if not alive.size:
             break
         space = spaces[level]
-        cfg = spec.config_for(tau)
         if level not in inits:
             inits[level] = initial_state(space, spec.h1, spec.h2)
         E = None if space is ref_space else transfer_matrix(space, ref_space)
@@ -271,15 +222,15 @@ def _rate_batch(task: tuple[_RateSpec, range]) -> list[dict]:
         assert all(math.isclose(p.tau, cfg.tau, rel_tol=1e-12) for p in paths)
         stepper = WaveStepper(space, spec.drift, spec.diffusion, cfg)
         absorb(stepper.run(paths, inits[level], observe=compare), alive)
-        rows.append(err)
+        errs.append(err)
 
     return [
-        {
-            "index": idx,
-            "rows": [(e[0, pos], e[1, pos], e[2, pos, 1:]) for e in rows],
-            "violation": float(violation[pos]),
-            "failure": failure.get(pos),
-        }
+        SampleRecord(
+            idx,
+            tuple((e[0, pos], e[1, pos], e[2, pos, 1:]) for e in errs),
+            float(violation[pos]),
+            failure.get(pos),
+        )
         for pos, idx in enumerate(indices)
     ]
 
@@ -302,8 +253,6 @@ def convergence_table(
     reference_extra_levels: int = 1,
     threads: int = 1,
     newton_abs_tol: float = 1e-11,
-    newton_rel_tol: float = 1e-10,
-    newton_max_iter: int = 30,
     max_failure_fraction: float = 0.10,
 ) -> ErrorTable:
     """Coupled-reference convergence study over a halving ladder.
@@ -313,94 +262,57 @@ def convergence_table(
     times.  ``mode="temporal"``: rows iterate over the ``taus`` ladder on the
     single mesh level; the reference halves the finest tau.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     levels = [int(l) for l in levels]
     taus = [float(t) for t in taus]
+    problems = ladder_problems(mode, levels, taus, reference_extra_levels)
+    if problems:
+        raise ValueError("; ".join(problems))
     if mode == "spatial":
-        if len(taus) != 1:
-            raise ValueError("spatial mode expects a single tau")
-        for a, b in zip(levels[:-1], levels[1:]):
-            if b != 2 * a:
-                raise ValueError(f"spatial ladder must halve h: {levels}")
-        row_levels = tuple(levels)
-        row_taus = tuple(taus * len(levels))
-        ref_level = levels[-1] * 2**reference_extra_levels
-        ref_tau = taus[0]
-    elif mode == "temporal":
-        if len(levels) != 1:
-            raise ValueError("temporal mode expects a single mesh level")
-        for a, b in zip(taus[:-1], taus[1:]):
-            if not math.isclose(a, 2 * b, rel_tol=1e-12):
-                raise ValueError(f"temporal ladder must halve tau: {taus}")
-        row_levels = tuple(levels * len(taus))
-        row_taus = tuple(taus)
-        ref_level = levels[0]
-        ref_tau = taus[-1] / 2**reference_extra_levels
+        row_keys = [(l, taus[0]) for l in levels]
+        ref_level, ref_tau = levels[-1] * 2**reference_extra_levels, taus[0]
     else:
-        raise ValueError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
+        row_keys = [(levels[0], t) for t in taus]
+        ref_level, ref_tau = levels[0], taus[-1] / 2**reference_extra_levels
 
-    spec = _RateSpec(
-        mode=mode,
+    ref_cfg = SchemeConfig(
+        tau=ref_tau, n_steps=steps_for(T, ref_tau), scheme=scheme, newton_abs_tol=newton_abs_tol
+    )
+    rows = tuple(
+        (l, dataclasses.replace(ref_cfg, tau=t, n_steps=steps_for(T, t))) for l, t in row_keys
+    )
+    spec = ProblemSpec(
         dimension=dimension,
         degree=degree,
         quad_degree=quadrature_degree_for(degree, drift),
-        row_levels=row_levels,
-        row_taus=row_taus,
-        ref_level=ref_level,
-        ref_tau=ref_tau,
-        T=T,
         drift=drift,
         diffusion=diffusion,
-        scheme=scheme,
-        newton_abs_tol=newton_abs_tol,
-        newton_rel_tol=newton_rel_tol,
-        newton_max_iter=newton_max_iter,
         h1=h1,
         h2=h2,
         master_seed=master_seed,
+        config=ref_cfg,
     )
-    workers = max(1, threads)
     rule = interval_rule if dimension == 1 else triangle_rule
     ref_cells = ref_level if dimension == 1 else 2 * ref_level**2
     ref_points = ref_cells * rule(spec.quad_degree)[1].size
-    tasks = [(spec, block) for block in sample_blocks(n_samples, workers, ref_points)]
-    records: list[dict] = []
-    for batch in parallel_map(_rate_batch, tasks, workers):
-        records.extend(batch)
-    records.sort(key=lambda r: r["index"])
+    good, n_failed = map_samples(
+        _rate_batch, (spec, rows, ref_level), n_samples, threads, ref_points, max_failure_fraction
+    )
 
-    failures = [r for r in records if r["failure"] is not None]
-    good = [r for r in records if r["failure"] is None]
-    if len(failures) > max_failure_fraction * n_samples or not good:
-        raise EnsembleFailureError(
-            f"{len(failures)}/{n_samples} samples failed; "
-            f"first: {failures[0]['failure']}"
-        )
+    n = len(good)
 
-    n_rows = len(row_levels)
-    l2 = np.empty(n_rows)
-    h1_err = np.empty(n_rows)
-    dtl2 = np.empty(n_rows)
-    for k in range(n_rows):
-        l2sq = np.stack([r["rows"][k][0] for r in good])
-        h1sq = np.stack([r["rows"][k][1] for r in good])
-        dtsq = np.stack([r["rows"][k][2] for r in good])
-        n = len(good)
-        l2[k] = np.sqrt(np.max(tree_sum(l2sq) / n))
-        h1_err[k] = np.sqrt(np.max(tree_sum(h1sq) / n))
-        dtl2[k] = np.sqrt(np.max(tree_sum(dtsq) / n))
+    def sup_rms(k: int, j: int) -> float:
+        """Row k's error j: sup over nodes of the root mean square over samples."""
+        return np.sqrt(np.max(tree_sum(np.stack([r.series[k][j] for r in good])) / n))
 
+    l2, h1_err, dtl2 = (np.array([sup_rms(k, j) for k in range(len(rows))]) for j in range(3))
     if mode == "spatial":
-        params = np.array(
-            [np.sqrt(2.0) / l if dimension == 2 else 1.0 / l for l in row_levels]
-        )
+        params = np.array([np.sqrt(2.0) / l if dimension == 2 else 1.0 / l for l in levels])
         reference = (
             f"same-path run at level {ref_level} "
             f"({reference_extra_levels} extra refinement(s)), tau={ref_tau:g}"
         )
     else:
-        params = np.array(row_taus)
+        params = np.array(taus)
         reference = (
             f"same-path run at tau={ref_tau:g} "
             f"({reference_extra_levels} extra halving(s)), level {ref_level}"
@@ -411,11 +323,11 @@ def convergence_table(
         l2=l2,
         h1=h1_err,
         dtl2=dtl2,
-        n_samples=len(good),
+        n_samples=n,
         master_seed=master_seed,
         reference=reference,
-        max_energy_violation=float(max(r["violation"] for r in good)),
-        n_failures=len(failures),
+        max_energy_violation=float(max(r.violation for r in good)),
+        n_failures=n_failed,
     )
 
 
@@ -438,28 +350,27 @@ def analytic_error_table(
     master_seed: int = 0,
     newton_abs_tol: float = 1e-11,
 ) -> ErrorTable:
-    """Spatial convergence against a closed-form solution (zero noise).
+    """Spatial convergence against a closed-form solution (zero noise), in 1D.
 
-    ``exact`` provides value(x, t) and dx(x, t).  Errors are quadrature norms
+    ``exact`` provides value(x, t) and dx(x, t) on the unit interval.  Errors are quadrature norms
     of u_h - u on each level's own space.
     """
     if not diffusion.is_zero:
         raise ValueError("analytic study requires the zero diffusion")
-    n_steps = _steps_for(T, tau)
+    problems = ladder_problems("spatial", levels, [tau])
+    if problems:
+        raise ValueError("; ".join(problems))
+    n_steps = steps_for(T, tau)
     cfg = SchemeConfig(
         tau=tau, n_steps=n_steps, scheme=scheme, newton_abs_tol=newton_abs_tol
     )
-    mesh = _build_mesh(1, int(levels[0]))
+    spaces = nested_spaces(1, degree, quadrature_degree_for(degree, drift), levels)
     l2 = []
     h1_err = []
     dtl2 = []
     violation = -np.inf
     for level in levels:
-        while mesh.resolution < level:
-            mesh = refine_uniform(mesh)
-        if mesh.resolution != level:
-            raise ValueError(f"ladder level {level} not reachable by halving")
-        space = FeSpace(mesh, degree, quadrature_degree_for(degree, drift))
+        space = spaces[level]
         stepper = WaveStepper(space, drift, diffusion, cfg)
         U = np.empty((space.n_dofs, n_steps + 1))  # one column per time node
 

@@ -126,13 +126,13 @@ def test_quotient_da_on_diagonal():
 
 
 def test_validate_cubic_ok():
-    assert CUBIC.validate(1, MODIFIED_CN) == []
-    assert CUBIC.validate(1, FULLY_IMPLICIT) == []
+    assert CUBIC.validate(MODIFIED_CN) == []
+    assert CUBIC.validate(FULLY_IMPLICIT) == []
 
 
 def test_validate_coercivity_violation_with_witness():
     bad = PolynomialDrift([0.0, 0.0, 1.0], alpha=0.0, lam=0.5)  # f = +u^3
-    violations = bad.validate(1, MODIFIED_CN)
+    violations = bad.validate(MODIFIED_CN)
     assert len(violations) == 1
     assert "coercivity" in violations[0]
     assert "u=" in violations[0]
@@ -140,29 +140,24 @@ def test_validate_coercivity_violation_with_witness():
 
 def test_validate_even_degree_rejected_first():
     bad = PolynomialDrift([-1.0, -1.0], alpha=1.0, lam=0.5)
-    violations = bad.validate(1, MODIFIED_CN)
+    violations = bad.validate(MODIFIED_CN)
     assert len(violations) == 1
     assert "odd" in violations[0]
-
-
-def test_validate_3d_degree_limit():
-    violations = DEG11.validate(3, MODIFIED_CN)
-    assert any("three dimensions" in v for v in violations)
 
 
 def test_validate_convexity_for_fully_implicit():
     # f = u - u^3 has f' > 0 near zero, so the potential is not convex
     nonconvex = PolynomialDrift([1.0, 0.0, -1.0], alpha=0.0, lam=0.25)
-    assert nonconvex.validate(1, FULLY_IMPLICIT)
-    only_mcn = nonconvex.validate(1, MODIFIED_CN)
+    assert nonconvex.validate(FULLY_IMPLICIT)
+    only_mcn = nonconvex.validate(MODIFIED_CN)
     assert all("convex" not in v for v in only_mcn)
 
 
 def test_validate_equality_case_exact():
     # coercivity attained with equality must pass at tolerance zero
-    assert CUBIC.validate(1, MODIFIED_CN) == []
+    assert CUBIC.validate(MODIFIED_CN) == []
     deg11 = PolynomialDrift([-1.0] + [0.0] * 9 + [-1.0], alpha=1.0, lam=1.0 / 6.0)
-    assert deg11.validate(1, MODIFIED_CN) == []
+    assert deg11.validate(MODIFIED_CN) == []
 
 
 def test_empty_coeffs_rejected():

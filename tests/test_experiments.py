@@ -19,7 +19,7 @@ from stochwave.experiments import (
     run_experiment,
     validate_config,
 )
-from stochwave.fields import Constant, CosineProduct
+from stochwave.fields import Constant, CosineProduct, TentBump
 
 
 def _tiny_rate_config(threads=1, seed=77):
@@ -41,6 +41,27 @@ def _tiny_rate_config(threads=1, seed=77):
             StabilityStudy(level=4, tau=0.02, T=0.1, label="stability"),
         ],
     )
+
+
+def _analytic_config(levels=(4, 8), **overrides):
+    kwargs = dict(
+        name="lincheck",
+        dimension=1,
+        drift=PolynomialDrift([0.0]),
+        diffusion=Diffusion.zero(),
+        h1=CosineProduct(kx=1),
+        h2=Constant(0.0),
+        n_samples=1,
+        studies=[AnalyticStudy(levels=list(levels), tau=1e-3, T=0.05)],
+    )
+    kwargs.update(overrides)
+    return ExperimentConfig(**kwargs)
+
+
+def _with_study(study):
+    cfg = _tiny_rate_config()
+    cfg.studies = [study]
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +170,7 @@ def test_thread_count_does_not_change_outputs(tmp_path):
 
 
 def test_analytic_study_runs(tmp_path):
-    cfg = ExperimentConfig(
-        name="lincheck",
-        dimension=1,
-        drift=PolynomialDrift([0.0]),
-        diffusion=Diffusion.zero(),
-        h1=CosineProduct(kx=1),
-        h2=Constant(0.0),
-        n_samples=1,
-        studies=[AnalyticStudy(levels=[4, 8], tau=1e-3, T=0.05)],
-    )
-    result = run_experiment(cfg, tmp_path)
+    result = run_experiment(_analytic_config(), tmp_path)
     assert (tmp_path / "lincheck_analytic_rates.csv").exists()
     assert result.studies[0].table.l2[1] < result.studies[0].table.l2[0]
 
@@ -207,6 +218,35 @@ def test_cli_invalid_drift_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "odd" in err
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        (_analytic_config(levels=(8, 12)), "studies[0].levels: ladder entries must double"),
+        (_with_study(StabilityStudy(level=0, tau=0.02, T=0.1)), "studies[0].level: must be >= 1"),
+        (
+            _with_study(RateStudy(mode="spatial", levels=[], taus=[0.01], T=0.05)),
+            "studies[0].levels: the ladder is empty",
+        ),
+        (
+            _with_study(RateStudy(mode="temporal", levels=[8], taus=[], T=0.05)),
+            "studies[0].taus: the ladder is empty",
+        ),
+        (
+            _analytic_config(dimension=2, h1=TentBump(), h2=Constant(1.0)),
+            "studies[0]: the closed-form solution needs dimension 1",
+        ),
+    ],
+    ids=["analytic-ladder", "stability-level-0", "empty-levels", "empty-taus", "analytic-2d-tent"],
+)
+def test_cli_config_errors_exit_2(cfg, field, tmp_path, capsys):
+    assert any(p.startswith(field) for p in validate_config(cfg))
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unreadable_config_exits_2(tmp_path):

@@ -7,13 +7,11 @@ from stochwave.fem import (
     assemble_mass,
     assemble_pointwise_load,
     assemble_stiffness,
-    discrete_laplacian,
     evaluate,
     interpolate,
     l2_project,
     load_vector,
     norm_l2,
-    norm_lp,
     seminorm_h1,
     transfer_to_fine,
 )
@@ -174,41 +172,39 @@ def test_project_does_not_expand_l2_norm():
 
 
 # ---------------------------------------------------------------------------
-# Discrete Laplacian
+# Discrete Laplacian: the weak Laplacian -M^{-1} K of the mass and stiffness
 # ---------------------------------------------------------------------------
+
+def _laplacian(space, z):
+    return space.mass_solve(-(space.stiffness @ z))
+
 
 def test_laplacian_of_constant_is_zero():
     space = FeSpace(build_interval_mesh(6), 1)
-    z = FeFunction(space, np.full(space.n_dofs, 2.0))
-    y = discrete_laplacian(space, z)
-    assert np.abs(y.coeffs).max() < 1e-12
+    y = _laplacian(space, np.full(space.n_dofs, 2.0))
+    assert np.abs(y).max() < 1e-12
 
 
 def test_laplacian_negative_semidefinite():
     rng = np.random.default_rng(3)
     space = FeSpace(build_unit_square_tri_mesh(3), 1)
-    z = FeFunction(space, rng.standard_normal(space.n_dofs))
-    y = discrete_laplacian(space, z)
-    assert y.coeffs @ (space.mass @ z.coeffs) <= 1e-12
+    z = rng.standard_normal(space.n_dofs)
+    assert _laplacian(space, z) @ (space.mass @ z) <= 1e-12
 
 
 def test_laplacian_weak_identity():
-    # (Lap_h u, w) + (grad u, grad w) = 0 for all basis w
+    # (Lap_h u, w) + (grad u, grad w) = 0 for all basis w: mass_solve inverts M
     rng = np.random.default_rng(4)
     space = FeSpace(build_interval_mesh(9), 2)
-    u = FeFunction(space, rng.standard_normal(space.n_dofs))
-    y = discrete_laplacian(space, u)
-    gap = space.mass @ y.coeffs + space.stiffness @ u.coeffs
+    u = rng.standard_normal(space.n_dofs)
+    gap = space.mass @ _laplacian(space, u) + space.stiffness @ u
     assert np.abs(gap).max() < 1e-10
 
 
 def test_laplacian_eigenvalue_cos():
     space = FeSpace(build_interval_mesh(64), 1)
-    z = l2_project(space, lambda x: np.cos(np.pi * x))
-    y = discrete_laplacian(space, z)
-    rayleigh = (y.coeffs @ (space.mass @ z.coeffs)) / (
-        z.coeffs @ (space.mass @ z.coeffs)
-    )
+    z = l2_project(space, lambda x: np.cos(np.pi * x)).coeffs
+    rayleigh = (_laplacian(space, z) @ (space.mass @ z)) / (z @ (space.mass @ z))
     assert rayleigh == pytest.approx(-np.pi**2, rel=0.05)
 
 
@@ -226,7 +222,7 @@ def test_pointwise_load_identity_gives_mass_action():
 
 def test_pointwise_load_constant_one():
     space = FeSpace(build_unit_square_tri_mesh(2), 1)
-    u = space.zero_function()
+    u = FeFunction(space, np.zeros(space.n_dofs))
     b = assemble_pointwise_load(space, lambda v: np.ones_like(v), u)
     assert b.sum() == pytest.approx(1.0, rel=1e-12)
 
@@ -285,19 +281,6 @@ def test_l2_norm_matches_mass_quadratic_form():
     assert abs(norm_l2(u) - qf) < 1e-12
 
 
-def test_lp_norm_matches_l2_at_p2():
-    rng = np.random.default_rng(8)
-    space = FeSpace(build_interval_mesh(9), 1)
-    u = FeFunction(space, rng.standard_normal(space.n_dofs))
-    assert norm_lp(u, 2) == pytest.approx(norm_l2(u), rel=1e-12)
-
-
-def test_lp_norm_rejects_bad_p():
-    space = FeSpace(build_interval_mesh(2), 1)
-    with pytest.raises(ValueError):
-        norm_lp(space.zero_function(), 0.5)
-
-
 # ---------------------------------------------------------------------------
 # Nested transfer
 # ---------------------------------------------------------------------------
@@ -339,7 +322,7 @@ def test_transfer_random_isometry(dim, degree):
 def test_transfer_rejects_non_nested():
     a = FeSpace(build_interval_mesh(4), 1)
     b = FeSpace(build_interval_mesh(8), 1)  # same sizes but no lineage
-    u = a.zero_function()
+    u = FeFunction(a, np.zeros(a.n_dofs))
     with pytest.raises(ValueError):
         transfer_to_fine(u, b)
 

@@ -1,11 +1,14 @@
-"""Golden regression: CSV data rows of four desk-scale CLI runs.
+"""Golden regression: CSV data rows of eight desk-scale CLI runs.
 
 ``golden_rows.json`` holds the data rows (the CSV lines below the ``#``
 header, which carries the manifest hash).  The rows of ``test1a``, ``test3a``
 and ``lin-det-check`` were written by the Newton solver with
 banded-Cholesky/PCG linear solves, before the chord solver replaced it; the
 rows of ``test2`` by the per-sample chord solver, before samples were stepped
-in batches.  Each preset runs at its own master seed, 20240901.
+in batches; the rows of ``test1b``, ``test1c``, ``test3b`` and ``test3c`` by
+the batched chord core at commit 75321ef, before the stability and rate
+studies shared one Monte Carlo engine.  Each preset runs at its own master
+seed, 20240901.
 
 Tolerance, the same as the benchmark's output check: a value matches when it
 is within a relative 1e-4 of the pinned one plus one unit in the last printed

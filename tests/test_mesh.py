@@ -1,14 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
-from stochwave.mesh import (
-    build_interval_mesh,
-    build_unit_square_tri_mesh,
-    mesh_to_json,
-    refine_uniform,
-)
+from stochwave.fem import FeSpace
+from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
 
 
 def test_interval_mesh_basic():
@@ -45,7 +39,7 @@ def test_square_mesh_counts_and_area():
     m = build_unit_square_tri_mesh(2)
     assert m.n_cells == 8
     assert m.n_vertices == 9
-    assert abs(m.cell_measures().sum() - 1.0) < 1e-12
+    assert abs(FeSpace(m).wdet.sum() - 1.0) < 1e-12
 
 
 def test_square_mesh_16():
@@ -62,13 +56,13 @@ def test_square_rejects_zero():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_measure_covers_domain(dim):
     m = build_interval_mesh(7) if dim == 1 else build_unit_square_tri_mesh(5)
-    assert abs(m.cell_measures().sum() - 1.0) < 1e-12
+    assert abs(FeSpace(m).wdet.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_quasi_uniform(dim):
     m = build_interval_mesh(6) if dim == 1 else build_unit_square_tri_mesh(3)
-    meas = m.cell_measures()
+    meas = FeSpace(m).wdet.sum(axis=1)  # per-cell length or area
     assert meas.max() / meas.min() < 2.0 + 1e-12
 
 
@@ -87,7 +81,7 @@ def test_refine_square():
     coarse = build_unit_square_tri_mesh(2)
     fine = refine_uniform(coarse)
     assert fine.n_cells == 32
-    assert abs(fine.cell_measures().sum() - 1.0) < 1e-12
+    assert abs(FeSpace(fine).wdet.sum() - 1.0) < 1e-12
     coarse_set = {v.tobytes() for v in coarse.vertices}
     fine_set = {v.tobytes() for v in fine.vertices}
     assert coarse_set <= fine_set
@@ -101,11 +95,3 @@ def test_refine_chain_h_halves_exactly():
     assert ff.h == 0.0625
     assert ff.descends_from(m)
     assert not m.descends_from(ff)
-
-
-def test_mesh_json_roundtrip():
-    m = build_unit_square_tri_mesh(2)
-    d = json.loads(mesh_to_json(m))
-    assert d["dimension"] == 2
-    assert len(d["cells"]) == 8
-    assert len(d["vertices"]) == 9

@@ -226,6 +226,15 @@ def test_convergence_table_validates_ladders():
         convergence_table(mode="temporal", levels=[8], taus=[0.1, 0.04], **common)
     with pytest.raises(ValueError):
         convergence_table(mode="sideways", levels=[4], taus=[0.01], **common)
+    # a reference no finer than the finest row would make that row's error 0
+    with pytest.raises(ValueError, match="reference_extra_levels"):
+        convergence_table(
+            mode="spatial", levels=[4, 8], taus=[0.01], reference_extra_levels=0, **common
+        )
+    with pytest.raises(ValueError, match="reference_extra_levels"):
+        convergence_table(
+            mode="temporal", levels=[8], taus=[0.1, 0.05], reference_extra_levels=0, **common
+        )
 
 
 def test_convergence_table_rejects_empty_sample_set():
@@ -292,6 +301,16 @@ def test_analytic_table_linear_wave():
     )
     assert table.l2_orders[-1] >= 1.8
     assert table.h1_orders[-1] == pytest.approx(1.0, abs=0.3)
+
+
+def test_analytic_table_validates_ladder():
+    for levels in ([8, 12], [], [0, 0]):
+        with pytest.raises(ValueError, match="levels"):
+            analytic_error_table(
+                levels=levels, tau=0.01, T=0.1, exact=LinearWaveSolution(),
+                drift=ZERO, diffusion=Diffusion.zero(),
+                h1=CosineProduct(kx=1), h2=Constant(0.0),
+            )
 
 
 def test_analytic_table_requires_zero_noise():
