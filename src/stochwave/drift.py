@@ -20,8 +20,30 @@ FULLY_IMPLICIT = "implicit"
 MODIFIED_CN = "mcn"
 SCHEMES = (FULLY_IMPLICIT, MODIFIED_CN)
 
-_GRID_RADIUS = 1.0e3
-_GRID_POINTS = 100_000
+
+def _negative_point(coeffs: np.ndarray) -> tuple[float, float] | None:
+    """A real u where the polynomial (coefficients by power) is negative, or None.
+
+    A nonzero polynomial is bounded below only with an even degree and a
+    positive leading coefficient, and then takes its minimum at a real root
+    of its derivative.  Otherwise it is negative beyond all its real roots.
+    A value counts as negative only beyond the rounding bound of its own
+    Horner evaluation, so a bound met with equality passes.
+    """
+    pp = np.polynomial.polynomial
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if not c.size:
+        return None
+    if c.size % 2 == 0 or c[-1] < 0:  # odd degree or negative leading coefficient
+        r = 2.0 * max([1.0, *np.abs(pp.polyroots(c))]) if c.size > 1 else 1.0
+        u = r if c[-1] < 0 else -r
+        return u, float(pp.polyval(u, c))
+    # the real parts of complex roots are harmless extra candidates
+    u = np.append(pp.polyroots(pp.polyder(c)).real if c.size > 2 else [], 0.0)
+    vals = pp.polyval(u, c)
+    slack = 4 * c.size * np.finfo(float).eps * pp.polyval(np.abs(u), np.abs(c))
+    k = int(np.argmin(vals + slack))
+    return (float(u[k]), float(vals[k])) if vals[k] + slack[k] < 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -140,22 +162,20 @@ class PolynomialDrift:
             violations.append(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
             return violations
 
-        u = np.linspace(-_GRID_RADIUS, _GRID_RADIUS, _GRID_POINTS)
-        gap = np.polynomial.polynomial.polyval(u, self._coercivity_gap_coeffs())
-        k = int(np.argmin(gap))
-        if gap[k] < 0.0:
+        witness = _negative_point(self._coercivity_gap_coeffs())
+        if witness is not None:
             violations.append(
                 "potential fails the coercivity bound "
-                f"(alpha={self.alpha}, lambda={self.lam}) at u={u[k]:g} "
-                f"with gap {gap[k]:.3e}"
+                f"(alpha={self.alpha}, lambda={self.lam}) at u={witness[0]:g} "
+                f"with gap {witness[1]:.3e}"
             )
         if scheme == FULLY_IMPLICIT:
-            # convex potential: -f'(u) >= 0
-            curv = -self.derivative(u)
-            k = int(np.argmin(curv))
-            if curv[k] < 0.0:
+            # convex potential: -f'(u) = -sum j a_j u^{j-1} >= 0
+            curv = [-j * a for j, a in enumerate(self.coeffs, start=1)]
+            witness = _negative_point(np.array(curv))
+            if witness is not None:
                 violations.append(
                     "fully implicit drift discretization requires a convex "
-                    f"potential; second derivative is {curv[k]:.3e} at u={u[k]:g}"
+                    f"potential; second derivative is {witness[1]:.3e} at u={witness[0]:g}"
                 )
         return violations

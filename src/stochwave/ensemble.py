@@ -26,21 +26,16 @@ from .fem import FeSpace
 from .mesh import build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
 from .noise import sample_path
 from .parallel import parallel_map
-from .stepper import SchemeConfig, WaveStepper, initial_state
+from .stepper import BLOCK_POINTS, SchemeConfig, WaveStepper, initial_state
 
 __all__ = ["EnsembleStats", "EnsembleFailureError", "run_ensemble", "subset_fraction"]
 
-# Quadrature values per block: a batch holds at most BLOCK_POINTS // (quadrature
-# points per sample) samples.  Measured per sample-step on one core (1D levels
-# 128 and 512, 2D levels 8 and 16): the cost falls with the batch until its
-# (nc, nq, S) arrays pass 2**14 doubles (128 KiB, glibc's default mmap
-# threshold); beyond it every temporary is mapped afresh and its page faults
-# make larger batches slower (2D level 16: 0.47 ms at S = 5, 0.66 ms at S = 16).
-BLOCK_POINTS = 2**14
-
-
 def sample_blocks(n_samples: int, workers: int, points_per_sample: int) -> list[range]:
-    """Contiguous index blocks within BLOCK_POINTS, enough for every worker."""
+    """Contiguous index blocks, enough for every worker.
+
+    A block holds at most BLOCK_POINTS // points_per_sample samples, so that
+    its (nc, nq, S) quadrature arrays stay within BLOCK_POINTS doubles.
+    """
     size = max(1, min(BLOCK_POINTS // points_per_sample, -(-n_samples // max(1, workers))))
     return [range(i, min(i + size, n_samples)) for i in range(0, n_samples, size)]
 

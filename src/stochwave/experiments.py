@@ -122,12 +122,39 @@ def _study_to_dict(study) -> dict:
     raise TypeError(f"unknown study type {type(study)}")
 
 
-def _study_from_dict(d: dict):
+# JSON types of the study fields' annotations; an int is no bool, a float may be an int
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a JSON value fits a study field's annotation, e.g. ``list[int]``."""
+    for alt in annotation.split(" | "):
+        if alt == "None":
+            if value is None:
+                return True
+        elif alt.startswith("list["):
+            if isinstance(value, list) and all(_has_type(v, alt[5:-1]) for v in value):
+                return True
+        elif isinstance(value, _JSON_TYPES[alt]) and (alt == "bool" or not isinstance(value, bool)):
+            return True
+    return False
+
+
+def _study_from_dict(d: dict, path: str):
     kinds = {"rates": RateStudy, "stability": StabilityStudy, "analytic": AnalyticStudy}
     kind = d.get("kind")
     if kind not in kinds:
-        raise ValueError(f"studies[].kind must be one of {sorted(kinds)}, got {kind!r}")
+        raise ValueError(f"{path}.kind: must be one of {sorted(kinds)}, got {kind!r}")
+    fields = {f.name: f for f in dataclasses.fields(kinds[kind])}
     kwargs = {k: v for k, v in d.items() if k != "kind"}
+    for name, f in fields.items():
+        if f.default is dataclasses.MISSING and name not in kwargs:
+            raise ValueError(f"{path}.{name}: missing from a {kind} study")
+    for key, value in kwargs.items():
+        if key not in fields:
+            raise ValueError(f"{path}.{key}: unknown field of a {kind} study")
+        if not _has_type(value, fields[key].type):
+            raise ValueError(f"{path}.{key}: expected {fields[key].type}, got {value!r}")
     return kinds[kind](**kwargs)
 
 
@@ -158,6 +185,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _field_from_dict(d: dict, key: str):
+    try:
+        return field_from_config(d.get(key, {"kind": "zero"}))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     drift_d = d.get("drift", {})
     diff_d = d.get("diffusion", {})
@@ -173,13 +207,13 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             lam=drift_d.get("lambda", drift_d.get("lam", 0.0)),
         ),
         diffusion=Diffusion(diff_d.get("kind", "zero"), **diff_kwargs),
-        h1=field_from_config(d.get("h1", {"kind": "zero"})),
-        h2=field_from_config(d.get("h2", {"kind": "zero"})),
+        h1=_field_from_dict(d, "h1"),
+        h2=_field_from_dict(d, "h2"),
         n_samples=int(d.get("n_samples", 200)),
         master_seed=int(d.get("master_seed", 20240901)),
         threads=int(d.get("threads", 1)),
         newton_abs_tol=float(d.get("newton_abs_tol", _EXPERIMENT_NEWTON_ABS_TOL)),
-        studies=[_study_from_dict(s) for s in d.get("studies", [])],
+        studies=[_study_from_dict(s, f"studies[{i}]") for i, s in enumerate(d.get("studies", []))],
     )
 
 

@@ -7,6 +7,7 @@ Fields are called as f(x) in 1D and f(x, y) in 2D with numpy arrays.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,4 +87,7 @@ def field_from_config(cfg: dict):
     if kind not in _FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}; expected {sorted(_FIELD_KINDS)}")
     kwargs = {k: v for k, v in cfg.items() if k != "kind"}
+    known = {f.name for f in dataclasses.fields(_FIELD_KINDS[kind])}
+    if not known.issuperset(kwargs):
+        raise ValueError(f"unknown field(s) {sorted(set(kwargs) - known)} of a {kind} field")
     return _FIELD_KINDS[kind](**kwargs)

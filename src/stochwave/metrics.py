@@ -32,7 +32,7 @@ from .ensemble import (
 from .fem import FeSpace, transfer_matrix
 from .noise import BrownianPath, coarsen, sample_path
 from .quadrature import interval_rule, triangle_rule
-from .stepper import SchemeConfig, WaveStepper, column_sums, initial_state
+from .stepper import BLOCK_POINTS, SchemeConfig, WaveStepper, column_sums, initial_state
 
 __all__ = [
     "ErrorTable",
@@ -372,28 +372,39 @@ def analytic_error_table(
     for level in levels:
         space = spaces[level]
         stepper = WaveStepper(space, drift, diffusion, cfg)
-        U = np.empty((space.n_dofs, n_steps + 1))  # one column per time node
+        xq = space.qpoints[..., 0, None]  # (nc, nq, 1)
+        w = space.wdet
+        width = max(1, BLOCK_POINTS // w.size)  # nodes per block of errors
+        block = np.empty((space.n_dofs, width))  # one column per node
+        sq = np.empty((3, n_steps + 1))  # squared L2, H1 and d_t errors per node
+        before = None  # the error values of the node before the block
+
+        def reduce(start: int, k: int) -> None:
+            nonlocal before
+            U = block[:, :k]
+            times = np.arange(start, start + k) * tau
+            e_val = space.values_at_qpoints(U) - exact.value(xq, times)
+            grad = np.einsum("cln,clq->cqn", U[space.cell_dofs], space.grad_phys[..., 0])
+            e_grad = grad - exact.dx(xq, times)
+            sq[0, start : start + k] = np.einsum("cqn,cq->n", e_val * e_val, w)
+            sq[1, start : start + k] = np.einsum("cqn,cq->n", e_grad * e_grad, w)
+            if before is not None:
+                e_val = np.concatenate([before, e_val], axis=2)
+            de = np.diff(e_val, axis=2) / tau
+            sq[2, start + k - de.shape[2] : start + k] = np.einsum("cqn,cq->n", de * de, w)
+            before = e_val[..., -1:]
 
         def keep(n, live, Un, Vn):
-            U[:, n] = Un[:, 0]
+            block[:, n % width] = Un[:, 0]
+            if n % width == width - 1 or n == n_steps:
+                reduce(n - n % width, n % width + 1)
 
         path = BrownianPath(tau, np.zeros(n_steps), master_seed, 0)
         traj = stepper.run(path, initial_state(space, h1, h2), observe=keep)
         violation = max(violation, traj.max_energy_violation)
-
-        xq = space.qpoints[..., 0, None]  # (nc, nq, 1)
-        times = np.arange(n_steps + 1) * tau
-        e_val = space.values_at_qpoints(U) - exact.value(xq, times)
-        grad = np.einsum("cln,clq->cqn", U[space.cell_dofs], space.grad_phys[..., 0])
-        e_grad = grad - exact.dx(xq, times)
-        w = space.wdet
-        l2sq = np.einsum("cqn,cq->n", e_val * e_val, w)
-        h1sq = np.einsum("cqn,cq->n", e_grad * e_grad, w)
-        de = np.diff(e_val, axis=2) / tau
-        dtsq = np.einsum("cqn,cq->n", de * de, w)
-        l2.append(np.sqrt(np.max(l2sq)))
-        h1_err.append(np.sqrt(np.max(h1sq)))
-        dtl2.append(np.sqrt(np.max(dtsq)))
+        l2.append(np.sqrt(np.max(sq[0])))
+        h1_err.append(np.sqrt(np.max(sq[1])))
+        dtl2.append(np.sqrt(np.max(sq[2, 1:])))
 
     return ErrorTable(
         mode="spatial",

@@ -26,22 +26,37 @@ iteration.  So every step that Newton alone solves is still solved.
 Batches.  `WaveStepper.run` advances S samples (Brownian paths) from one
 initial state as a single block of coefficients, shape (n_dofs, S), one
 column per sample, so each sparse product, quadrature evaluation and frozen
-solve serves the whole block at once.  Per-sample masks decide which columns
-take a further chord correction (residual above tolerance, or the extra
-correction still due) and which pass the CHORD_CONTRACTION test; a sample
-whose frozen correction is rejected finishes the step alone with full Newton.
-A sample that diverges, meets a non-finite residual or a LinearSolveError is
-dropped from the block and reported; the others go on.  The quadrature
-values of the accepted iterate are carried forward as the next step's u^n
-values, and H, the norms and the energy residual come from the same M u,
-K u and M v products.
+solve serves the whole block at once.  The residual is one product with the
+stacked operator W = [A; M; K], A = M + tau^2 K, so the iterate a column
+accepts brings its M c and K c along, and a step of a linear drift without
+noise makes three operator products: the predictor's residual, the
+correction's residual and M v.  A round in which every column takes a
+frozen correction and accepts it updates the block whole; any other round
+uses per-sample masks to decide which columns take a further correction
+(residual above tolerance, or the extra correction still due) and which
+pass the CHORD_CONTRACTION test, and a sample whose frozen correction is
+rejected finishes the step alone with full Newton.  A sample that diverges,
+meets a non-finite residual or a LinearSolveError is dropped from the block
+and reported; the others go on.  The quadrature values of the accepted
+iterate are carried forward as the next step's u^n values.
+
+Energy bookkeeping.  The time loop only solves.  Each node's u, v, M u, K u
+and M v, the step's noise load and, for a nonzero drift, the quadrature
+values of u are copied sample-major into the (window + 1, S, n) buffers of
+a `_Ledger`, slot 0 holding the last node already booked.  A flush turns a
+whole window into the L2, H1 and d_t norms, H and the energy-identity
+residuals at once.  The window holds at most BLOCK_POINTS doubles (and at
+least one step); it is flushed when full, before a failed sample is dropped,
+and at the end of the run.
 
 Batch independence: a sample's numbers are bit-identical whether it steps
 alone or inside any batch, so that outputs do not depend on how samples are
 split over workers.  Every operation is either column-wise in exact
 arithmetic order (sparse products, SuperLU solves with several right-hand
-sides, elementwise maps, max-norms) or a sum through `column_sums`, which
-reduces each column on its own contiguous copy.
+sides, elementwise maps, max-norms) or a sum over the contiguous last axis
+of a sample-major buffer, which reduces each (node, sample) row on its own.
+Neither the window length nor the moment of a flush enters any sum, so the
+numbers do not depend on the window either.
 """
 
 from __future__ import annotations
@@ -51,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .diffusion import Diffusion
 from .drift import FULLY_IMPLICIT, MODIFIED_CN, SCHEMES, PolynomialDrift
@@ -72,6 +88,14 @@ __all__ = [
 # A frozen correction must shrink the residual's max-norm at least this much
 # to be accepted.
 CHORD_CONTRACTION = 0.1
+
+# Doubles per working block.  Measured per sample-step on one core (1D levels
+# 128 and 512, 2D levels 8 and 16): the cost falls with the batch until its
+# (nc, nq, S) arrays pass 2**14 doubles (128 KiB, glibc's default mmap
+# threshold); beyond it every temporary is mapped afresh and its page faults
+# make larger batches slower (2D level 16: 0.47 ms at S = 5, 0.66 ms at S = 16).
+# The ensemble sizes its batches by it, and a march its energy window.
+BLOCK_POINTS = 2**14
 
 # observe(n, live, U, V): node index, batch positions of the samples still
 # running, and their (n_dofs, len(live)) displacement and velocity blocks.
@@ -199,8 +223,11 @@ class WaveStepper:
         self.config = config
         self._tau2 = config.tau * config.tau
         self.M = space.mass
-        self.K = space.stiffness
-        self.A = (self.M + self._tau2 * self.K).tocsr()
+        self.A = (self.M + self._tau2 * space.stiffness).tocsr()
+        # W c = [A c; M c; K c]: each row is summed as in A, M or K alone
+        self.W = sp.vstack([self.A, self.M, space.stiffness], format="csr")
+        self._drift_is_zero = drift.is_zero
+        self._noisy = not diffusion.is_zero
         w0 = self._jacobian_weight(np.zeros(1), np.zeros(1))[0]
         self._frozen_solve = spd_solver(self.A - self._tau2 * w0 * self.M)
         self._frozen_is_exact = drift.is_linear
@@ -220,33 +247,61 @@ class WaveStepper:
     def _residual(
         self, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """R(C) per column, and C's quadrature values when the drift needs them."""
-        R = self.A @ C
+        """W C with R(C) in its first n_dofs rows, and C's quadrature values
+        when the drift needs them."""
+        P = self.W @ C
+        R = P[: C.shape[0]]
         Cq = None
-        if not self.drift.is_zero:
+        if not self._drift_is_zero:
             Cq = self.space.values_at_qpoints(C)
             R -= self._tau2 * self.space.qpoint_load(self._drift_values(Cq, unq))
         R -= rhs
-        return R, Cq
+        return P, Cq
 
     # -- one step of a block ----------------------------------------------------
 
     def _solve(
         self, step: int, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, dict[int, Exception]]:
-        """Solve R(c) = 0 for every column of the predictor block C, in place.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | int, dict[int, Exception]]:
+        """Solve R(c) = 0 for every column of the predictor block C.
 
-        Returns the solutions, their quadrature values, the accepted
-        corrections per column and the errors of the columns that failed.
+        Returns the solutions, their products W c, their quadrature values,
+        the accepted corrections per column (one int when the columns never
+        parted) and the errors of the columns that failed.
         """
         cfg = self.config
-        R, Cq = self._residual(C, rhs, unq)
-        rnorm = np.max(np.abs(R), axis=0)
+        n, S = C.shape
+        P, Cq = self._residual(C, rhs, unq)
+        rnorm = np.abs(P[:n]).max(axis=0)
         tol = np.maximum(cfg.newton_abs_tol, cfg.newton_rel_tol * rnorm)
-        iters = np.zeros(C.shape[1], dtype=np.int64)
-        polish = np.zeros(C.shape[1], dtype=bool)  # the extra correction is due
+        polish = np.zeros(S, dtype=bool)  # the extra correction is due
+        every = np.arange(S)
+        rounds = [(every, rnorm)]  # accepted residual norms
+
+        # Common rounds: every column takes a frozen correction and accepts it.
+        taken = 0
+        pending = None  # a round's trial that some column did not accept
+        need = rnorm > tol  # False for a non-finite residual
+        while need.all() and taken < cfg.newton_max_iter:
+            trial = C + self._frozen_solve(-P[:n])
+            Pt, Tq = self._residual(trial, rhs, unq)
+            rt = np.abs(Pt[:n]).max(axis=0)
+            if not ((polish | (rt <= CHORD_CONTRACTION * rnorm)).all() and np.isfinite(rt).all()):
+                pending = trial, Pt, Tq, rt
+                break
+            polish = ~(polish | self._frozen_is_exact) & (rt <= tol)
+            C, P, Cq, rnorm = trial, Pt, Tq, rt
+            rounds.append((every, rt))
+            taken += 1
+            need = (rnorm > tol) | polish
+        # an accepted residual is finite, the predictor's may not be
+        if pending is None and not need.any() and (taken or np.isfinite(rnorm).all()):
+            return C, P, Cq, taken, {}
+
+        # Every other round: the columns part.
+        rnorm = rnorm.copy()  # updated in place from here on
+        iters = np.full(S, taken, dtype=np.int64)
         failed = ~np.isfinite(rnorm)
-        rounds = [(np.arange(C.shape[1]), rnorm.copy())]  # accepted residual norms
 
         def history(j: int) -> list[float]:
             return [float(v[c == j][0]) for c, v in rounds if (c == j).any()]
@@ -265,11 +320,14 @@ class WaveStepper:
                 act = act[~spent]
             if not act.size:
                 break
-            cols = slice(None) if act.size == C.shape[1] else act  # a view when full
-            trial = C[:, cols] + self._frozen_solve(-R[:, cols])
-            sub_unq = None if unq is None else unq[..., cols]
-            Rt, Tq = self._residual(trial, rhs[:, cols], sub_unq)
-            rt = np.max(np.abs(Rt), axis=0)
+            cols = slice(None) if act.size == S else act  # a view when full
+            if pending is not None:  # the last common round's, for every column
+                (trial, Pt, Tq, rt), pending = pending, None
+            else:
+                trial = C[:, cols] + self._frozen_solve(-P[:n, cols])
+                sub_unq = None if unq is None else unq[..., cols]
+                Pt, Tq = self._residual(trial, rhs[:, cols], sub_unq)
+                rt = np.abs(Pt[:n]).max(axis=0)
             # written so that a NaN residual also rejects the frozen correction
             accept = polish[cols] | (rt <= CHORD_CONTRACTION * rnorm[cols])
             rounds.append((act[accept], rt[accept]))
@@ -282,7 +340,7 @@ class WaveStepper:
                     failed[j] = True
                 j = act[ok]
             polish[j] = ~(polish[j] | self._frozen_is_exact) & (rt[ok] <= tol[j])
-            C[:, j], R[:, j], rnorm[j] = trial[:, ok], Rt[:, ok], rt[ok]
+            C[:, j], P[:, j], rnorm[j] = trial[:, ok], Pt[:, ok], rt[ok]
             if Cq is not None:
                 Cq[..., j] = Tq[..., ok]
             iters[j] += 1
@@ -291,7 +349,7 @@ class WaveStepper:
                 hist = history(j)
                 try:
                     iters[j] += self._newton(
-                        step, C[:, s], R[:, s], tol[j], iters[j], hist,
+                        step, C[:, s], P[:, s], tol[j], iters[j], hist,
                         rhs[:, s], None if unq is None else unq[..., s],
                         None if Cq is None else Cq[..., s],
                     )
@@ -299,13 +357,13 @@ class WaveStepper:
                     errors[j] = exc
                     failed[j] = True
                 rnorm[j] = hist[-1]
-        return C, Cq, iters, errors
+        return C, P, Cq, iters, errors
 
     def _newton(
         self,
         step: int,
         c: np.ndarray,
-        r: np.ndarray,
+        p: np.ndarray,
         tol: float,
         iters: int,
         history: list[float],
@@ -315,10 +373,11 @@ class WaveStepper:
     ) -> int:
         """Full Newton on one column from its last accepted iterate.
 
-        Updates the (n_dofs, 1) views c, r and cq in place; returns the
-        number of corrections taken.
+        Updates the (n_dofs, 1) views c and cq and the (3 n_dofs, 1) view p of
+        W c in place; returns the number of corrections taken.
         """
         cfg = self.config
+        n = c.shape[0]
         taken = 0
         while history[-1] > tol:
             if iters + taken >= cfg.newton_max_iter:
@@ -328,12 +387,12 @@ class WaveStepper:
             else:
                 w = self._jacobian_weight(cq[..., 0], unq[..., 0])
                 solve = spd_solver(self.A - self._tau2 * assemble_weighted_mass(self.space, w))
-            trial = c + solve(-r)
-            r_new, q_new = self._residual(trial, rhs, unq)
-            history.append(float(np.max(np.abs(r_new))))
+            trial = c + solve(-p[:n])
+            p_new, q_new = self._residual(trial, rhs, unq)
+            history.append(float(np.max(np.abs(p_new[:n]))))
             if not math.isfinite(history[-1]):
                 raise NewtonDivergedError(step, history)
-            c[...], r[...] = trial, r_new
+            c[...], p[...] = trial, p_new
             if cq is not None:
                 cq[...] = q_new
             taken += 1
@@ -395,93 +454,167 @@ class WaveStepper:
         self, initial: State, dW: np.ndarray, observe: Observer | None
     ) -> Trajectory:
         """Step S samples from one initial state over increments dW (S, N)."""
-        space, cfg = self.space, self.config
-        M, K, tau = self.M, self.K, cfg.tau
+        space, tau = self.space, self.config.tau
         S, N = dW.shape
         bad = np.argwhere(~np.isfinite(dW))
         if bad.size:
             raise ValueError(f"non-finite Brownian increment at step {initial.n + bad[0, 1]}")
-        noisy = not self.diffusion.is_zero
-        needs_q = noisy or not self.drift.is_zero
-
-        l2sq, h1sq, dtl2sq, H = (np.empty((S, N + 1)) for _ in range(4))
-        resid = np.empty((S, N))
-        iters = np.zeros((S, N), dtype=np.int64)
+        needs_q = self._noisy or not self._drift_is_zero
         failures: dict[int, Exception] = {}
-        live = np.arange(S)
 
         U = np.repeat(initial.u.coeffs[:, None], S, axis=1)
         V = np.repeat(initial.v.coeffs[:, None], S, axis=1)
+        n = U.shape[0]
         uq = space.values_at_qpoints(U) if needs_q else None
-        MU, KU, MV = M @ U, K @ U, M @ V
-        l2sq[:, 0], h1sq[:, 0], dtl2sq[:, 0] = column_sums(
-            np.stack([U * MU, U * KU, V * MV], axis=1)
-        )
-        H[:, 0] = self._energy(h1sq[:, 0], dtl2sq[:, 0], uq)
+        P, MV = self.W @ U, self.M @ V
+        ledger = _Ledger(self, dW, U, V, P, MV, uq)
+        live = ledger.live
         if observe is not None:
             observe(0, live, U, V)
 
-        for n in range(N):
-            if not live.size:
-                break
-            dw = dW[live, n]
-            rhs = MU + tau * MV
-            if noisy:
+        noise = None
+        for step in range(N):
+            rhs = P[n : 2 * n] + tau * MV
+            if self._noisy:
                 noise = space.qpoint_load(self.diffusion.value(uq))
-                rhs += noise * (tau * dw)
-            C, Cq, it, errors = self._solve(initial.n + n, U + tau * V, rhs, uq)
+                rhs += noise * (tau * ledger.dW[:, step])
+            C, P1, Cq, it, errors = self._solve(initial.n + step, U + tau * V, rhs, uq)
             if errors:
                 keep = np.ones(live.size, dtype=bool)
                 for j, exc in errors.items():
                     failures[int(live[j])] = exc
                     keep[j] = False
-                live, dw, it, C, U, V, MU, KU, MV = (
-                    live[keep], dw[keep], it[keep], C[:, keep], U[:, keep],
-                    V[:, keep], MU[:, keep], KU[:, keep], MV[:, keep],
-                )
-                if noisy:
+                ledger.drop(keep)
+                live = ledger.live
+                if not live.size:
+                    break
+                it, C, P1 = it[keep], C[:, keep], P1[:, keep]
+                U, V, MV = U[:, keep], V[:, keep], MV[:, keep]
+                if self._noisy:
                     noise = noise[:, keep]
                 if Cq is not None:
                     Cq = Cq[..., keep]
-                if not live.size:
-                    break
             if needs_q and Cq is None:
                 Cq = space.values_at_qpoints(C)
             V1 = (C - U) / tau
-            MU1, KU1, MV1 = M @ C, K @ C, M @ V1
-            terms = [C * MU1, C * KU1, V1 * MV1, (V1 - V) * (MV1 - MV), (C - U) * (KU1 - KU)]
-            if noisy:
-                terms.append(noise * V1)
-            sums = column_sums(np.stack(terms, axis=1))
-            l2sq[live, n + 1], h1sq[live, n + 1], dtl2sq[live, n + 1] = sums[:3]
-            H1 = self._energy(sums[1], sums[2], Cq)
-            gain = sums[5] * dw if noisy else 0.0
-            resid[live, n] = H1 - H[live, n] + 0.5 * sums[3] + 0.5 * sums[4] - gain
-            H[live, n + 1] = H1
-            iters[live, n] = it
-            U, V, uq, MU, KU, MV = C, V1, Cq, MU1, KU1, MV1
+            MV1 = self.M @ V1
+            ledger.book(step, C, V1, P1, MV1, noise, Cq, it)
+            U, V, uq, P, MV = C, V1, Cq, P1, MV1
             if observe is not None:
-                observe(n + 1, live, U, V)
+                observe(step + 1, live, U, V)
 
+        ledger.flush()
         done = np.array([k for k in range(S) if k not in failures], dtype=np.int64)
+        l2sq, h1sq, dtl2sq, H = ledger.series[:, done]
         return Trajectory(
             np.arange(N + 1) * tau,
-            l2sq[done],
-            h1sq[done],
-            dtl2sq[done],
-            H[done],
-            resid[done],
-            iters[done],
+            l2sq,
+            h1sq,
+            dtl2sq,
+            H,
+            ledger.resid[done],
+            ledger.iters[done],
             samples=done,
             failures=failures,
         )
 
-    def _energy(
-        self, h1sq: np.ndarray, dtl2sq: np.ndarray, uq: np.ndarray | None
-    ) -> np.ndarray:
-        """H = half the kinetic and gradient norms plus the potential, per column."""
-        H = 0.5 * dtl2sq + 0.5 * h1sq
-        if not self.drift.is_zero:
-            pot = self.space.wdet[..., None] * self.drift.potential(uq)
-            H = H + column_sums(pot.reshape(self.space.wdet.size, -1))
-        return H
+
+class _Ledger:
+    """The norm and energy series of one march, reduced a window at a time.
+
+    ``nodes[k]`` holds a node's u, v, M u, K u and M v sample-major, shape
+    (5, S, n_dofs); ``noise[k - 1]`` the load of g(u) that drove the step
+    into node k and ``q[k]`` the node's quadrature values, when needed.
+    Slot 0 holds the last node already booked, whose H is ``H_last``.  The
+    series rows are batch positions; ``live`` lists those still running and
+    ``dW`` their increments.
+    """
+
+    def __init__(self, stepper: WaveStepper, dW, U, V, P, MV, uq):
+        S, N = dW.shape
+        n = U.shape[0]
+        self.dW = dW
+        self.live = np.arange(S)
+        self.series = np.empty((4, S, N + 1))  # l2sq, h1sq, dtl2sq, H per node
+        self.resid = np.empty((S, N))
+        self.iters = np.zeros((S, N), dtype=np.int64)
+        self.wdet = stepper.space.wdet.ravel()
+        self.potential = None if stepper._drift_is_zero else stepper.drift.potential
+        self.noisy = stepper._noisy
+        per_node = n * (6 if self.noisy else 5) + (0 if self.potential is None else self.wdet.size)
+        self.window = max(1, min(N, BLOCK_POINTS // (S * per_node) - 1))
+        self._alloc(S, n)
+        self._put(0, U, V, P, MV, None, uq)
+        l2, h1, dt, H = self._norms(slice(0, 1))
+        self.series[:, :, 0] = l2[0], h1[0], dt[0], H[0]
+        self.H_last = H[0]
+        self.n0 = 0  # the node in slot 0
+        self.k = 0  # nodes held after slot 0
+
+    def _alloc(self, S: int, n: int) -> None:
+        L = self.window
+        self.nodes = np.empty((L + 1, 5, S, n))
+        self.noise = np.empty((L, S, n)) if self.noisy else None
+        self.q = None if self.potential is None else np.empty((L + 1, S, self.wdet.size))
+
+    def _put(self, k, U, V, P, MV, noise, uq) -> None:
+        x = self.nodes[k]
+        n = U.shape[0]
+        x[0], x[1], x[4] = U.T, V.T, MV.T
+        x[2:4] = P[n:].reshape(2, n, -1).transpose(0, 2, 1)
+        if noise is not None:
+            self.noise[k - 1] = noise.T
+        if self.q is not None:
+            self.q[k] = uq.reshape(self.wdet.size, -1).T
+
+    def _norms(self, slots: slice):
+        """Squared L2, H1 and d_t norms and H, shape (nodes, S), of node slots."""
+        x = self.nodes[slots]
+        U, V = x[:, 0], x[:, 1]
+        l2 = (U * x[:, 2]).sum(axis=-1)
+        h1 = (U * x[:, 3]).sum(axis=-1)
+        dt = (V * x[:, 4]).sum(axis=-1)
+        H = 0.5 * dt + 0.5 * h1
+        if self.q is not None:
+            H = H + (self.wdet * self.potential(self.q[slots])).sum(axis=-1)
+        return l2, h1, dt, H
+
+    def book(self, step: int, C, V, P, MV, noise, Cq, iters) -> None:
+        """Hold the node that ``step`` reached; flush when the window is full."""
+        self.iters[self.live, step] = iters
+        self.k += 1
+        self._put(self.k, C, V, P, MV, noise, Cq)
+        if self.k == self.window:
+            self.flush()
+
+    def flush(self) -> None:
+        """Reduce the held nodes into the series; the last moves to slot 0."""
+        k = self.k
+        if not k:
+            return
+        a, b = self.n0 + 1, self.n0 + k + 1
+        l2, h1, dt, H = self._norms(slice(1, k + 1))
+        d = self.nodes[1 : k + 1] - self.nodes[:k]
+        Hprev = np.concatenate([self.H_last[None], H[:-1]])
+        resid = H - Hprev + 0.5 * (d[:, 1] * d[:, 4]).sum(axis=-1) + 0.5 * (
+            d[:, 0] * d[:, 3]
+        ).sum(axis=-1)
+        if self.noisy:
+            gain = (self.noise[:k] * self.nodes[1 : k + 1, 1]).sum(axis=-1)
+            resid -= gain * self.dW[:, a - 1 : b - 1].T
+        for i, s in enumerate((l2, h1, dt, H)):
+            self.series[i, self.live, a:b] = s.T
+        self.resid[self.live, a - 1 : b - 1] = resid.T
+        self.nodes[0] = self.nodes[k]
+        self.H_last = H[-1]
+        self.n0, self.k = b - 1, 0
+
+    def drop(self, keep: np.ndarray) -> None:
+        """Flush, then keep only the samples of the live mask ``keep``."""
+        self.flush()
+        self.live = self.live[keep]
+        self.dW = self.dW[keep]
+        self.H_last = self.H_last[keep]
+        last = self.nodes[0][:, keep]
+        self._alloc(last.shape[1], last.shape[2])
+        self.nodes[0] = last

@@ -196,8 +196,8 @@ def test_criterion_4_half_order_loss(table6):
         ok,
         f"smoothed-abs diffusion: d_t order {dto:.3f} (< 0.75 expected), "
         f"L2 {l2o:.3f} / H1 {h1o:.3f} (>= 0.85), runtime {elapsed:.0f}s; "
-        "see decisions ledger: the half-order velocity loss does not "
-        "manifest under the same-path coupled reference protocol",
+        "see README, 'Acceptance criterion 4': a reference only two halvings "
+        "finer makes the finest pair read log2(7/3) = 1.222 for a true order of 1",
     )
 
 

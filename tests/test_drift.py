@@ -158,6 +158,16 @@ def test_validate_equality_case_exact():
     assert CUBIC.validate(MODIFIED_CN) == []
     deg11 = PolynomialDrift([-1.0] + [0.0] * 9 + [-1.0], alpha=1.0, lam=1.0 / 6.0)
     assert deg11.validate(MODIFIED_CN) == []
+    # gap u^2 (u - 1)^2: equality at a critical point away from zero
+    assert PolynomialDrift([-2.0, 6.0, -4.0]).validate(MODIFIED_CN) == []
+
+
+def test_validate_gap_negative_only_far_out():
+    # gap u^2/2 - 1e-7 u^4 is positive for |u| < 2236 and -5e7 at u = 5000:
+    # the leading coefficient decides, wherever the sign change lies
+    drift = PolynomialDrift([-1.0, 0.0, -1.0], lam=0.5 + 2e-7)
+    violations = drift.validate(MODIFIED_CN)
+    assert len(violations) == 1 and "coercivity" in violations[0]
 
 
 def test_empty_coeffs_rejected():

@@ -220,6 +220,13 @@ def test_cli_invalid_drift_exits_2(tmp_path, capsys):
     assert "odd" in err
 
 
+def _raw_study(**fields):
+    """The JSON form of a small stability config whose one study has these fields."""
+    raw = config_to_dict(_with_study(StabilityStudy(level=4, tau=0.02, T=0.1)))
+    raw["studies"][0] = {"kind": "stability", "tau": 0.02, "T": 0.1, **fields}
+    return raw
+
+
 @pytest.mark.parametrize(
     "cfg, field",
     [
@@ -237,13 +244,25 @@ def test_cli_invalid_drift_exits_2(tmp_path, capsys):
             _analytic_config(dimension=2, h1=TentBump(), h2=Constant(1.0)),
             "studies[0]: the closed-form solution needs dimension 1",
         ),
+        (_raw_study(level=4, lvl=3), "studies[0].lvl: unknown field"),
+        (_raw_study(level="8"), "studies[0].level: expected int"),
+        (_raw_study(), "studies[0].level: missing"),
+        ({**_raw_study(level=4), "h1": {"kind": "cosine", "k": 2}}, "h1: unknown field(s) ['k']"),
     ],
-    ids=["analytic-ladder", "stability-level-0", "empty-levels", "empty-taus", "analytic-2d-tent"],
+    ids=[
+        "analytic-ladder", "stability-level-0", "empty-levels", "empty-taus",
+        "analytic-2d-tent", "unknown-field", "wrong-type", "missing-field", "unknown-h1-field",
+    ],
 )
 def test_cli_config_errors_exit_2(cfg, field, tmp_path, capsys):
-    assert any(p.startswith(field) for p in validate_config(cfg))
+    raw = cfg if isinstance(cfg, dict) else config_to_dict(cfg)
+    try:
+        problems = validate_config(config_from_dict(raw))
+    except ValueError as exc:
+        problems = [str(exc)]
+    assert any(p.startswith(field) for p in problems)
     cfg_file = tmp_path / "bad.json"
-    cfg_file.write_text(json.dumps(config_to_dict(cfg)))
+    cfg_file.write_text(json.dumps(raw))
     assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -356,6 +356,104 @@ def test_failed_sample_is_dropped_and_leaves_batch_intact(monkeypatch, error):
         assert np.array_equal(getattr(batch, name), getattr(clean, name)), name
 
 
+def _fix_window(monkeypatch, length):
+    """Make every march book its energy series in windows of ``length`` steps."""
+
+    class Fixed(stochwave.stepper._Ledger):
+        def _alloc(self, S, n):
+            self.window = length
+            super()._alloc(S, n)
+
+    monkeypatch.setattr(stochwave.stepper, "_Ledger", Fixed)
+
+
+def _run_nodes(stepper, paths, init):
+    nodes = []
+
+    def keep(n, live, U, V):
+        nodes.append((live.copy(), U.copy(), V.copy()))
+
+    return stepper.run(paths, init, observe=keep), nodes
+
+
+@pytest.mark.parametrize("dimension", [1, 2], ids=["mcn-cubic-1d", "p1-2d"])
+def test_series_do_not_depend_on_the_window(monkeypatch, dimension):
+    if dimension == 1:
+        space, h1 = _space(32), CosineProduct(kx=1)
+    else:
+        space = FeSpace(build_unit_square_tri_mesh(4), 1, quadrature_degree_for(1, CUBIC))
+        h1 = CosineProduct(kx=1, ky=2)
+    N = 40
+    cfg = SchemeConfig(tau=0.01, n_steps=N, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, h1, Constant(0.5))
+    paths = [sample_path(11, k, N, 0.01) for k in range(3)]
+    windows = []
+
+    class Recorded(stochwave.stepper._Ledger):
+        def _alloc(self, S, n):
+            windows.append(self.window)
+            super()._alloc(S, n)
+
+    monkeypatch.setattr(stochwave.stepper, "_Ledger", Recorded)
+    ref, ref_nodes = _run_nodes(stepper, paths, init)
+    assert 1 < windows[0] < N  # the default window flushes inside the run
+    for length in (1, N, N + 7):
+        _fix_window(monkeypatch, length)
+        traj, nodes = _run_nodes(stepper, paths, init)
+        for name in SERIES:
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), (length, name)
+        for got, want in zip(nodes, ref_nodes, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("length", [1, 4, None], ids=["window-1", "window-4", "default"])
+def test_failure_inside_a_window_leaves_the_others_intact(monkeypatch, length):
+    space = _space(8)
+    cfg = SchemeConfig(tau=0.02, n_steps=12, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
+    paths = [sample_path(6, k, 12, 0.02) for k in range(5)]
+    clean = stepper.run(paths[:2] + paths[3:], init)
+    inc = paths[2].increments.copy()
+    inc[5] = 1e200  # fails at step 5, the second step of the second 4-step window
+    paths[2] = BrownianPath(0.02, inc, 6, 2)
+    if length is not None:
+        _fix_window(monkeypatch, length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = _assert_batch_matches_alone(stepper, paths, init)
+    assert list(batch.samples) == [0, 1, 3, 4] and list(batch.failures) == [2]
+    assert batch.failures[2].step == 5
+    for name in SERIES:
+        assert np.array_equal(getattr(batch, name), getattr(clean, name)), name
+
+
+def test_linear_step_applies_the_operators_three_times():
+    # predictor residual, the one exact correction's residual and M v: the
+    # residual's stacked product also yields M c and K c
+    drift = PolynomialDrift([-1.0], alpha=0.0, lam=1.0)
+    space = _space(8, drift)
+    cfg = SchemeConfig(tau=0.01, n_steps=3)
+    stepper = WaveStepper(space, drift, Diffusion.zero(), cfg)
+    products = []
+
+    class Counted:
+        def __init__(self, op):
+            self.op = op
+
+        def __matmul__(self, x):
+            products.append(1)
+            return self.op @ x
+
+    for name in ("A", "M", "W"):  # every sparse operator the stepper holds
+        setattr(stepper, name, Counted(getattr(stepper, name)))
+    seen = []
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
+    traj = stepper.run(_zeros_path(0.01, 3), init, observe=lambda n, *_: seen.append(len(products)))
+    assert list(traj.newton_iters) == [1, 1, 1]
+    assert np.diff(seen).tolist() == [3, 3, 3]
+
+
 # ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
