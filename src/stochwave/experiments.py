@@ -192,9 +192,31 @@ def _field_from_dict(d: dict, key: str):
         raise ValueError(f"{key}: {exc}") from None
 
 
+# the keys config_to_dict writes, plus threads and the drift's ``lam`` alias
+_CONFIG_KEYS = {
+    "": {
+        "name", "dimension", "degree", "scheme", "drift", "diffusion", "h1", "h2",
+        "n_samples", "master_seed", "threads", "newton_abs_tol", "studies",
+    },
+    "drift": {"coeffs", "alpha", "lambda", "lam"},
+    "diffusion": {"kind", "c", "epsilon"},
+}
+
+
+def _known_keys(d, path: str) -> dict:
+    """``d`` itself, once it is an object whose keys are all known at ``path``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path or 'config'}: expected an object, got {d!r}")
+    unknown = [f"{path}.{k}" if path else k for k in sorted(set(d) - _CONFIG_KEYS[path])]
+    if unknown:
+        raise ValueError("; ".join(f"{k}: unknown field" for k in unknown))
+    return d
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    drift_d = d.get("drift", {})
-    diff_d = d.get("diffusion", {})
+    _known_keys(d, "")
+    drift_d = _known_keys(d.get("drift", {}), "drift")
+    diff_d = _known_keys(d.get("diffusion", {}), "diffusion")
     diff_kwargs = {k: diff_d[k] for k in ("c", "epsilon") if k in diff_d}
     return ExperimentConfig(
         name=d.get("name", "custom"),

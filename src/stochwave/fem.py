@@ -3,7 +3,8 @@
 Provides P1/P2 spaces, mass/stiffness/load assembly, L2 projection,
 interpolation, point evaluation, quadrature norms, and exact transfer between
 nested meshes.  Neumann boundary conditions are natural: no dof is ever
-constrained.
+constrained.  `CsrProduct` applies a sparse operator to a dense block through
+scipy's compiled CSR kernel, without the dispatch of ``@``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .linsolve import spd_solver
 from .mesh import Mesh
 from .quadrature import interval_rule, triangle_rule
 
 __all__ = [
+    "CsrProduct",
     "FeSpace",
     "FeFunction",
     "assemble_mass",
@@ -101,6 +104,50 @@ def _eval_field(field: Callable, points: np.ndarray) -> np.ndarray:
     else:
         vals = field(points[:, 0], points[:, 1])
     return np.broadcast_to(np.asarray(vals, dtype=float), (points.shape[0],))
+
+
+# ---------------------------------------------------------------------------
+# Sparse products
+# ---------------------------------------------------------------------------
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+class CsrProduct:
+    """X -> A @ X for a fixed float64 CSR matrix A, straight through the kernel.
+
+    Calls scipy's ``csr_matvec`` for one column and ``csr_matvecs`` for a
+    block, with the arguments and zeroed output that ``A @ X`` passes them
+    (scipy's ``_matmul_vector`` and ``_matmul_multivector``), so every bit
+    equals ``A @ X``; only the per-call dispatch of ``@`` is skipped.  X is
+    a 1-D vector or an (n, S) block of any memory layout.  The kernel reads
+    X without bounds checks, so its length and dtype are checked here.
+    """
+
+    __slots__ = ("matrix", "shape", "_csr")
+
+    def __init__(self, matrix: sp.spmatrix):
+        A = sp.csr_matrix(matrix)
+        if A.dtype != _FLOAT64:
+            raise ValueError(f"operator must be float64, got {A.dtype}")
+        self.matrix = A
+        self.shape = A.shape
+        self._csr = (A.indptr, A.indices, A.data)
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        m, n = self.shape
+        shape = X.shape
+        if X.dtype != _FLOAT64 or not 0 < len(shape) < 3 or shape[0] != n:
+            raise ValueError(
+                f"cannot apply a {m}x{n} operator to a {X.dtype} array of shape {shape}"
+            )
+        if len(shape) == 1 or shape[1] == 1:
+            y = np.zeros(m)
+            _sparsetools.csr_matvec(m, n, *self._csr, X.ravel(), y)
+            return y if len(shape) == 1 else y.reshape(m, 1)
+        Y = np.zeros((m, shape[1]))
+        _sparsetools.csr_matvecs(m, n, shape[1], *self._csr, X.ravel(), Y.ravel())
+        return Y
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +285,25 @@ class FeSpace:
         return spd_solver(self.mass)
 
     @cached_property
-    def _qpoint_operator(self) -> sp.csr_matrix:
+    def qpoint_product(self) -> CsrProduct:
         """Q with (Q c)[cell * nq + q] = value of c at quadrature point q of cell."""
         nc, nl = self.cell_dofs.shape
         nq = self.phi.shape[1]
         rows = np.broadcast_to(np.arange(nc * nq).reshape(nc, nq, 1), (nc, nq, nl))
         cols = np.broadcast_to(self.cell_dofs[:, None, :], (nc, nq, nl))
         vals = np.broadcast_to(self.phi.T, (nc, nq, nl))
-        return sp.coo_matrix(
-            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nc * nq, self.n_dofs)
-        ).tocsr()
+        return CsrProduct(
+            sp.coo_matrix(
+                (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nc * nq, self.n_dofs)
+            ).tocsr()
+        )
 
     @cached_property
-    def _load_operator(self) -> sp.csr_matrix:
+    def load_product(self) -> CsrProduct:
         """Q^T scaled by the quadrature weights: the load of point values."""
-        Q = self._qpoint_operator.tocoo()
+        Q = self.qpoint_product.matrix.tocoo()
         data = Q.data * self.wdet.ravel()[Q.row]
-        return sp.coo_matrix((data, (Q.col, Q.row)), shape=Q.shape[::-1]).tocsr()
+        return CsrProduct(sp.coo_matrix((data, (Q.col, Q.row)), shape=Q.shape[::-1]).tocsr())
 
     # -- evaluation ----------------------------------------------------------
 
@@ -265,11 +314,11 @@ class FeSpace:
         (n_dofs, S) block with one sample per column.  Each column's values
         are the same bits whatever the other columns hold.
         """
-        return (self._qpoint_operator @ coeffs).reshape(self.wdet.shape + coeffs.shape[1:])
+        return self.qpoint_product(coeffs).reshape(self.wdet.shape + coeffs.shape[1:])
 
     def qpoint_load(self, vals: np.ndarray) -> np.ndarray:
         """b[i] = quadrature of vals * phi_i, for vals shaped as values_at_qpoints returns."""
-        return self._load_operator @ vals.reshape((self.wdet.size,) + vals.shape[2:])
+        return self.load_product(vals.reshape((self.wdet.size,) + vals.shape[2:]))
 
 
 @dataclass

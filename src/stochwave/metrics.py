@@ -29,7 +29,7 @@ from .ensemble import (
     steps_for,
     tree_sum,
 )
-from .fem import FeSpace, transfer_matrix
+from .fem import CsrProduct, FeSpace, transfer_matrix
 from .noise import BrownianPath, coarsen, sample_path
 from .quadrature import interval_rule, triangle_rule
 from .stepper import BLOCK_POINTS, SchemeConfig, WaveStepper, column_sums, initial_state
@@ -54,19 +54,20 @@ def quadrature_degree_for(degree: int, drift: PolynomialDrift) -> int:
 # ---------------------------------------------------------------------------
 
 def _error_sq(
-    E: sp.csr_matrix | None,
+    E: CsrProduct | None,
     Uc: np.ndarray,
     Vc: np.ndarray,
     Ur: np.ndarray,
     Vr: np.ndarray,
-    M: sp.csr_matrix,
-    K: sp.csr_matrix,
+    MK: CsrProduct,
+    M: CsrProduct,
 ) -> np.ndarray:
     """Squared (L2, H1-seminorm, velocity L2) errors, one triple per column.
 
     The columns of the coarse blocks Uc, Vc are lifted to the reference space
     by E (None when the spaces coincide) and compared with the matching
-    columns of Ur, Vr.  Returns shape (3, n_columns).  The velocity error is
+    columns of Ur, Vr.  MK is the stacked [M; K] of the reference space and
+    M its mass.  Returns shape (3, n_columns).  The velocity error is
     each solution's own difference quotient compared at a shared node.  With
     equal time steps this is identical to differencing the displacement
     error at consecutive nodes; across step sizes it avoids the
@@ -74,9 +75,17 @@ def _error_sq(
     inject at every node.
     """
     if E is not None:
-        Uc, Vc = E @ Uc, E @ Vc
+        Uc, Vc = E(Uc), E(Vc)
     eu, ev = Uc - Ur, Vc - Vr
-    return column_sums(np.stack([eu * (M @ eu), eu * (K @ eu), ev * (M @ ev)], axis=1))
+    n = eu.shape[0]
+    MKeu = MK(eu)
+    return column_sums(np.stack([eu * MKeu[:n], eu * MKeu[n:], ev * M(ev)], axis=1))
+
+
+def _error_products(space: FeSpace) -> tuple[CsrProduct, CsrProduct]:
+    """The stacked [M; K] and M products that `_error_sq` measures with."""
+    M = space.mass
+    return CsrProduct(sp.vstack([M, space.stiffness], format="csr")), CsrProduct(M)
 
 
 def error_norms(
@@ -105,10 +114,8 @@ def error_norms(
     if coarse_space is not ref_space:
         if not ref_space.mesh.descends_from(coarse_space.mesh):
             raise ValueError("reference mesh does not descend from the coarse mesh")
-        E = transfer_matrix(coarse_space, ref_space)
-    l2sq, h1sq, dtl2sq = _error_sq(
-        E, Uc.T, Vc.T, Ur.T, Vr.T, ref_space.mass, ref_space.stiffness
-    )
+        E = CsrProduct(transfer_matrix(coarse_space, ref_space))
+    l2sq, h1sq, dtl2sq = _error_sq(E, Uc.T, Vc.T, Ur.T, Vr.T, *_error_products(ref_space))
     return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(dtl2sq[1:])
 
 
@@ -175,7 +182,7 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
         spec.dimension, spec.degree, spec.quad_degree, [l for l, _ in rows] + [ref_level]
     )
     ref_space = spaces[ref_level]
-    Mref, Kref = ref_space.mass, ref_space.stiffness
+    MKref, Mref = _error_products(ref_space)
     ref_cfg = spec.config
     inits = {ref_level: initial_state(ref_space, spec.h1, spec.h2)}
     factors = [round(cfg.tau / ref_cfg.tau) for _, cfg in rows]
@@ -209,13 +216,13 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
         space = spaces[level]
         if level not in inits:
             inits[level] = initial_state(space, spec.h1, spec.h2)
-        E = None if space is ref_space else transfer_matrix(space, ref_space)
+        E = None if space is ref_space else CsrProduct(transfer_matrix(space, ref_space))
         err = np.empty((3, S, cfg.n_steps + 1))
 
         def compare(n, live, U, V):
             pos = alive[live]
             m = n * factor // stride
-            err[:, pos, n] = _error_sq(E, U, V, Ur[m][:, pos], Vr[m][:, pos], Mref, Kref)
+            err[:, pos, n] = _error_sq(E, U, V, Ur[m][:, pos], Vr[m][:, pos], MKref, Mref)
 
         # coupling contract: every row path is the exactly-summed reference path
         paths = [coarsen(ref_paths[p], factor) if factor > 1 else ref_paths[p] for p in alive]
@@ -379,6 +386,11 @@ def analytic_error_table(
         sq = np.empty((3, n_steps + 1))  # squared L2, H1 and d_t errors per node
         before = None  # the error values of the node before the block
 
+        def quadrature(vals: np.ndarray) -> np.ndarray:
+            """Per node, the weighted sum of its (nc, nq) values; the same bits
+            whatever nodes share the block (see `column_sums`)."""
+            return column_sums((vals * w[..., None]).reshape(w.size, -1))
+
         def reduce(start: int, k: int) -> None:
             nonlocal before
             U = block[:, :k]
@@ -386,12 +398,12 @@ def analytic_error_table(
             e_val = space.values_at_qpoints(U) - exact.value(xq, times)
             grad = np.einsum("cln,clq->cqn", U[space.cell_dofs], space.grad_phys[..., 0])
             e_grad = grad - exact.dx(xq, times)
-            sq[0, start : start + k] = np.einsum("cqn,cq->n", e_val * e_val, w)
-            sq[1, start : start + k] = np.einsum("cqn,cq->n", e_grad * e_grad, w)
+            sq[0, start : start + k] = quadrature(e_val * e_val)
+            sq[1, start : start + k] = quadrature(e_grad * e_grad)
             if before is not None:
                 e_val = np.concatenate([before, e_val], axis=2)
             de = np.diff(e_val, axis=2) / tau
-            sq[2, start + k - de.shape[2] : start + k] = np.einsum("cqn,cq->n", de * de, w)
+            sq[2, start + k - de.shape[2] : start + k] = quadrature(de * de)
             before = e_val[..., -1:]
 
         def keep(n, live, Un, Vn):

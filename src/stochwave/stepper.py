@@ -27,18 +27,31 @@ Batches.  `WaveStepper.run` advances S samples (Brownian paths) from one
 initial state as a single block of coefficients, shape (n_dofs, S), one
 column per sample, so each sparse product, quadrature evaluation and frozen
 solve serves the whole block at once.  The residual is one product with the
-stacked operator W = [A; M; K], A = M + tau^2 K, so the iterate a column
-accepts brings its M c and K c along, and a step of a linear drift without
-noise makes three operator products: the predictor's residual, the
-correction's residual and M v.  A round in which every column takes a
-frozen correction and accepts it updates the block whole; any other round
-uses per-sample masks to decide which columns take a further correction
-(residual above tolerance, or the extra correction still due) and which
-pass the CHORD_CONTRACTION test, and a sample whose frozen correction is
-rejected finishes the step alone with full Newton.  A sample that diverges,
-meets a non-finite residual or a LinearSolveError is dropped from the block
-and reported; the others go on.  The quadrature values of the accepted
-iterate are carried forward as the next step's u^n values.
+stacked operator W = [A; M; K], A = M + tau^2 K, joined by the quadrature
+evaluation Q when the drift or the noise reads point values: one product
+per iterate yields R's linear part, M c, K c and c's quadrature values, so
+the iterate a column accepts brings all four along and no step evaluates
+Q on its own.  Each row of W is summed exactly as in its own operator, so
+these are the bits that separate products would give.  A step of a linear
+drift without noise makes three operator products: the predictor's
+residual, the correction's residual and M v.  Every product calls scipy's
+compiled CSR kernel directly (`CsrProduct`), with the arguments ``A @ X``
+would pass it, so only the dispatch of ``@`` is saved, and every bit stays
+as ``@`` makes it.
+
+A common round, in which every column takes a frozen correction and
+accepts it, updates the block whole: trial = C - solve(R), which equals
+C + solve(-R) bit for bit because the triangular solves are sign-symmetric.
+When J0 is exact no polish is ever due, and the contraction comparison,
+which a NaN fails, is the whole test; the per-column history is built only
+when the columns part.  Any other round uses per-sample masks to decide
+which columns take a further correction (residual above tolerance, or the
+extra correction still due) and which pass the CHORD_CONTRACTION test, and
+a sample whose frozen correction is rejected finishes the step alone with
+full Newton.  A sample that diverges, meets a non-finite residual or a
+LinearSolveError is dropped from the block and reported; the others go on.
+The quadrature values of the accepted iterate are carried forward as the
+next step's u^n values.
 
 Energy bookkeeping.  The time loop only solves.  Each node's u, v, M u, K u
 and M v, the step's noise load and, for a nonzero drift, the quadrature
@@ -70,7 +83,7 @@ import scipy.sparse as sp
 
 from .diffusion import Diffusion
 from .drift import FULLY_IMPLICIT, MODIFIED_CN, SCHEMES, PolynomialDrift
-from .fem import FeFunction, FeSpace, assemble_weighted_mass, l2_project
+from .fem import CsrProduct, FeFunction, FeSpace, assemble_weighted_mass, l2_project
 from .linsolve import LinearSolveError, spd_solver
 from .noise import BrownianPath
 
@@ -222,14 +235,21 @@ class WaveStepper:
         self.diffusion = diffusion
         self.config = config
         self._tau2 = config.tau * config.tau
-        self.M = space.mass
-        self.A = (self.M + self._tau2 * space.stiffness).tocsr()
-        # W c = [A c; M c; K c]: each row is summed as in A, M or K alone
-        self.W = sp.vstack([self.A, self.M, space.stiffness], format="csr")
+        M = space.mass
+        self.A = (M + self._tau2 * space.stiffness).tocsr()
         self._drift_is_zero = drift.is_zero
         self._noisy = not diffusion.is_zero
+        self._needs_q = self._noisy or not self._drift_is_zero
+        # W c = [A c; M c; K c], then c's quadrature values Q c when the drift
+        # or the noise reads them: each row is summed as in A, M, K or Q alone
+        blocks = [self.A, M, space.stiffness]
+        if self._needs_q:
+            blocks.append(space.qpoint_product.matrix)
+        self.W = CsrProduct(sp.vstack(blocks, format="csr"))
+        self.mass_product = CsrProduct(M)
+        self.load_product = space.load_product
         w0 = self._jacobian_weight(np.zeros(1), np.zeros(1))[0]
-        self._frozen_solve = spd_solver(self.A - self._tau2 * w0 * self.M)
+        self._frozen_solve = spd_solver(self.A - self._tau2 * w0 * M)
         self._frozen_is_exact = drift.is_linear
 
     # -- pointwise drift terms at quadrature points ---------------------------
@@ -244,61 +264,70 @@ class WaveStepper:
             return self.drift.derivative(cq)
         return self.drift.potential_quotient_da(cq, unq)
 
-    def _residual(
-        self, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """W C with R(C) in its first n_dofs rows, and C's quadrature values
-        when the drift needs them."""
-        P = self.W @ C
-        R = P[: C.shape[0]]
-        Cq = None
+    def _residual(self, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None) -> np.ndarray:
+        """W C with R(C) in its first n_dofs rows.
+
+        Rows 3 n_dofs on hold C's quadrature values, one row per point, when
+        the drift or the noise needs them; ``unq`` holds u^n's likewise.
+        """
+        P = self.W(C)
+        n = C.shape[0]
+        R = P[:n]
         if not self._drift_is_zero:
-            Cq = self.space.values_at_qpoints(C)
-            R -= self._tau2 * self.space.qpoint_load(self._drift_values(Cq, unq))
+            R -= self._tau2 * self.load_product(self._drift_values(P[3 * n :], unq))
         R -= rhs
-        return P, Cq
+        return P
 
     # -- one step of a block ----------------------------------------------------
 
     def _solve(
         self, step: int, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | int, dict[int, Exception]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | int, dict[int, Exception]]:
         """Solve R(c) = 0 for every column of the predictor block C.
 
-        Returns the solutions, their products W c, their quadrature values,
-        the accepted corrections per column (one int when the columns never
-        parted) and the errors of the columns that failed.
+        Returns the solutions, their products W c, the accepted corrections
+        per column (one int when the columns never parted) and the errors of
+        the columns that failed.
         """
         cfg = self.config
+        exact = self._frozen_is_exact
         n, S = C.shape
-        P, Cq = self._residual(C, rhs, unq)
+        P = self._residual(C, rhs, unq)
         rnorm = np.abs(P[:n]).max(axis=0)
         tol = np.maximum(cfg.newton_abs_tol, cfg.newton_rel_tol * rnorm)
         polish = np.zeros(S, dtype=bool)  # the extra correction is due
-        every = np.arange(S)
-        rounds = [(every, rnorm)]  # accepted residual norms
+        norms = [rnorm]  # accepted residual norms of the common rounds
 
         # Common rounds: every column takes a frozen correction and accepts it.
         taken = 0
         pending = None  # a round's trial that some column did not accept
         need = rnorm > tol  # False for a non-finite residual
         while need.all() and taken < cfg.newton_max_iter:
-            trial = C + self._frozen_solve(-P[:n])
-            Pt, Tq = self._residual(trial, rhs, unq)
+            trial = C - self._frozen_solve(P[:n])
+            Pt = self._residual(trial, rhs, unq)
             rt = np.abs(Pt[:n]).max(axis=0)
-            if not ((polish | (rt <= CHORD_CONTRACTION * rnorm)).all() and np.isfinite(rt).all()):
-                pending = trial, Pt, Tq, rt
+            if exact:  # polish stays False, and a NaN fails the comparison
+                ok = (rt <= CHORD_CONTRACTION * rnorm).all()
+            else:
+                ok = (polish | (rt <= CHORD_CONTRACTION * rnorm)).all() and np.isfinite(rt).all()
+            if not ok:
+                pending = trial, Pt, rt
                 break
-            polish = ~(polish | self._frozen_is_exact) & (rt <= tol)
-            C, P, Cq, rnorm = trial, Pt, Tq, rt
-            rounds.append((every, rt))
+            C, P, rnorm = trial, Pt, rt
+            norms.append(rt)
             taken += 1
-            need = (rnorm > tol) | polish
+            if exact:
+                need = rnorm > tol
+            else:
+                polish = ~polish & (rt <= tol)
+                need = (rnorm > tol) | polish
         # an accepted residual is finite, the predictor's may not be
         if pending is None and not need.any() and (taken or np.isfinite(rnorm).all()):
-            return C, P, Cq, taken, {}
+            return C, P, taken, {}
 
         # Every other round: the columns part.
+        every = np.arange(S)
+        rounds = [(every, r) for r in norms]  # accepted residual norms
         rnorm = rnorm.copy()  # updated in place from here on
         iters = np.full(S, taken, dtype=np.int64)
         failed = ~np.isfinite(rnorm)
@@ -322,11 +351,11 @@ class WaveStepper:
                 break
             cols = slice(None) if act.size == S else act  # a view when full
             if pending is not None:  # the last common round's, for every column
-                (trial, Pt, Tq, rt), pending = pending, None
+                (trial, Pt, rt), pending = pending, None
             else:
-                trial = C[:, cols] + self._frozen_solve(-P[:n, cols])
-                sub_unq = None if unq is None else unq[..., cols]
-                Pt, Tq = self._residual(trial, rhs[:, cols], sub_unq)
+                trial = C[:, cols] - self._frozen_solve(P[:n, cols])
+                sub_unq = None if unq is None else unq[:, cols]
+                Pt = self._residual(trial, rhs[:, cols], sub_unq)
                 rt = np.abs(Pt[:n]).max(axis=0)
             # written so that a NaN residual also rejects the frozen correction
             accept = polish[cols] | (rt <= CHORD_CONTRACTION * rnorm[cols])
@@ -339,10 +368,8 @@ class WaveStepper:
                     errors[j] = NewtonDivergedError(step, history(j))
                     failed[j] = True
                 j = act[ok]
-            polish[j] = ~(polish[j] | self._frozen_is_exact) & (rt[ok] <= tol[j])
+            polish[j] = ~(polish[j] | exact) & (rt[ok] <= tol[j])
             C[:, j], P[:, j], rnorm[j] = trial[:, ok], Pt[:, ok], rt[ok]
-            if Cq is not None:
-                Cq[..., j] = Tq[..., ok]
             iters[j] += 1
             for j in act[~accept]:  # continues alone with full Newton
                 s = slice(j, j + 1)
@@ -350,14 +377,13 @@ class WaveStepper:
                 try:
                     iters[j] += self._newton(
                         step, C[:, s], P[:, s], tol[j], iters[j], hist,
-                        rhs[:, s], None if unq is None else unq[..., s],
-                        None if Cq is None else Cq[..., s],
+                        rhs[:, s], None if unq is None else unq[:, s],
                     )
                 except (NewtonDivergedError, LinearSolveError) as exc:
                     errors[j] = exc
                     failed[j] = True
                 rnorm[j] = hist[-1]
-        return C, P, Cq, iters, errors
+        return C, P, iters, errors
 
     def _newton(
         self,
@@ -369,12 +395,11 @@ class WaveStepper:
         history: list[float],
         rhs: np.ndarray,
         unq: np.ndarray | None,
-        cq: np.ndarray | None,
     ) -> int:
         """Full Newton on one column from its last accepted iterate.
 
-        Updates the (n_dofs, 1) views c and cq and the (3 n_dofs, 1) view p of
-        W c in place; returns the number of corrections taken.
+        Updates the (n_dofs, 1) view c and the (rows of W, 1) view p of W c
+        in place; returns the number of corrections taken.
         """
         cfg = self.config
         n = c.shape[0]
@@ -382,19 +407,18 @@ class WaveStepper:
         while history[-1] > tol:
             if iters + taken >= cfg.newton_max_iter:
                 raise NewtonDivergedError(step, history)
-            if cq is None:  # zero drift: J0 is the exact Jacobian
+            if self._drift_is_zero:  # J0 is the exact Jacobian
                 solve = self._frozen_solve
             else:
-                w = self._jacobian_weight(cq[..., 0], unq[..., 0])
-                solve = spd_solver(self.A - self._tau2 * assemble_weighted_mass(self.space, w))
-            trial = c + solve(-p[:n])
-            p_new, q_new = self._residual(trial, rhs, unq)
+                w = self._jacobian_weight(p[3 * n :, 0], unq[:, 0])
+                weighted = assemble_weighted_mass(self.space, w.reshape(self.space.wdet.shape))
+                solve = spd_solver(self.A - self._tau2 * weighted)
+            trial = c - solve(p[:n])
+            p_new = self._residual(trial, rhs, unq)
             history.append(float(np.max(np.abs(p_new[:n]))))
             if not math.isfinite(history[-1]):
                 raise NewtonDivergedError(step, history)
             c[...], p[...] = trial, p_new
-            if cq is not None:
-                cq[...] = q_new
             taken += 1
         return taken
 
@@ -454,31 +478,30 @@ class WaveStepper:
         self, initial: State, dW: np.ndarray, observe: Observer | None
     ) -> Trajectory:
         """Step S samples from one initial state over increments dW (S, N)."""
-        space, tau = self.space, self.config.tau
+        tau = self.config.tau
         S, N = dW.shape
         bad = np.argwhere(~np.isfinite(dW))
         if bad.size:
             raise ValueError(f"non-finite Brownian increment at step {initial.n + bad[0, 1]}")
-        needs_q = self._noisy or not self._drift_is_zero
         failures: dict[int, Exception] = {}
 
         U = np.repeat(initial.u.coeffs[:, None], S, axis=1)
         V = np.repeat(initial.v.coeffs[:, None], S, axis=1)
         n = U.shape[0]
-        uq = space.values_at_qpoints(U) if needs_q else None
-        P, MV = self.W @ U, self.M @ V
-        ledger = _Ledger(self, dW, U, V, P, MV, uq)
+        P, MV = self.W(U), self.mass_product(V)
+        ledger = _Ledger(self, dW, U, V, P, MV)
         live = ledger.live
         if observe is not None:
             observe(0, live, U, V)
 
         noise = None
         for step in range(N):
+            uq = P[3 * n :] if self._needs_q else None
             rhs = P[n : 2 * n] + tau * MV
             if self._noisy:
-                noise = space.qpoint_load(self.diffusion.value(uq))
+                noise = self.load_product(self.diffusion.value(uq))
                 rhs += noise * (tau * ledger.dW[:, step])
-            C, P1, Cq, it, errors = self._solve(initial.n + step, U + tau * V, rhs, uq)
+            C, P1, it, errors = self._solve(initial.n + step, U + tau * V, rhs, uq)
             if errors:
                 keep = np.ones(live.size, dtype=bool)
                 for j, exc in errors.items():
@@ -492,14 +515,10 @@ class WaveStepper:
                 U, V, MV = U[:, keep], V[:, keep], MV[:, keep]
                 if self._noisy:
                     noise = noise[:, keep]
-                if Cq is not None:
-                    Cq = Cq[..., keep]
-            if needs_q and Cq is None:
-                Cq = space.values_at_qpoints(C)
             V1 = (C - U) / tau
-            MV1 = self.M @ V1
-            ledger.book(step, C, V1, P1, MV1, noise, Cq, it)
-            U, V, uq, P, MV = C, V1, Cq, P1, MV1
+            MV1 = self.mass_product(V1)
+            ledger.book(step, C, V1, P1, MV1, noise, it)
+            U, V, P, MV = C, V1, P1, MV1
             if observe is not None:
                 observe(step + 1, live, U, V)
 
@@ -530,7 +549,7 @@ class _Ledger:
     ``dW`` their increments.
     """
 
-    def __init__(self, stepper: WaveStepper, dW, U, V, P, MV, uq):
+    def __init__(self, stepper: WaveStepper, dW, U, V, P, MV):
         S, N = dW.shape
         n = U.shape[0]
         self.dW = dW
@@ -544,7 +563,7 @@ class _Ledger:
         per_node = n * (6 if self.noisy else 5) + (0 if self.potential is None else self.wdet.size)
         self.window = max(1, min(N, BLOCK_POINTS // (S * per_node) - 1))
         self._alloc(S, n)
-        self._put(0, U, V, P, MV, None, uq)
+        self._put(0, U, V, P, MV, None)
         l2, h1, dt, H = self._norms(slice(0, 1))
         self.series[:, :, 0] = l2[0], h1[0], dt[0], H[0]
         self.H_last = H[0]
@@ -557,15 +576,15 @@ class _Ledger:
         self.noise = np.empty((L, S, n)) if self.noisy else None
         self.q = None if self.potential is None else np.empty((L + 1, S, self.wdet.size))
 
-    def _put(self, k, U, V, P, MV, noise, uq) -> None:
+    def _put(self, k, U, V, P, MV, noise) -> None:
         x = self.nodes[k]
         n = U.shape[0]
         x[0], x[1], x[4] = U.T, V.T, MV.T
-        x[2:4] = P[n:].reshape(2, n, -1).transpose(0, 2, 1)
+        x[2:4] = P[n : 3 * n].reshape(2, n, -1).transpose(0, 2, 1)
         if noise is not None:
             self.noise[k - 1] = noise.T
         if self.q is not None:
-            self.q[k] = uq.reshape(self.wdet.size, -1).T
+            self.q[k] = P[3 * n :].T
 
     def _norms(self, slots: slice):
         """Squared L2, H1 and d_t norms and H, shape (nodes, S), of node slots."""
@@ -579,11 +598,11 @@ class _Ledger:
             H = H + (self.wdet * self.potential(self.q[slots])).sum(axis=-1)
         return l2, h1, dt, H
 
-    def book(self, step: int, C, V, P, MV, noise, Cq, iters) -> None:
+    def book(self, step: int, C, V, P, MV, noise, iters) -> None:
         """Hold the node that ``step`` reached; flush when the window is full."""
         self.iters[self.live, step] = iters
         self.k += 1
-        self._put(self.k, C, V, P, MV, noise, Cq)
+        self._put(self.k, C, V, P, MV, noise)
         if self.k == self.window:
             self.flush()
 

@@ -94,6 +94,16 @@ def test_config_dict_roundtrip():
     assert manifest_hash(back) == manifest_hash(cfg)
 
 
+def test_config_accepts_threads_and_the_lam_alias():
+    cfg = _tiny_rate_config(threads=2)
+    d = config_to_dict(cfg)
+    d["threads"] = 2
+    d["drift"]["lam"] = d["drift"].pop("lambda")
+    back = config_from_dict(d)
+    assert back.threads == 2 and back.drift == cfg.drift
+    assert manifest_hash(back) == manifest_hash(cfg)
+
+
 def test_validation_even_degree_drift():
     cfg = _tiny_rate_config()
     cfg.drift = PolynomialDrift([-1.0, -1.0], alpha=1.0, lam=0.5)
@@ -248,10 +258,20 @@ def _raw_study(**fields):
         (_raw_study(level="8"), "studies[0].level: expected int"),
         (_raw_study(), "studies[0].level: missing"),
         ({**_raw_study(level=4), "h1": {"kind": "cosine", "k": 2}}, "h1: unknown field(s) ['k']"),
+        ({**_raw_study(level=4), "n_sample": 5}, "n_sample: unknown field"),
+        (
+            {**_raw_study(level=4), "drift": {"coeffs": [0.0], "lamda": 1.0}},
+            "drift.lamda: unknown field",
+        ),
+        (
+            {**_raw_study(level=4), "diffusion": {"kind": "linear", "eps": 0.1}},
+            "diffusion.eps: unknown field",
+        ),
     ],
     ids=[
         "analytic-ladder", "stability-level-0", "empty-levels", "empty-taus",
         "analytic-2d-tent", "unknown-field", "wrong-type", "missing-field", "unknown-h1-field",
+        "unknown-top-level-key", "unknown-drift-key", "unknown-diffusion-key",
     ],
 )
 def test_cli_config_errors_exit_2(cfg, field, tmp_path, capsys):

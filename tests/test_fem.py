@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from stochwave.diffusion import Diffusion
+from stochwave.drift import PolynomialDrift
 from stochwave.fem import (
+    CsrProduct,
     FeFunction,
     FeSpace,
     assemble_mass,
@@ -16,6 +19,7 @@ from stochwave.fem import (
     transfer_to_fine,
 )
 from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
+from stochwave.stepper import SchemeConfig, WaveStepper
 
 
 def _dense_load_oracle(space, field, n_gauss=50):
@@ -331,3 +335,61 @@ def test_fe_function_length_check():
     space = FeSpace(build_interval_mesh(4), 1)
     with pytest.raises(ValueError):
         FeFunction(space, np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# Kernel products
+# ---------------------------------------------------------------------------
+
+def _products(dim):
+    """The stepper's stacked [A; M; K; Q], Q and the load operator of a space."""
+    mesh = build_interval_mesh(8) if dim == 1 else build_unit_square_tri_mesh(4)
+    space = FeSpace(mesh, 1, 4)
+    drift = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
+    stepper = WaveStepper(space, drift, Diffusion.linear(1.0), SchemeConfig(0.01, 4))
+    return {"W": stepper.W, "Q": space.qpoint_product, "load": space.load_product}
+
+
+def _blocks(n):
+    """Dense inputs of every layout the products meet."""
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((n, 5))
+    return {
+        "vector": rng.standard_normal(n),
+        "column": rng.standard_normal((n, 1)),
+        "c-order": block,
+        "f-order": np.asfortranarray(block),
+        "column-view": block[:, 2],
+        "column-block-view": block[:, 2:3],
+        "strided-block": block[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", ["W", "Q", "load"])
+def test_kernel_product_is_bit_identical_to_matmul(dim, name):
+    product = _products(dim)[name]
+    for layout, X in _blocks(product.shape[1]).items():
+        got, want = product(X), product.matrix @ X
+        assert got.shape == want.shape and got.dtype == want.dtype, layout
+        assert np.array_equal(got, want), layout
+
+
+def test_kernel_product_rejects_a_block_it_would_overrun():
+    product = _products(1)["W"]
+    n = product.shape[1]
+    bad = [
+        np.ones(n - 1),
+        np.ones(n + 1),
+        np.ones((n - 1, 3)),
+        np.ones((n, 2)).T,
+        np.ones((n, 2, 2)),
+        np.ones(n, dtype=np.float32),
+        np.ones((n, 3), dtype=np.int64),
+        np.ones(n, dtype=complex),
+    ]
+    for X in bad:
+        with pytest.raises(ValueError):
+            product(X)
+    with pytest.raises(ValueError):
+        CsrProduct(product.matrix.astype(np.float32))

@@ -303,6 +303,20 @@ def test_analytic_table_linear_wave():
     assert table.h1_orders[-1] == pytest.approx(1.0, abs=0.3)
 
 
+def test_analytic_table_does_not_depend_on_the_block_width(monkeypatch):
+    # one node per block, a few nodes per block, and the default width
+    tables = []
+    for points in (1, 64, stochwave.metrics.BLOCK_POINTS):
+        monkeypatch.setattr(stochwave.metrics, "BLOCK_POINTS", points)
+        table = analytic_error_table(
+            levels=[8, 16], tau=1e-3, T=0.05, exact=LinearWaveSolution(k=1),
+            drift=ZERO, diffusion=Diffusion.zero(),
+            h1=CosineProduct(kx=1), h2=Constant(0.0),
+        )
+        tables.append(np.stack([table.l2, table.h1, table.dtl2]))
+    assert all(np.array_equal(t, tables[0]) for t in tables[1:])
+
+
 def test_analytic_table_validates_ladder():
     for levels in ([8, 12], [], [0, 0]):
         with pytest.raises(ValueError, match="levels"):

@@ -428,30 +428,87 @@ def test_failure_inside_a_window_leaves_the_others_intact(monkeypatch, length):
         assert np.array_equal(getattr(batch, name), getattr(clean, name)), name
 
 
+class _Plain:
+    """A product object that applies its matrix with a plain ``@`` and counts."""
+
+    def __init__(self, product, calls, name):
+        self.matrix, self.calls, self.name = product.matrix, calls, name
+
+    def __call__(self, x):
+        self.calls[self.name] += 1
+        return self.matrix @ x
+
+
+def _plain_products(stepper):
+    """Put a counting plain-``@`` wrapper behind every product object the
+    stepper holds, and behind its space's Q; returns the call counts."""
+    calls = dict.fromkeys(("W", "mass_product", "load_product", "qpoint_product"), 0)
+    for name in ("W", "mass_product", "load_product"):
+        setattr(stepper, name, _Plain(getattr(stepper, name), calls, name))
+    space = stepper.space
+    space.qpoint_product = _Plain(space.qpoint_product, calls, "qpoint_product")
+    return calls
+
+
+def _products_per_step(stepper, paths, init):
+    """The run's trajectory and, per step, the products it made."""
+    calls = _plain_products(stepper)
+    seen = []
+    traj = stepper.run(paths, init, observe=lambda n, *_: seen.append(dict(calls)))
+    steps = [{k: b[k] - a[k] for k in b} for a, b in zip(seen, seen[1:])]
+    return traj, steps
+
+
 def test_linear_step_applies_the_operators_three_times():
     # predictor residual, the one exact correction's residual and M v: the
-    # residual's stacked product also yields M c and K c
+    # residual's stacked product also yields M c, K c and the quadrature
+    # values whose drift load the residual subtracts
     drift = PolynomialDrift([-1.0], alpha=0.0, lam=1.0)
     space = _space(8, drift)
     cfg = SchemeConfig(tau=0.01, n_steps=3)
     stepper = WaveStepper(space, drift, Diffusion.zero(), cfg)
-    products = []
-
-    class Counted:
-        def __init__(self, op):
-            self.op = op
-
-        def __matmul__(self, x):
-            products.append(1)
-            return self.op @ x
-
-    for name in ("A", "M", "W"):  # every sparse operator the stepper holds
-        setattr(stepper, name, Counted(getattr(stepper, name)))
-    seen = []
     init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    traj = stepper.run(_zeros_path(0.01, 3), init, observe=lambda n, *_: seen.append(len(products)))
+    traj, steps = _products_per_step(stepper, _zeros_path(0.01, 3), init)
     assert list(traj.newton_iters) == [1, 1, 1]
-    assert np.diff(seen).tolist() == [3, 3, 3]
+    assert [d["W"] + d["mass_product"] for d in steps] == [3, 3, 3]
+    assert [(d["load_product"], d["qpoint_product"]) for d in steps] == [(2, 0)] * 3
+
+
+def test_cubic_common_round_costs_one_stacked_and_one_load_product():
+    # each residual is one stacked product, which carries the quadrature
+    # values, and one load of the drift; the step adds M v and the noise load
+    space = _space(8)
+    cfg = SchemeConfig(tau=0.01, n_steps=6)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
+    paths = [sample_path(5, k, 6, 0.01) for k in range(2)]
+    traj, steps = _products_per_step(stepper, paths, init)
+    assert not traj.failures
+    assert np.array_equal(traj.newton_iters[1], traj.newton_iters[0])  # common rounds only
+    for it, d in zip(traj.newton_iters[0], steps, strict=True):
+        assert it >= 2  # the cubic's chord iterates take the extra correction
+        assert d == {"W": 1 + it, "mass_product": 1, "load_product": 2 + it, "qpoint_product": 0}
+
+
+@pytest.mark.parametrize("dimension", [1, 2], ids=["mcn-cubic-1d", "p1-2d"])
+def test_kernel_products_match_plain_matmul(dimension):
+    if dimension == 1:
+        space, h1 = _space(16), CosineProduct(kx=1)
+    else:
+        space = FeSpace(build_unit_square_tri_mesh(4), 1, quadrature_degree_for(1, CUBIC))
+        h1 = CosineProduct(kx=1, ky=2)
+    cfg = SchemeConfig(tau=0.02, n_steps=15, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, h1, Constant(0.5))
+    paths = [sample_path(13, k, 15, 0.02) for k in range(3)]
+    ref, ref_nodes = _run_nodes(stepper, paths, init)
+    calls = _plain_products(stepper)
+    traj, nodes = _run_nodes(stepper, paths, init)
+    assert calls["W"] > 0 and calls["load_product"] > 0
+    for name in SERIES:
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+    for got, want in zip(nodes, ref_nodes, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
