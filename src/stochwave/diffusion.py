@@ -15,7 +15,7 @@ _KINDS = ("zero", "linear", "smoothed_abs")
 class Diffusion:
     """g(u) from one of: 0, c*u, or sqrt(u^2 + epsilon)."""
 
-    kind: str
+    kind: str = "zero"
     c: float = 1.0
     epsilon: float = 0.01
 

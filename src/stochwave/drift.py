@@ -50,14 +50,14 @@ def _negative_point(coeffs: np.ndarray) -> tuple[float, float] | None:
 class PolynomialDrift:
     """Coefficients a_1..a_q (constant in space) plus structure constants."""
 
-    coeffs: tuple[float, ...]
+    coeffs: tuple[float, ...] = (0.0,)
     alpha: float = 0.0
     lam: float = 0.0
 
-    def __init__(self, coeffs, alpha: float = 0.0, lam: float = 0.0):
-        object.__setattr__(self, "coeffs", tuple(float(a) for a in coeffs))
-        object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "lam", float(lam))
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "lam", float(self.lam))
         if not self.coeffs:
             raise ValueError("drift needs at least one coefficient")
 

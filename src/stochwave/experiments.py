@@ -13,6 +13,8 @@ import dataclasses
 import hashlib
 import json
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,8 +35,6 @@ from .fields import (
     CosineProduct,
     LinearWaveSolution,
     TentBump,
-    field_from_config,
-    field_to_config,
 )
 from .metrics import (
     ErrorTable,
@@ -57,11 +57,6 @@ __all__ = [
     "validate_config",
     "run_experiment",
 ]
-
-# Experiment runs use a Newton tolerance near the attainable floor so the
-# recorded per-step energy residuals measure the scheme, not the solver.
-_EXPERIMENT_NEWTON_ABS_TOL = 1e-13
-
 
 @dataclass
 class RateStudy:
@@ -93,150 +88,124 @@ class AnalyticStudy:
 
 @dataclass
 class ExperimentConfig:
-    name: str
-    dimension: int
-    drift: PolynomialDrift
-    diffusion: Diffusion
-    h1: object
-    h2: object
-    studies: list
+    name: str = "custom"
+    dimension: int = 1
+    drift: PolynomialDrift = PolynomialDrift()
+    diffusion: Diffusion = Diffusion()
+    h1: Constant | CosineProduct | TentBump = Constant()
+    h2: Constant | CosineProduct | TentBump = Constant()
+    studies: list[RateStudy | StabilityStudy | AnalyticStudy] = field(default_factory=list)
     degree: int = 1
     scheme: str = MODIFIED_CN
     n_samples: int = 200
     master_seed: int = 20240901
     threads: int = 1
-    newton_abs_tol: float = _EXPERIMENT_NEWTON_ABS_TOL
+    # a Newton tolerance near the attainable floor, so the recorded per-step
+    # energy residuals measure the scheme, not the solver
+    newton_abs_tol: float = 1e-13
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Serialization: one walk over the dataclass fields and their annotations
 # ---------------------------------------------------------------------------
 
-def _study_to_dict(study) -> dict:
-    if isinstance(study, RateStudy):
-        return {"kind": "rates", **dataclasses.asdict(study)}
-    if isinstance(study, StabilityStudy):
-        return {"kind": "stability", **dataclasses.asdict(study)}
-    if isinstance(study, AnalyticStudy):
-        return {"kind": "analytic", **dataclasses.asdict(study)}
-    raise TypeError(f"unknown study type {type(study)}")
+# The "kind" tag of each class a union annotation may hold.  A zero Constant
+# is written {"kind": "zero"}, a tag that takes no other field.
+_TAGS = {
+    RateStudy: "rates", StabilityStudy: "stability", AnalyticStudy: "analytic",
+    Constant: "constant", CosineProduct: "cosine", TentBump: "tent",
+}
+# The drift's lam is written "lambda", and "lam" is read as an alias.
+_RENAMED = {(PolynomialDrift, "lam"): "lambda"}
+# threads is an execution detail: results are independent of it, so it stays
+# out of the written config and the manifest hash.
+_UNWRITTEN = {(ExperimentConfig, "threads")}
+# the exact JSON types of a scalar annotation: a bool is no int, a float may be an int
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
-# JSON types of the study fields' annotations; an int is no bool, a float may be an int
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+def _key(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
-def _has_type(value, annotation: str) -> bool:
-    """Whether a JSON value fits a study field's annotation, e.g. ``list[int]``."""
-    for alt in annotation.split(" | "):
-        if alt == "None":
-            if value is None:
-                return True
-        elif alt.startswith("list["):
-            if isinstance(value, list) and all(_has_type(v, alt[5:-1]) for v in value):
-                return True
-        elif isinstance(value, _JSON_TYPES[alt]) and (alt == "bool" or not isinstance(value, bool)):
-            return True
-    return False
+def _expected(path: str, annotation: str, value) -> ValueError:
+    return ValueError(f"{path or 'config'}: expected {annotation}, got {value!r}")
 
 
-def _study_from_dict(d: dict, path: str):
-    kinds = {"rates": RateStudy, "stability": StabilityStudy, "analytic": AnalyticStudy}
-    kind = d.get("kind")
-    if kind not in kinds:
-        raise ValueError(f"{path}.kind: must be one of {sorted(kinds)}, got {kind!r}")
-    fields = {f.name: f for f in dataclasses.fields(kinds[kind])}
-    kwargs = {k: v for k, v in d.items() if k != "kind"}
-    for name, f in fields.items():
-        if f.default is dataclasses.MISSING and name not in kwargs:
-            raise ValueError(f"{path}.{name}: missing from a {kind} study")
-    for key, value in kwargs.items():
-        if key not in fields:
-            raise ValueError(f"{path}.{key}: unknown field of a {kind} study")
-        if not _has_type(value, fields[key].type):
-            raise ValueError(f"{path}.{key}: expected {fields[key].type}, got {value!r}")
-    return kinds[kind](**kwargs)
+def _dump(value):
+    """The JSON form of a config value."""
+    if isinstance(value, Constant) and value.value == 0.0:
+        return {"kind": "zero"}
+    if isinstance(value, (list, tuple)):
+        return [_dump(v) for v in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    cls = type(value)
+    out = {"kind": _TAGS[cls]} if cls in _TAGS else {}
+    for f in dataclasses.fields(cls):
+        if (cls, f.name) not in _UNWRITTEN:
+            out[_RENAMED.get((cls, f.name), f.name)] = _dump(getattr(value, f.name))
+    return out
+
+
+def _load(value, annotation, path: str):
+    """A JSON value read as ``annotation``: type-checked, never coerced."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is types.UnionType:
+        if value is None and type(None) in args:
+            return None
+        kinds = {tag: cls for cls, tag in _TAGS.items() if cls in args}
+        if not kinds:  # X | None
+            return _load(value, args[0], path)
+        if not isinstance(value, dict):
+            raise _expected(path, "object", value)
+        if Constant in args:
+            kinds["zero"] = Constant
+        kind = value.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise _expected(_key(path, "kind"), f"one of {sorted(kinds)}", kind)
+        rest = {k: v for k, v in value.items() if k != "kind"}
+        return _load_object(rest, kinds[kind], path, () if kind == "zero" else None)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise _expected(path, "list", value)
+        return origin(_load(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(annotation):
+        return _load_object(value, annotation, path)
+    if type(value) in _JSON_TYPES[annotation]:
+        return value
+    raise _expected(path, annotation.__name__, value)
+
+
+def _load_object(d, cls, path: str, names=None):
+    """A ``cls`` read from the JSON object ``d``; ``names`` limits the fields it may set."""
+    if not isinstance(d, dict):
+        raise _expected(path, "object", d)
+    fields = [f for f in dataclasses.fields(cls) if names is None or f.name in names]
+    keys = {f.name: [_RENAMED.get((cls, f.name), f.name), f.name] for f in fields}
+    unknown = sorted(set(d).difference(*keys.values()))
+    if unknown:
+        raise ValueError("; ".join(f"{_key(path, k)}: unknown field" for k in unknown))
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        key = next((k for k in keys[f.name] if k in d), None)
+        if key is not None:
+            kwargs[f.name] = _load(d[key], hints[f.name], _key(path, key))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"{_key(path, f.name)}: missing")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path or 'config'}: {exc}") from None
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "dimension": cfg.dimension,
-        "degree": cfg.degree,
-        "scheme": cfg.scheme,
-        "drift": {
-            "coeffs": list(cfg.drift.coeffs),
-            "alpha": cfg.drift.alpha,
-            "lambda": cfg.drift.lam,
-        },
-        "diffusion": {
-            "kind": cfg.diffusion.kind,
-            "c": cfg.diffusion.c,
-            "epsilon": cfg.diffusion.epsilon,
-        },
-        "h1": field_to_config(cfg.h1),
-        "h2": field_to_config(cfg.h2),
-        "n_samples": cfg.n_samples,
-        "master_seed": cfg.master_seed,
-        # threads is an execution detail: results are independent of it,
-        # so it stays out of the canonical config and the manifest hash
-        "newton_abs_tol": cfg.newton_abs_tol,
-        "studies": [_study_to_dict(s) for s in cfg.studies],
-    }
-
-
-def _field_from_dict(d: dict, key: str):
-    try:
-        return field_from_config(d.get(key, {"kind": "zero"}))
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
-# the keys config_to_dict writes, plus threads and the drift's ``lam`` alias
-_CONFIG_KEYS = {
-    "": {
-        "name", "dimension", "degree", "scheme", "drift", "diffusion", "h1", "h2",
-        "n_samples", "master_seed", "threads", "newton_abs_tol", "studies",
-    },
-    "drift": {"coeffs", "alpha", "lambda", "lam"},
-    "diffusion": {"kind", "c", "epsilon"},
-}
-
-
-def _known_keys(d, path: str) -> dict:
-    """``d`` itself, once it is an object whose keys are all known at ``path``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{path or 'config'}: expected an object, got {d!r}")
-    unknown = [f"{path}.{k}" if path else k for k in sorted(set(d) - _CONFIG_KEYS[path])]
-    if unknown:
-        raise ValueError("; ".join(f"{k}: unknown field" for k in unknown))
-    return d
+    return _dump(cfg)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    _known_keys(d, "")
-    drift_d = _known_keys(d.get("drift", {}), "drift")
-    diff_d = _known_keys(d.get("diffusion", {}), "diffusion")
-    diff_kwargs = {k: diff_d[k] for k in ("c", "epsilon") if k in diff_d}
-    return ExperimentConfig(
-        name=d.get("name", "custom"),
-        dimension=int(d.get("dimension", 1)),
-        degree=int(d.get("degree", 1)),
-        scheme=d.get("scheme", MODIFIED_CN),
-        drift=PolynomialDrift(
-            drift_d.get("coeffs", [0.0]),
-            alpha=drift_d.get("alpha", 0.0),
-            lam=drift_d.get("lambda", drift_d.get("lam", 0.0)),
-        ),
-        diffusion=Diffusion(diff_d.get("kind", "zero"), **diff_kwargs),
-        h1=_field_from_dict(d, "h1"),
-        h2=_field_from_dict(d, "h2"),
-        n_samples=int(d.get("n_samples", 200)),
-        master_seed=int(d.get("master_seed", 20240901)),
-        threads=int(d.get("threads", 1)),
-        newton_abs_tol=float(d.get("newton_abs_tol", _EXPERIMENT_NEWTON_ABS_TOL)),
-        studies=[_study_from_dict(s, f"studies[{i}]") for i, s in enumerate(d.get("studies", []))],
-    )
+    return _load_object(d, ExperimentConfig, "")
 
 
 def manifest_hash(cfg: ExperimentConfig) -> str:

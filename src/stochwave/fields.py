@@ -7,12 +7,11 @@ Fields are called as f(x) in 1D and f(x, y) in 2D with numpy arrays.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Constant", "CosineProduct", "TentBump", "LinearWaveSolution", "field_to_config", "field_from_config"]
+__all__ = ["Constant", "CosineProduct", "TentBump", "LinearWaveSolution"]
 
 
 @dataclass(frozen=True)
@@ -62,32 +61,3 @@ class LinearWaveSolution:
     def dx(self, x, t: float):
         kp = self.k * np.pi
         return -kp * np.sin(kp * np.asarray(x)) * np.cos(kp * t)
-
-
-_FIELD_KINDS = {
-    "constant": Constant,
-    "zero": Constant,
-    "cosine": CosineProduct,
-    "tent": TentBump,
-}
-
-
-def field_to_config(f) -> dict:
-    if isinstance(f, Constant):
-        return {"kind": "zero"} if f.value == 0.0 else {"kind": "constant", "value": f.value}
-    if isinstance(f, CosineProduct):
-        return {"kind": "cosine", "kx": f.kx, "ky": f.ky}
-    if isinstance(f, TentBump):
-        return {"kind": "tent", "center": f.center, "slope": f.slope}
-    raise ValueError(f"field {f!r} has no config form")
-
-
-def field_from_config(cfg: dict):
-    kind = cfg.get("kind")
-    if kind not in _FIELD_KINDS:
-        raise ValueError(f"unknown field kind {kind!r}; expected {sorted(_FIELD_KINDS)}")
-    kwargs = {k: v for k, v in cfg.items() if k != "kind"}
-    known = {f.name for f in dataclasses.fields(_FIELD_KINDS[kind])}
-    if not known.issuperset(kwargs):
-        raise ValueError(f"unknown field(s) {sorted(set(kwargs) - known)} of a {kind} field")
-    return _FIELD_KINDS[kind](**kwargs)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,61 @@ def test_config_dict_roundtrip():
     back = config_from_dict(json.loads(json.dumps(d)))
     assert config_to_dict(back) == d
     assert manifest_hash(back) == manifest_hash(cfg)
+
+
+# (desk scale, paper scale) manifest hashes of each preset: a dumper that moves
+# one byte of the canonical config changes them
+PRESET_HASHES = {
+    "lin-det-check": (
+        "b37dcbf1a0753b98129e988d9c41cd57b97316f44493a4debe1a39ba40eb04a2",
+        "b37dcbf1a0753b98129e988d9c41cd57b97316f44493a4debe1a39ba40eb04a2",
+    ),
+    "test1a": (
+        "870a889e83a10a8129da28e040a1874fe6988dba537cd574e2522c71505473f5",
+        "18a9c774452cf3f604fe4aff0aa3b05ebd2b9e7a189231d8a5c0d70dc6eacd3d",
+    ),
+    "test1b": (
+        "f987a27c61b7769c7fff49ab8b92ea779f6e61d059cc0e084a3bcf4e72adb9e2",
+        "83c963d2425639185233f3c3c2be4a198ba65acb59078ca51d7d161cdab0981b",
+    ),
+    "test1c": (
+        "6a144cea03b8f1fee7814aced6789a57834e4d600563701e388c61064acf8b71",
+        "6b6d88f4cf730bb6fe78e35a214e42043783d8c35cd709a9f22f9e17a8dca18b",
+    ),
+    "test2": (
+        "c1445eb1606b333926f4094165181209bb33add037769632fbd1e318b872521c",
+        "302c35498993d08f9d756f45a275815e4ef0cc5b5d9ac7f95a098c6c1f765a5c",
+    ),
+    "test3a": (
+        "5fca4b7f89937a7739115f9a9263d097cced46a64ec931901d979449a19e041f",
+        "36626e14f041c81351e55d2f6a052377e9bc159e4fe70b0610f528890c65c6b5",
+    ),
+    "test3b": (
+        "82f96d177c0a48b1ae8fb4f3b9d9362cdced857e0a9c684cab20a4f507b9d833",
+        "21268fb1b5b45b5d66de6369a4bc688a8774cc5c1d402e30c644bc1a7592594a",
+    ),
+    "test3c": (
+        "abbced380ba3d3a0280f19f5854827f5c4a9800cfa7491194ffcc2c2ad1dff9e",
+        "6364e5fc99e4efa53014e6881be7c7103d55f92cdb3827c80c3df6ae59bebf59",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_configs_are_pinned(name):
+    for paper, want in zip((False, True), PRESET_HASHES[name]):
+        cfg = preset_config(name, paper_scale=paper)
+        assert manifest_hash(cfg) == want
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+def test_readme_config_example():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("### Config files", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg = config_from_dict(json.loads(example))
+    assert validate_config(cfg) == []
+    back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+    assert back == cfg and manifest_hash(back) == manifest_hash(cfg)
 
 
 def test_config_accepts_threads_and_the_lam_alias():
@@ -257,7 +313,7 @@ def _raw_study(**fields):
         (_raw_study(level=4, lvl=3), "studies[0].lvl: unknown field"),
         (_raw_study(level="8"), "studies[0].level: expected int"),
         (_raw_study(), "studies[0].level: missing"),
-        ({**_raw_study(level=4), "h1": {"kind": "cosine", "k": 2}}, "h1: unknown field(s) ['k']"),
+        ({**_raw_study(level=4), "h1": {"kind": "cosine", "k": 2}}, "h1.k: unknown field"),
         ({**_raw_study(level=4), "n_sample": 5}, "n_sample: unknown field"),
         (
             {**_raw_study(level=4), "drift": {"coeffs": [0.0], "lamda": 1.0}},
@@ -267,11 +323,41 @@ def _raw_study(**fields):
             {**_raw_study(level=4), "diffusion": {"kind": "linear", "eps": 0.1}},
             "diffusion.eps: unknown field",
         ),
+        ({**_raw_study(level=4), "h1": "zero"}, "h1: expected object, got 'zero'"),
+        ({**_raw_study(level=4), "studies": {"kind": "stability"}}, "studies: expected list"),
+        ({**_raw_study(level=4), "studies": ["stability"]}, "studies[0]: expected object"),
+        ({**_raw_study(level=4), "h1": {"kind": "cosine", "kx": "1"}}, "h1.kx: expected int"),
+        (
+            {**_raw_study(level=4), "diffusion": {"kind": "linear", "c": "1"}},
+            "diffusion.c: expected float",
+        ),
+        ({**_raw_study(level=4), "n_samples": 2.7}, "n_samples: expected int, got 2.7"),
+        ({**_raw_study(level=4), "n_samples": True}, "n_samples: expected int, got True"),
+        ({**_raw_study(level=4), "master_seed": 1.5}, "master_seed: expected int, got 1.5"),
+        ({**_raw_study(level=4), "name": 5}, "name: expected str, got 5"),
+        ({**_raw_study(level=4), "drift": {"coeffs": ["-1"]}}, "drift.coeffs[0]: expected float"),
+        (
+            {**_raw_study(level=4), "diffusion": {"kind": "cubic"}},
+            "diffusion: unknown diffusion kind 'cubic'",
+        ),
+        (
+            {**_raw_study(level=4), "diffusion": {"kind": "smoothed_abs", "epsilon": 0.0}},
+            "diffusion: smoothed_abs needs epsilon > 0",
+        ),
+        (
+            {**_raw_study(level=4), "drift": {"coeffs": []}},
+            "drift: drift needs at least one coefficient",
+        ),
+        ({**_raw_study(level=4), "h2": {"kind": "zero", "value": 3.0}}, "h2.value: unknown field"),
     ],
     ids=[
         "analytic-ladder", "stability-level-0", "empty-levels", "empty-taus",
         "analytic-2d-tent", "unknown-field", "wrong-type", "missing-field", "unknown-h1-field",
         "unknown-top-level-key", "unknown-drift-key", "unknown-diffusion-key",
+        "h1-not-an-object", "studies-not-a-list", "study-not-an-object", "h1-kx-string",
+        "diffusion-c-string", "n-samples-float", "n-samples-bool", "master-seed-float",
+        "name-int", "drift-coeff-string", "unknown-diffusion-kind", "smoothed-abs-epsilon-0",
+        "drift-no-coefficients", "zero-field-with-value",
     ],
 )
 def test_cli_config_errors_exit_2(cfg, field, tmp_path, capsys):
