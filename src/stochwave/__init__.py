@@ -27,13 +27,15 @@ from .stepper import (
     hamiltonian,
     initial_state,
 )
-from .ensemble import EnsembleStats, run_ensemble, subset_fraction
+from .ensemble import EnsembleStats, ProblemSpec, StabilityStudy, run_ensemble, subset_fraction
 from .metrics import (
+    AnalyticStudy,
     ErrorTable,
+    RateStudy,
     analytic_error_table,
     convergence_table,
     error_norms,
-    sup_rms_errors,
+    sup_rms,
 )
 from .experiments import (
     ExperimentConfig,

@@ -1,15 +1,17 @@
 """Monte Carlo engine: one problem spec, sample blocks and bit-stable statistics.
 
 Every Monte Carlo study runs through the same pieces: a picklable
-`ProblemSpec`, spaces from `nested_spaces`, step counts from `steps_for`,
-ladders checked by `ladder_problems`, and `map_samples`, which runs a batch
-function over contiguous sample blocks (each stepped as one batch by
-`WaveStepper.run`), orders the per-sample records by index and accounts for
-failures.  The stability ensemble (`run_ensemble`) and the rate tables
-(`metrics`) differ only in their batch functions.  Per-sample series are
-reduced in a fixed pairwise tree keyed by sample index; since a sample's
-numbers do not depend on its batch, the aggregate is identical for any worker
-count.  Sample paths come from per-index counter-based streams.
+`ProblemSpec`, which builds the study's spaces and scheme configs, step
+counts from `steps_for`, ladders checked by `ladder_problems`, and
+`map_samples`, which runs a batch function over contiguous sample blocks
+(each stepped as one batch by `WaveStepper.run`), orders the per-sample
+records by index and accounts for failures.  The stability ensemble
+(`run_ensemble`) and the rate tables (`metrics`) differ only in their batch
+functions; each driver takes ``(problem, study, n_samples, threads)``.
+Per-sample series are reduced in a fixed pairwise tree keyed by sample
+index; since a sample's numbers do not depend on its batch, the aggregate is
+identical for any worker count.  Sample paths come from per-index
+counter-based streams.
 """
 
 from __future__ import annotations
@@ -26,9 +28,17 @@ from .fem import FeSpace
 from .mesh import build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
 from .noise import sample_path
 from .parallel import parallel_map
+from .quadrature import interval_rule, triangle_rule
 from .stepper import BLOCK_POINTS, SchemeConfig, WaveStepper, initial_state
 
-__all__ = ["EnsembleStats", "EnsembleFailureError", "run_ensemble", "subset_fraction"]
+__all__ = [
+    "ProblemSpec",
+    "StabilityStudy",
+    "EnsembleStats",
+    "EnsembleFailureError",
+    "run_ensemble",
+    "subset_fraction",
+]
 
 def sample_blocks(n_samples: int, workers: int, points_per_sample: int) -> list[range]:
     """Contiguous index blocks, enough for every worker.
@@ -86,42 +96,78 @@ def ladder_problems(
     return problems
 
 
-def nested_spaces(
-    dimension: int, degree: int, quad_degree: int, levels: Sequence[int]
-) -> dict[int, FeSpace]:
-    """Spaces at the given resolutions, on meshes refined from the coarsest.
-
-    Every level must be the coarsest one times a power of two, as on a
-    checked ladder and its reference, so each finer mesh descends from the
-    coarser ones and transfers between them are exact.
-    """
-    levels = sorted(set(levels))
-    build = build_interval_mesh if dimension == 1 else build_unit_square_tri_mesh
-    mesh = build(levels[0])
-    meshes = {mesh.resolution: mesh}
-    while mesh.resolution < levels[-1]:
-        mesh = refine_uniform(mesh)
-        meshes[mesh.resolution] = mesh
-    return {l: FeSpace(meshes[l], degree, quad_degree) for l in levels}
+def quadrature_degree_for(degree: int, drift: PolynomialDrift) -> int:
+    """Cell-rule exactness covering drift and potential integrands: r(q+1)."""
+    return max(2 * degree, degree * (drift.q + 1))
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Everything a worker needs to rebuild the problem; must pickle.
+    """The problem every study of an experiment solves; must pickle.
 
-    ``config`` is the scheme of the run; a rate table's rows derive theirs
-    from it with `dataclasses.replace`.
+    A study adds its mesh levels and time steps: `spaces` builds the former,
+    `scheme_config` turns a step size and a final time into a `SchemeConfig`.
     """
 
     dimension: int
     degree: int
-    quad_degree: int
     drift: PolynomialDrift
     diffusion: Diffusion
     h1: Callable
     h2: Callable
     master_seed: int
-    config: SchemeConfig
+    scheme: str
+    newton_abs_tol: float
+
+    @property
+    def quad_degree(self) -> int:
+        return quadrature_degree_for(self.degree, self.drift)
+
+    def scheme_config(self, tau: float, T: float) -> SchemeConfig:
+        """Steps of size tau up to time T; ValueError unless T/tau is whole."""
+        return SchemeConfig(
+            tau=tau, n_steps=steps_for(T, tau), scheme=self.scheme,
+            newton_abs_tol=self.newton_abs_tol,
+        )
+
+    def spaces(self, levels: Sequence[int]) -> dict[int, FeSpace]:
+        """Spaces at the given resolutions, on meshes refined from the coarsest.
+
+        Every level must be the coarsest one times a power of two, as on a
+        checked ladder and its reference, so each finer mesh descends from
+        the coarser ones and transfers between them are exact.
+        """
+        levels = sorted(set(levels))
+        build = build_interval_mesh if self.dimension == 1 else build_unit_square_tri_mesh
+        mesh = build(levels[0])
+        meshes = {mesh.resolution: mesh}
+        while mesh.resolution < levels[-1]:
+            mesh = refine_uniform(mesh)
+            meshes[mesh.resolution] = mesh
+        return {l: FeSpace(meshes[l], self.degree, self.quad_degree) for l in levels}
+
+    def points_per_sample(self, level: int) -> int:
+        """Quadrature points of one sample's field on the mesh at this level."""
+        rule = interval_rule if self.dimension == 1 else triangle_rule
+        cells = level if self.dimension == 1 else 2 * level**2
+        return cells * rule(self.quad_degree)[1].size
+
+
+@dataclass
+class StabilityStudy:
+    """A moment-stability series: n_samples paths at one mesh level and step.
+
+    ``kappa`` is the subset-fraction threshold (None: the 90th percentile of
+    the per-sample maxima); the deterministic companion reruns the problem
+    with zero noise.
+    """
+
+    level: int
+    tau: float
+    T: float
+    kappa: float | None = None
+    deterministic_companion: bool = True
+    label: str = "stability"
 
 
 @dataclass
@@ -165,13 +211,13 @@ def map_samples(
     return good, len(failed)
 
 
-def _run_batch(task: tuple[tuple[ProblemSpec, int], range]) -> list[SampleRecord]:
-    (spec, level), indices = task
-    space = nested_spaces(spec.dimension, spec.degree, spec.quad_degree, [level])[level]
-    cfg = spec.config
-    stepper = WaveStepper(space, spec.drift, spec.diffusion, cfg)
-    paths = [sample_path(spec.master_seed, idx, cfg.n_steps, cfg.tau) for idx in indices]
-    traj = stepper.run(paths, initial_state(space, spec.h1, spec.h2))
+def _run_batch(task: tuple[tuple[ProblemSpec, StabilityStudy], range]) -> list[SampleRecord]:
+    (problem, study), indices = task
+    space = problem.spaces([study.level])[study.level]
+    cfg = problem.scheme_config(study.tau, study.T)
+    stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
+    paths = [sample_path(problem.master_seed, idx, cfg.n_steps, cfg.tau) for idx in indices]
+    traj = stepper.run(paths, initial_state(space, problem.h1, problem.h2))
     out = [SampleRecord(indices[pos], failure=str(exc)) for pos, exc in traj.failures.items()]
     violations = traj.max_energy_violation
     for row, pos in enumerate(traj.samples):
@@ -222,39 +268,26 @@ class EnsembleStats:
 
 
 def run_ensemble(
-    space: FeSpace,
-    config: SchemeConfig,
-    drift: PolynomialDrift,
-    diffusion: Diffusion,
-    h1: Callable,
-    h2: Callable,
+    problem: ProblemSpec,
+    study: StabilityStudy,
     n_samples: int,
-    master_seed: int,
-    threads: int = 1,
+    threads: int,
     max_failure_fraction: float = 0.10,
 ) -> EnsembleStats:
-    """Run n_samples independent trajectories and aggregate statistics.
+    """Run n_samples independent trajectories at the study's level and step,
+    and aggregate statistics.
 
-    ``h1``/``h2`` must pickle when threads > 1 (use the fields module).
+    The problem's ``h1``/``h2`` must pickle when threads > 1 (use the fields
+    module).  The study's ``kappa``, companion and label are the caller's.
     """
-    spec = ProblemSpec(
-        dimension=space.mesh.dimension,
-        degree=space.degree,
-        quad_degree=space.quad_degree,
-        drift=drift,
-        diffusion=diffusion,
-        h1=h1,
-        h2=h2,
-        master_seed=master_seed,
-        config=config,
-    )
-    payload = (spec, space.mesh.resolution)
+    cfg = problem.scheme_config(study.tau, study.T)
     good, n_failed = map_samples(
-        _run_batch, payload, n_samples, threads, space.wdet.size, max_failure_fraction
+        _run_batch, (problem, study), n_samples, threads,
+        problem.points_per_sample(study.level), max_failure_fraction,
     )
     l2, h1s, dt, H = (np.stack(series) for series in zip(*(r.series for r in good)))
     n = len(good)
-    times = np.arange(config.n_steps + 1) * config.tau
+    times = np.arange(cfg.n_steps + 1) * cfg.tau
 
     return EnsembleStats(
         times=times,
@@ -274,7 +307,7 @@ def run_ensemble(
         max_H=H.max(axis=0),
         n_samples=n,
         n_failures=n_failed,
-        master_seed=master_seed,
+        master_seed=problem.master_seed,
         max_energy_violation=max(r.violation for r in good),
         sample_l2sq=l2,
         sample_h1sq=h1s,

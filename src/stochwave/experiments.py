@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import types
 import typing
@@ -23,9 +24,9 @@ import numpy as np
 from .diffusion import Diffusion
 from .drift import MODIFIED_CN, SCHEMES, PolynomialDrift
 from .ensemble import (
-    EnsembleStats,
+    ProblemSpec,
+    StabilityStudy,
     ladder_problems,
-    nested_spaces,
     run_ensemble,
     steps_for,
     subset_fraction,
@@ -33,16 +34,16 @@ from .ensemble import (
 from .fields import (
     Constant,
     CosineProduct,
-    LinearWaveSolution,
     TentBump,
 )
 from .metrics import (
+    AnalyticStudy,
     ErrorTable,
+    RateStudy,
     analytic_error_table,
+    analytic_problems,
     convergence_table,
-    quadrature_degree_for,
 )
-from .stepper import SchemeConfig
 
 __all__ = [
     "RateStudy",
@@ -57,34 +58,6 @@ __all__ = [
     "validate_config",
     "run_experiment",
 ]
-
-@dataclass
-class RateStudy:
-    mode: str  # "spatial" | "temporal"
-    levels: list[int]
-    taus: list[float]
-    T: float
-    reference_extra_levels: int = 1
-    label: str = "rates"
-
-
-@dataclass
-class StabilityStudy:
-    level: int
-    tau: float
-    T: float
-    kappa: float | None = None
-    deterministic_companion: bool = True
-    label: str = "stability"
-
-
-@dataclass
-class AnalyticStudy:
-    levels: list[int]
-    tau: float
-    T: float
-    label: str = "analytic_rates"
-
 
 @dataclass
 class ExperimentConfig:
@@ -103,6 +76,20 @@ class ExperimentConfig:
     # a Newton tolerance near the attainable floor, so the recorded per-step
     # energy residuals measure the scheme, not the solver
     newton_abs_tol: float = 1e-13
+
+    def problem(self) -> ProblemSpec:
+        """The problem every study of this experiment solves."""
+        return ProblemSpec(
+            dimension=self.dimension,
+            degree=self.degree,
+            drift=self.drift,
+            diffusion=self.diffusion,
+            h1=self.h1,
+            h2=self.h2,
+            master_seed=self.master_seed,
+            scheme=self.scheme,
+            newton_abs_tol=self.newton_abs_tol,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +213,12 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append(f"degree: must be 1 or 2, got {cfg.degree}")
     if cfg.scheme not in SCHEMES:
         errors.append(f"scheme: must be one of {SCHEMES}, got {cfg.scheme!r}")
+    if not (math.isfinite(cfg.newton_abs_tol) and cfg.newton_abs_tol > 0):
+        errors.append(f"newton_abs_tol: must be finite and > 0, got {cfg.newton_abs_tol}")
+    if cfg.master_seed < 0:
+        errors.append(f"master_seed: must be >= 0, got {cfg.master_seed}")
+    if cfg.threads < 1:
+        errors.append(f"threads: must be >= 1, got {cfg.threads}")
     if cfg.n_samples < 1:
         errors.append(f"n_samples: must be >= 1, got {cfg.n_samples}")
     else:
@@ -245,17 +238,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             taus = [s.tau]
         elif isinstance(s, AnalyticStudy):
             ladder = ladder_problems("spatial", s.levels, [s.tau])
-            if not cfg.drift.is_zero or not cfg.diffusion.is_zero:
-                errors.append(f"{p}: analytic study requires zero drift and diffusion")
-            if not (
-                cfg.dimension == 1
-                and isinstance(cfg.h1, CosineProduct)
-                and cfg.h2 == Constant(0.0)
-            ):
-                errors.append(
-                    f"{p}: the closed-form solution needs dimension 1, "
-                    "a cosine h1 and a zero h2"
-                )
+            errors.extend(f"{p}: {msg}" for msg in analytic_problems(cfg.problem()))
             taus = [s.tau]
         else:
             continue
@@ -265,6 +248,34 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
                 steps_for(s.T, t)
             except ValueError as exc:
                 errors.append(f"{p}: {exc}")
+    errors.extend(_output_problems(cfg))
+    return errors
+
+
+def _csv_names(cfg: ExperimentConfig) -> list[list[str]]:
+    """Per study, the CSV files it writes: ``<name>_<label>.csv``, and for a
+    stability study with a companion ``<name>_<label>_deterministic.csv``."""
+    names = []
+    for s in cfg.studies:
+        companion = isinstance(s, StabilityStudy) and s.deterministic_companion
+        suffixes = ["", "_deterministic"] if companion else [""]
+        names.append([f"{cfg.name}_{s.label}{x}.csv" for x in suffixes])
+    return names
+
+
+def _output_problems(cfg: ExperimentConfig) -> list[str]:
+    """Names that are no plain file name part, and CSV files two studies would write."""
+    errors = []
+    labels = [(f"studies[{i}].label", s.label) for i, s in enumerate(cfg.studies)]
+    for path, part in [("name", cfg.name), *labels]:
+        if not part or "/" in part or "\\" in part:
+            errors.append(f"{path}: must be non-empty, with no '/' or '\\', got {part!r}")
+    writer: dict[str, int] = {}
+    for i, names in enumerate(_csv_names(cfg)):
+        for name in names:
+            j = writer.setdefault(name, i)
+            if j != i:
+                errors.append(f"studies[{i}].label: {name} is also written by studies[{j}]")
     return errors
 
 
@@ -404,12 +415,8 @@ def preset_config(name: str, paper_scale: bool = False) -> ExperimentConfig:
 @dataclass
 class StudyResult:
     label: str
-    table: ErrorTable | None = None
-    stats: EnsembleStats | None = None
-    det_stats: EnsembleStats | None = None
-    kappa: float | None = None
-    subset_curve: np.ndarray | None = None
-    files: list[str] = field(default_factory=list)
+    table: ErrorTable | None  # None for a stability series
+    files: list[str]
 
 
 @dataclass
@@ -430,117 +437,56 @@ def _fmt_order(x: float | None) -> str:
     return "" if x is None else f"{x:.4f}"
 
 
-def _csv_header(lines: list[str], mhash: str, cfg: ExperimentConfig) -> list[str]:
-    return [
-        f"# manifest_hash: {mhash}",
-        f"# experiment: {cfg.name}",
-        f"# seed: {cfg.master_seed}",
-        f"# samples: {cfg.n_samples}",
-        *lines,
-    ]
+def write_csv(path: Path, lines: list[str], columns: dict[str, typing.Sequence]) -> None:
+    """The comment ``lines``, a header row of the column names, then one row
+    per entry.  A ``*_order`` column prints 4 decimals (blank for None),
+    every other column 13 significant digits."""
+    fmts = [_fmt_order if name.endswith("_order") else _fmt for name in columns]
+    rows = zip(*columns.values(), strict=True)
+    body = [",".join(columns)] + [",".join(f(x) for f, x in zip(fmts, row)) for row in rows]
+    path.write_text("\n".join(lines + body) + "\n")
 
 
-def write_rate_csv(
-    path: Path, table: ErrorTable, mhash: str, cfg: ExperimentConfig
-) -> None:
-    lines = _csv_header(
-        [f"# mode: {table.mode}", f"# reference: {table.reference}"], mhash, cfg
-    )
-    lines.append("param,l2,l2_order,h1,h1_order,dtl2,dtl2_order")
-    for i in range(len(table.params)):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(table.params[i]),
-                    _fmt(table.l2[i]),
-                    _fmt_order(table.l2_orders[i]),
-                    _fmt(table.h1[i]),
-                    _fmt_order(table.h1_orders[i]),
-                    _fmt(table.dtl2[i]),
-                    _fmt_order(table.dtl2_orders[i]),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_stability_csv(
-    path: Path,
-    stats: EnsembleStats,
-    subset_curve: np.ndarray,
-    kappa: float,
-    mhash: str,
-    cfg: ExperimentConfig,
-) -> None:
-    lines = _csv_header([f"# kappa: {_fmt(kappa)}"], mhash, cfg)
-    lines.append(
-        "t,mean_l2sq,min_l2sq,max_l2sq,mean_h1sq,min_h1sq,max_h1sq,"
-        "mean_dtl2sq,min_dtl2sq,max_dtl2sq,mean_H,mean_H2,mean_H4,subset_fraction"
-    )
-    for n in range(stats.times.size):
-        row = [
-            _fmt(stats.times[n]),
-            _fmt(stats.mean_l2sq[n]),
-            _fmt(stats.min_l2sq[n]),
-            _fmt(stats.max_l2sq[n]),
-            _fmt(stats.mean_h1sq[n]),
-            _fmt(stats.min_h1sq[n]),
-            _fmt(stats.max_h1sq[n]),
-            _fmt(stats.mean_dtl2sq[n]),
-            _fmt(stats.min_dtl2sq[n]),
-            _fmt(stats.max_dtl2sq[n]),
-            _fmt(stats.mean_H[n]),
-            _fmt(stats.mean_H2[n]),
-            _fmt(stats.mean_H4[n]),
-            _fmt(subset_curve[n]),
-        ]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _run_stability_study(
-    cfg: ExperimentConfig, study: StabilityStudy
-) -> tuple[EnsembleStats, EnsembleStats | None, float, np.ndarray]:
-    quad_degree = quadrature_degree_for(cfg.degree, cfg.drift)
-    space = nested_spaces(cfg.dimension, cfg.degree, quad_degree, [study.level])[study.level]
-    scheme_cfg = SchemeConfig(
-        tau=study.tau,
-        n_steps=steps_for(study.T, study.tau),
-        scheme=cfg.scheme,
-        newton_abs_tol=cfg.newton_abs_tol,
-    )
-    stats = run_ensemble(
-        space,
-        scheme_cfg,
-        cfg.drift,
-        cfg.diffusion,
-        cfg.h1,
-        cfg.h2,
-        cfg.n_samples,
-        cfg.master_seed,
-        threads=cfg.threads,
-    )
-    h1_full = stats.sample_l2sq + stats.sample_h1sq
-    if study.kappa is not None:
-        kappa = study.kappa
+def _rate_csvs(problem: ProblemSpec, study: RateStudy | AnalyticStudy, cfg: ExperimentConfig):
+    """The study's error table and its one CSV: header lines and named columns."""
+    if isinstance(study, RateStudy):
+        table = convergence_table(problem, study, cfg.n_samples, cfg.threads)
     else:
-        # default diagnostic threshold: 90th percentile of per-sample maxima
-        kappa = float(np.percentile(h1_full.max(axis=1), 90.0))
-    curve = subset_fraction(h1_full, kappa)
-    det_stats = None
+        table = analytic_error_table(problem, study)
+    columns = {"param": table.params}
+    for name in ("l2", "h1", "dtl2"):
+        columns[name] = getattr(table, name)
+        columns[f"{name}_order"] = table.orders(columns[name])
+    return table, [([f"# mode: {table.mode}", f"# reference: {table.reference}"], columns)]
+
+
+# the EnsembleStats series a stability CSV prints, in column order
+_STABILITY_COLUMNS = (
+    "mean_l2sq", "min_l2sq", "max_l2sq", "mean_h1sq", "min_h1sq", "max_h1sq",
+    "mean_dtl2sq", "min_dtl2sq", "max_dtl2sq", "mean_H", "mean_H2", "mean_H4",
+)
+
+
+def _stability_csvs(problem: ProblemSpec, study: StabilityStudy, cfg: ExperimentConfig):
+    """The ensemble's statistics and its CSVs, then the zero-noise companion's.
+
+    Both print the fraction of samples whose running H1 norm stays within
+    kappa, by default the 90th percentile of the ensemble's per-sample maxima.
+    """
+    runs = [run_ensemble(problem, study, cfg.n_samples, cfg.threads)]
     if study.deterministic_companion:
-        det_stats = run_ensemble(
-            space,
-            scheme_cfg,
-            cfg.drift,
-            Diffusion.zero(),
-            cfg.h1,
-            cfg.h2,
-            1,
-            cfg.master_seed,
-            threads=1,
-        )
-    return stats, det_stats, kappa, curve
+        zero_noise = dataclasses.replace(problem, diffusion=Diffusion.zero())
+        runs.append(run_ensemble(zero_noise, study, 1, 1))
+    h1_full = [run.sample_l2sq + run.sample_h1sq for run in runs]
+    kappa = study.kappa
+    if kappa is None:
+        kappa = float(np.percentile(h1_full[0].max(axis=1), 90.0))
+    csvs = []
+    for run, h1 in zip(runs, h1_full):
+        columns = {"t": run.times, **{c: getattr(run, c) for c in _STABILITY_COLUMNS}}
+        columns["subset_fraction"] = subset_fraction(h1, kappa)
+        csvs.append(([f"# kappa: {_fmt(kappa)}"], columns))
+    return runs[0], csvs
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
@@ -551,74 +497,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mhash = manifest_hash(cfg)
+    header = [
+        f"# manifest_hash: {mhash}",
+        f"# experiment: {cfg.name}",
+        f"# seed: {cfg.master_seed}",
+        f"# samples: {cfg.n_samples}",
+    ]
 
+    problem = cfg.problem()
     results: list[StudyResult] = []
     violation = -np.inf
     failures = 0
-    for study in cfg.studies:
-        path = out / f"{cfg.name}_{study.label}.csv"
-        if isinstance(study, StabilityStudy):
-            stats, det_stats, kappa, curve = _run_stability_study(cfg, study)
-            write_stability_csv(path, stats, curve, kappa, mhash, cfg)
-            files = [path.name]
-            if det_stats is not None:
-                det_curve = subset_fraction(
-                    det_stats.sample_l2sq + det_stats.sample_h1sq, kappa
-                )
-                det_path = out / f"{cfg.name}_{study.label}_deterministic.csv"
-                write_stability_csv(det_path, det_stats, det_curve, kappa, mhash, cfg)
-                files.append(det_path.name)
-            results.append(
-                StudyResult(
-                    study.label,
-                    stats=stats,
-                    det_stats=det_stats,
-                    kappa=kappa,
-                    subset_curve=curve,
-                    files=files,
-                )
-            )
-            violation = max(violation, stats.max_energy_violation)
-            failures += stats.n_failures
-            continue
-        if isinstance(study, RateStudy):
-            table = convergence_table(
-                mode=study.mode,
-                dimension=cfg.dimension,
-                levels=study.levels,
-                taus=study.taus,
-                T=study.T,
-                drift=cfg.drift,
-                diffusion=cfg.diffusion,
-                h1=cfg.h1,
-                h2=cfg.h2,
-                n_samples=cfg.n_samples,
-                master_seed=cfg.master_seed,
-                degree=cfg.degree,
-                scheme=cfg.scheme,
-                reference_extra_levels=study.reference_extra_levels,
-                threads=cfg.threads,
-                newton_abs_tol=cfg.newton_abs_tol,
-            )
-        else:
-            table = analytic_error_table(
-                levels=study.levels,
-                tau=study.tau,
-                T=study.T,
-                exact=LinearWaveSolution(k=cfg.h1.kx),
-                drift=cfg.drift,
-                diffusion=cfg.diffusion,
-                h1=cfg.h1,
-                h2=cfg.h2,
-                degree=cfg.degree,
-                scheme=cfg.scheme,
-                master_seed=cfg.master_seed,
-                newton_abs_tol=cfg.newton_abs_tol,
-            )
-        write_rate_csv(path, table, mhash, cfg)
-        results.append(StudyResult(study.label, table=table, files=[path.name]))
-        violation = max(violation, table.max_energy_violation)
-        failures += table.n_failures
+    for study, names in zip(cfg.studies, _csv_names(cfg), strict=True):
+        run_study = _stability_csvs if isinstance(study, StabilityStudy) else _rate_csvs
+        run, csvs = run_study(problem, study, cfg)
+        for name, (lines, columns) in zip(names, csvs, strict=True):
+            write_csv(out / name, header + lines, columns)
+        table = run if isinstance(run, ErrorTable) else None
+        results.append(StudyResult(study.label, table, names))
+        violation = max(violation, run.max_energy_violation)
+        failures += run.n_failures
 
     manifest = {
         "config": config_to_dict(cfg),

@@ -10,43 +10,36 @@ quantity.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .diffusion import Diffusion
-from .drift import MODIFIED_CN, PolynomialDrift
 from .ensemble import (
     ProblemSpec,
     SampleRecord,
     ladder_problems,
     map_samples,
-    nested_spaces,
-    steps_for,
+    quadrature_degree_for,
     tree_sum,
 )
 from .fem import CsrProduct, FeSpace, transfer_matrix
+from .fields import Constant, CosineProduct, LinearWaveSolution
 from .noise import BrownianPath, coarsen, sample_path
-from .quadrature import interval_rule, triangle_rule
-from .stepper import BLOCK_POINTS, SchemeConfig, WaveStepper, column_sums, initial_state
+from .stepper import BLOCK_POINTS, WaveStepper, column_sums, initial_state
 
 __all__ = [
+    "RateStudy",
+    "AnalyticStudy",
     "ErrorTable",
     "error_norms",
-    "sup_rms_errors",
+    "sup_rms",
     "convergence_table",
+    "analytic_problems",
     "analytic_error_table",
     "quadrature_degree_for",
 ]
-
-
-def quadrature_degree_for(degree: int, drift: PolynomialDrift) -> int:
-    """Cell-rule exactness covering drift and potential integrands: r(q+1)."""
-    return max(2 * degree, degree * (drift.q + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +112,42 @@ def error_norms(
     return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(dtl2sq[1:])
 
 
-def sup_rms_errors(errors: np.ndarray) -> float:
+def sup_rms(squared: np.ndarray) -> float:
     """sup over nodes of the root mean square over samples.
 
-    ``errors`` holds per-sample per-node error norms, shape (n_samples, n_nodes).
+    ``squared`` holds per-sample per-node squared error norms, shape
+    (n_samples, n_nodes), summed over samples in `tree_sum` order.
     """
-    errors = np.atleast_2d(np.asarray(errors, dtype=float))
-    mean_sq = tree_sum(errors * errors) / errors.shape[0]
-    return float(np.sqrt(np.max(mean_sq)))
+    return float(np.sqrt(np.max(tree_sum(squared) / squared.shape[0])))
 
 
 # ---------------------------------------------------------------------------
 # Rate tables
 # ---------------------------------------------------------------------------
+
+@dataclass
+class RateStudy:
+    """A halving ladder: mesh ``levels`` at the single tau in ``taus``
+    (spatial), or the ``taus`` on the single mesh level (temporal), against a
+    reference ``reference_extra_levels`` refinements or halvings finer."""
+
+    mode: str  # "spatial" | "temporal"
+    levels: list[int]
+    taus: list[float]
+    T: float
+    reference_extra_levels: int = 1
+    label: str = "rates"
+
+
+@dataclass
+class AnalyticStudy:
+    """Spatial rates against the closed-form solution of the linear problem."""
+
+    levels: list[int]
+    tau: float
+    T: float
+    label: str = "analytic_rates"
+
 
 @dataclass
 class ErrorTable:
@@ -170,21 +186,18 @@ class ErrorTable:
 def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
     """Per-sample squared error series for every table row (one sample block).
 
-    The payload is the problem (its config is the reference scheme), the
-    rows' (level, scheme) pairs and the reference level.  The block steps the
-    reference first and keeps the nodes some row reads; each row then steps
-    the samples still running and reduces its errors to per-node norms as it
-    goes, so no row's states are stored.
+    The payload is the problem and the (level, scheme config) pairs of the
+    reference and the rows.  The block steps the reference first and keeps
+    the nodes some row reads; each row then steps the samples still running
+    and reduces its errors to per-node norms as it goes, so no row's states
+    are stored.
     """
-    (spec, rows, ref_level), indices = task
+    (problem, ((ref_level, ref_cfg), *rows)), indices = task
     S = len(indices)
-    spaces = nested_spaces(
-        spec.dimension, spec.degree, spec.quad_degree, [l for l, _ in rows] + [ref_level]
-    )
+    spaces = problem.spaces([l for l, _ in rows] + [ref_level])
     ref_space = spaces[ref_level]
     MKref, Mref = _error_products(ref_space)
-    ref_cfg = spec.config
-    inits = {ref_level: initial_state(ref_space, spec.h1, spec.h2)}
+    inits = {ref_level: initial_state(ref_space, problem.h1, problem.h2)}
     factors = [round(cfg.tau / ref_cfg.tau) for _, cfg in rows]
     stride = math.gcd(*factors)
     shape = (ref_cfg.n_steps // stride + 1, ref_space.n_dofs, S)
@@ -196,7 +209,7 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
             Vr[n // stride][:, live] = V
 
     ref_paths = [
-        sample_path(spec.master_seed, idx, ref_cfg.n_steps, ref_cfg.tau) for idx in indices
+        sample_path(problem.master_seed, idx, ref_cfg.n_steps, ref_cfg.tau) for idx in indices
     ]
     violation = np.full(S, -np.inf)
     failure: dict[int, str] = {}
@@ -206,7 +219,7 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
         violation[done] = np.maximum(violation[done], traj.max_energy_violation)
         failure.update((int(alive[k]), str(exc)) for k, exc in traj.failures.items())
 
-    ref_stepper = WaveStepper(ref_space, spec.drift, spec.diffusion, ref_cfg)
+    ref_stepper = WaveStepper(ref_space, problem.drift, problem.diffusion, ref_cfg)
     absorb(ref_stepper.run(ref_paths, inits[ref_level], observe=keep), np.arange(S))
     errs = []
     for (level, cfg), factor in zip(rows, factors):
@@ -215,7 +228,7 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
             break
         space = spaces[level]
         if level not in inits:
-            inits[level] = initial_state(space, spec.h1, spec.h2)
+            inits[level] = initial_state(space, problem.h1, problem.h2)
         E = None if space is ref_space else CsrProduct(transfer_matrix(space, ref_space))
         err = np.empty((3, S, cfg.n_steps + 1))
 
@@ -227,7 +240,7 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
         # coupling contract: every row path is the exactly-summed reference path
         paths = [coarsen(ref_paths[p], factor) if factor > 1 else ref_paths[p] for p in alive]
         assert all(math.isclose(p.tau, cfg.tau, rel_tol=1e-12) for p in paths)
-        stepper = WaveStepper(space, spec.drift, spec.diffusion, cfg)
+        stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
         absorb(stepper.run(paths, inits[level], observe=compare), alive)
         errs.append(err)
 
@@ -243,86 +256,55 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
 
 
 def convergence_table(
-    *,
-    mode: str,
-    dimension: int,
-    levels: Sequence[int],
-    taus: Sequence[float],
-    T: float,
-    drift: PolynomialDrift,
-    diffusion: Diffusion,
-    h1: Callable,
-    h2: Callable,
+    problem: ProblemSpec,
+    study: RateStudy,
     n_samples: int,
-    master_seed: int,
-    degree: int = 1,
-    scheme: str = MODIFIED_CN,
-    reference_extra_levels: int = 1,
-    threads: int = 1,
-    newton_abs_tol: float = 1e-11,
+    threads: int,
     max_failure_fraction: float = 0.10,
 ) -> ErrorTable:
-    """Coupled-reference convergence study over a halving ladder.
+    """Coupled-reference convergence study over the study's halving ladder.
 
-    ``mode="spatial"``: rows iterate over mesh ``levels`` at the single tau in
-    ``taus``; the reference refines the finest mesh ``reference_extra_levels``
-    times.  ``mode="temporal"``: rows iterate over the ``taus`` ladder on the
-    single mesh level; the reference halves the finest tau.
+    Spatial mode: rows iterate over the mesh levels at the single tau; the
+    reference refines the finest mesh ``reference_extra_levels`` times.
+    Temporal mode: rows iterate over the taus on the single mesh level; the
+    reference halves the finest tau as often.
     """
-    levels = [int(l) for l in levels]
-    taus = [float(t) for t in taus]
-    problems = ladder_problems(mode, levels, taus, reference_extra_levels)
+    mode, extra = study.mode, study.reference_extra_levels
+    levels = [int(l) for l in study.levels]
+    taus = [float(t) for t in study.taus]
+    problems = ladder_problems(mode, levels, taus, extra)
     if problems:
         raise ValueError("; ".join(problems))
     if mode == "spatial":
         row_keys = [(l, taus[0]) for l in levels]
-        ref_level, ref_tau = levels[-1] * 2**reference_extra_levels, taus[0]
+        ref_level, ref_tau = levels[-1] * 2**extra, taus[0]
     else:
         row_keys = [(levels[0], t) for t in taus]
-        ref_level, ref_tau = levels[0], taus[-1] / 2**reference_extra_levels
+        ref_level, ref_tau = levels[0], taus[-1] / 2**extra
 
-    ref_cfg = SchemeConfig(
-        tau=ref_tau, n_steps=steps_for(T, ref_tau), scheme=scheme, newton_abs_tol=newton_abs_tol
+    runs = tuple(
+        (l, problem.scheme_config(t, study.T)) for l, t in [(ref_level, ref_tau), *row_keys]
     )
-    rows = tuple(
-        (l, dataclasses.replace(ref_cfg, tau=t, n_steps=steps_for(T, t))) for l, t in row_keys
-    )
-    spec = ProblemSpec(
-        dimension=dimension,
-        degree=degree,
-        quad_degree=quadrature_degree_for(degree, drift),
-        drift=drift,
-        diffusion=diffusion,
-        h1=h1,
-        h2=h2,
-        master_seed=master_seed,
-        config=ref_cfg,
-    )
-    rule = interval_rule if dimension == 1 else triangle_rule
-    ref_cells = ref_level if dimension == 1 else 2 * ref_level**2
-    ref_points = ref_cells * rule(spec.quad_degree)[1].size
     good, n_failed = map_samples(
-        _rate_batch, (spec, rows, ref_level), n_samples, threads, ref_points, max_failure_fraction
+        _rate_batch, (problem, runs), n_samples, threads,
+        problem.points_per_sample(ref_level), max_failure_fraction,
     )
-
-    n = len(good)
-
-    def sup_rms(k: int, j: int) -> float:
-        """Row k's error j: sup over nodes of the root mean square over samples."""
-        return np.sqrt(np.max(tree_sum(np.stack([r.series[k][j] for r in good])) / n))
-
-    l2, h1_err, dtl2 = (np.array([sup_rms(k, j) for k in range(len(rows))]) for j in range(3))
+    l2, h1_err, dtl2 = (
+        np.array([sup_rms(np.stack([r.series[k][j] for r in good])) for k in range(len(row_keys))])
+        for j in range(3)
+    )
     if mode == "spatial":
-        params = np.array([np.sqrt(2.0) / l if dimension == 2 else 1.0 / l for l in levels])
+        h = np.sqrt(2.0) if problem.dimension == 2 else 1.0
+        params = np.array([h / l for l in levels])
         reference = (
             f"same-path run at level {ref_level} "
-            f"({reference_extra_levels} extra refinement(s)), tau={ref_tau:g}"
+            f"({extra} extra refinement(s)), tau={ref_tau:g}"
         )
     else:
         params = np.array(taus)
         reference = (
             f"same-path run at tau={ref_tau:g} "
-            f"({reference_extra_levels} extra halving(s)), level {ref_level}"
+            f"({extra} extra halving(s)), level {ref_level}"
         )
     return ErrorTable(
         mode=mode,
@@ -330,8 +312,8 @@ def convergence_table(
         l2=l2,
         h1=h1_err,
         dtl2=dtl2,
-        n_samples=n,
-        master_seed=master_seed,
+        n_samples=len(good),
+        master_seed=problem.master_seed,
         reference=reference,
         max_energy_violation=float(max(r.violation for r in good)),
         n_failures=n_failed,
@@ -342,43 +324,43 @@ def convergence_table(
 # Analytic-reference study (deterministic linear sanity check)
 # ---------------------------------------------------------------------------
 
-def analytic_error_table(
-    *,
-    levels: Sequence[int],
-    tau: float,
-    T: float,
-    exact,
-    drift: PolynomialDrift,
-    diffusion: Diffusion,
-    h1: Callable,
-    h2: Callable,
-    degree: int = 1,
-    scheme: str = MODIFIED_CN,
-    master_seed: int = 0,
-    newton_abs_tol: float = 1e-11,
-) -> ErrorTable:
-    """Spatial convergence against a closed-form solution (zero noise), in 1D.
+def analytic_problems(problem: ProblemSpec) -> list[str]:
+    """Why the closed-form solution does not solve this problem; empty if it does."""
+    problems = []
+    if not problem.drift.is_zero or not problem.diffusion.is_zero:
+        problems.append("analytic study requires zero drift and diffusion")
+    if not (
+        problem.dimension == 1
+        and isinstance(problem.h1, CosineProduct)
+        and problem.h2 == Constant(0.0)
+    ):
+        problems.append("the closed-form solution needs dimension 1, a cosine h1 and a zero h2")
+    return problems
 
-    ``exact`` provides value(x, t) and dx(x, t) on the unit interval.  Errors are quadrature norms
-    of u_h - u on each level's own space.
+
+def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTable:
+    """Spatial convergence against the closed-form solution, in 1D.
+
+    With zero drift and noise, cosine initial displacement and zero initial
+    velocity, the solution is `LinearWaveSolution` with the cosine's
+    frequency.  Errors are quadrature norms of u_h - u on each level's own
+    space, along the one path the problem's seed names (its increments are 0).
     """
-    if not diffusion.is_zero:
-        raise ValueError("analytic study requires the zero diffusion")
-    problems = ladder_problems("spatial", levels, [tau])
+    problems = analytic_problems(problem) + ladder_problems("spatial", study.levels, [study.tau])
     if problems:
         raise ValueError("; ".join(problems))
-    n_steps = steps_for(T, tau)
-    cfg = SchemeConfig(
-        tau=tau, n_steps=n_steps, scheme=scheme, newton_abs_tol=newton_abs_tol
-    )
-    spaces = nested_spaces(1, degree, quadrature_degree_for(degree, drift), levels)
+    exact = LinearWaveSolution(k=problem.h1.kx)
+    levels, tau = study.levels, study.tau
+    cfg = problem.scheme_config(tau, study.T)
+    n_steps = cfg.n_steps
+    spaces = problem.spaces(levels)
     l2 = []
     h1_err = []
     dtl2 = []
     violation = -np.inf
     for level in levels:
         space = spaces[level]
-        stepper = WaveStepper(space, drift, diffusion, cfg)
+        stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
         xq = space.qpoints[..., 0, None]  # (nc, nq, 1)
         w = space.wdet
         width = max(1, BLOCK_POINTS // w.size)  # nodes per block of errors
@@ -411,8 +393,8 @@ def analytic_error_table(
             if n % width == width - 1 or n == n_steps:
                 reduce(n - n % width, n % width + 1)
 
-        path = BrownianPath(tau, np.zeros(n_steps), master_seed, 0)
-        traj = stepper.run(path, initial_state(space, h1, h2), observe=keep)
+        path = BrownianPath(tau, np.zeros(n_steps), problem.master_seed, 0)
+        traj = stepper.run(path, initial_state(space, problem.h1, problem.h2), observe=keep)
         violation = max(violation, traj.max_energy_violation)
         l2.append(np.sqrt(np.max(sq[0])))
         h1_err.append(np.sqrt(np.max(sq[1])))
@@ -425,7 +407,7 @@ def analytic_error_table(
         h1=np.array(h1_err),
         dtl2=np.array(dtl2),
         n_samples=1,
-        master_seed=master_seed,
+        master_seed=problem.master_seed,
         reference=f"closed-form solution {exact!r}",
         max_energy_violation=float(violation),
         n_failures=0,

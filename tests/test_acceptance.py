@@ -13,13 +13,15 @@ import pytest
 import scipy.optimize
 
 from stochwave.diffusion import Diffusion
-from stochwave.drift import PolynomialDrift
-from stochwave.ensemble import run_ensemble
+from stochwave.drift import MODIFIED_CN, PolynomialDrift
+from stochwave.ensemble import ProblemSpec, StabilityStudy, run_ensemble
 from stochwave.experiments import config_to_dict, preset_config, run_experiment
 from stochwave.fem import FeSpace, load_vector, l2_project
-from stochwave.fields import Constant, CosineProduct, LinearWaveSolution
-from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
+from stochwave.fields import Constant, CosineProduct
+from stochwave.mesh import build_interval_mesh
 from stochwave.metrics import (
+    AnalyticStudy,
+    RateStudy,
     analytic_error_table,
     convergence_table,
     quadrature_degree_for,
@@ -34,6 +36,15 @@ THREADS = 2
 SAMPLES = 200
 
 _ENERGY_TOL = 1e-8
+
+
+def _problem(drift, diffusion, h1=CosineProduct(kx=1), dimension=1, newton_abs_tol=1e-13):
+    """The P1 `mcn` problem at the acceptance seed, initial velocity zero."""
+    return ProblemSpec(
+        dimension=dimension, degree=1, drift=drift, diffusion=diffusion, h1=h1,
+        h2=Constant(0.0), master_seed=SEED, scheme=MODIFIED_CN,
+        newton_abs_tol=newton_abs_tol,
+    )
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -52,11 +63,12 @@ def table1():
     """Spatial ladder, f = -u - u^3, g = u (rate-table configuration 1)."""
     return _timed(
         lambda: convergence_table(
-            mode="spatial", dimension=1, levels=[4, 8, 16, 32, 64], taus=[1e-3],
-            T=0.01, drift=CUBIC, diffusion=Diffusion.linear(1.0),
-            h1=CosineProduct(kx=1), h2=Constant(0.0),
-            n_samples=SAMPLES, master_seed=SEED, reference_extra_levels=1,
-            threads=THREADS, newton_abs_tol=1e-13,
+            _problem(CUBIC, Diffusion.linear(1.0)),
+            RateStudy(
+                mode="spatial", levels=[4, 8, 16, 32, 64], taus=[1e-3], T=0.01,
+                reference_extra_levels=1,
+            ),
+            n_samples=SAMPLES, threads=THREADS,
         )
     )
 
@@ -66,12 +78,12 @@ def table2():
     """Temporal ladder, f = -u - u^3, g = u (rate-table configuration 2)."""
     return _timed(
         lambda: convergence_table(
-            mode="temporal", dimension=1, levels=[128],
-            taus=[0.1 / 2**k for k in range(6)], T=0.4,
-            drift=CUBIC, diffusion=Diffusion.linear(1.0),
-            h1=CosineProduct(kx=1), h2=Constant(0.0),
-            n_samples=SAMPLES, master_seed=SEED, reference_extra_levels=2,
-            threads=THREADS, newton_abs_tol=1e-13,
+            _problem(CUBIC, Diffusion.linear(1.0)),
+            RateStudy(
+                mode="temporal", levels=[128], taus=[0.1 / 2**k for k in range(6)], T=0.4,
+                reference_extra_levels=2,
+            ),
+            n_samples=SAMPLES, threads=THREADS,
         )
     )
 
@@ -81,12 +93,12 @@ def table6():
     """Temporal ladder with g = sqrt(u^2 + 0.01) (half-order configuration)."""
     return _timed(
         lambda: convergence_table(
-            mode="temporal", dimension=1, levels=[128],
-            taus=[0.1 / 2**k for k in range(6)], T=0.4,
-            drift=CUBIC, diffusion=Diffusion.smoothed_abs(0.01),
-            h1=CosineProduct(kx=1), h2=Constant(0.0),
-            n_samples=SAMPLES, master_seed=SEED, reference_extra_levels=2,
-            threads=THREADS, newton_abs_tol=1e-13,
+            _problem(CUBIC, Diffusion.smoothed_abs(0.01)),
+            RateStudy(
+                mode="temporal", levels=[128], taus=[0.1 / 2**k for k in range(6)], T=0.4,
+                reference_extra_levels=2,
+            ),
+            n_samples=SAMPLES, threads=THREADS,
         )
     )
 
@@ -96,11 +108,12 @@ def table3():
     """Spatial ladder with the degree-11 drift (robustness configuration)."""
     return _timed(
         lambda: convergence_table(
-            mode="spatial", dimension=1, levels=[4, 8, 16, 32, 64], taus=[1e-3],
-            T=0.01, drift=DEG11, diffusion=Diffusion.linear(1.0),
-            h1=CosineProduct(kx=1), h2=Constant(0.0),
-            n_samples=SAMPLES, master_seed=SEED, reference_extra_levels=1,
-            threads=THREADS, newton_abs_tol=1e-13,
+            _problem(DEG11, Diffusion.linear(1.0)),
+            RateStudy(
+                mode="spatial", levels=[4, 8, 16, 32, 64], taus=[1e-3], T=0.01,
+                reference_extra_levels=1,
+            ),
+            n_samples=SAMPLES, threads=THREADS,
         )
     )
 
@@ -108,18 +121,13 @@ def table3():
 @pytest.fixture(scope="module")
 def stability2d():
     """2D moment-stability ensemble, f = -u - u^3, g = u."""
-    def run():
-        space = FeSpace(
-            build_unit_square_tri_mesh(8), 1, quadrature_degree_for(1, CUBIC)
+    return _timed(
+        lambda: run_ensemble(
+            _problem(CUBIC, Diffusion.linear(1.0), h1=CosineProduct(kx=1, ky=2), dimension=2),
+            StabilityStudy(level=8, tau=0.01, T=1.0),  # 100 steps
+            SAMPLES, threads=THREADS,
         )
-        cfg = SchemeConfig(tau=0.01, n_steps=100, newton_abs_tol=1e-13)
-        return run_ensemble(
-            space, cfg, CUBIC, Diffusion.linear(1.0),
-            CosineProduct(kx=1, ky=2), Constant(0.0),
-            SAMPLES, master_seed=SEED, threads=THREADS,
-        )
-
-    return _timed(run)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +136,10 @@ def stability2d():
 
 def test_criterion_1_analytic_linear_check():
     table, elapsed = _timed(
+        # the exact solution is LinearWaveSolution(k=1), read from h1
         lambda: analytic_error_table(
-            levels=[8, 16, 32, 64], tau=1e-4, T=0.5,
-            exact=LinearWaveSolution(k=1),
-            drift=PolynomialDrift([0.0]), diffusion=Diffusion.zero(),
-            h1=CosineProduct(kx=1), h2=Constant(0.0), master_seed=SEED,
+            _problem(PolynomialDrift([0.0]), Diffusion.zero(), newton_abs_tol=1e-11),
+            AnalyticStudy(levels=[8, 16, 32, 64], tau=1e-4, T=0.5),
         )
     )
     l2o = table.l2_orders[-1]

@@ -1,13 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 
 import stochwave.ensemble
 import stochwave.stepper
 from stochwave.diffusion import Diffusion
-from stochwave.drift import PolynomialDrift
+from stochwave.drift import MODIFIED_CN, PolynomialDrift
 from stochwave.ensemble import (
     BLOCK_POINTS,
     EnsembleFailureError,
+    ProblemSpec,
+    StabilityStudy,
     run_ensemble,
     sample_blocks,
     subset_fraction,
@@ -16,7 +20,7 @@ from stochwave.ensemble import (
 from stochwave.fem import FeSpace
 from stochwave.fields import Constant, CosineProduct
 from stochwave.linsolve import LinearSolveError
-from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
+from stochwave.mesh import build_interval_mesh
 from stochwave.metrics import quadrature_degree_for
 from stochwave.noise import BrownianPath, sample_path
 from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
@@ -24,10 +28,23 @@ from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
 
 
-def _setup_1d(n=8, tau=0.02, steps=10):
-    space = FeSpace(build_interval_mesh(n), 1, quadrature_degree_for(1, CUBIC))
-    cfg = SchemeConfig(tau=tau, n_steps=steps, newton_abs_tol=1e-13)
+def _setup_1d():
+    space = FeSpace(build_interval_mesh(8), 1, quadrature_degree_for(1, CUBIC))
+    cfg = SchemeConfig(tau=0.02, n_steps=10, newton_abs_tol=1e-13)
     return space, cfg
+
+
+def _problem(diffusion, master_seed, h1=CosineProduct(kx=1), h2=Constant(0.0),
+             dimension=1, newton_abs_tol=1e-13):
+    """The P1 `mcn` problem with the cubic drift."""
+    return ProblemSpec(
+        dimension=dimension, degree=1, drift=CUBIC, diffusion=diffusion, h1=h1, h2=h2,
+        master_seed=master_seed, scheme=MODIFIED_CN, newton_abs_tol=newton_abs_tol,
+    )
+
+
+# the run of `_setup_1d`: level 8, tau 0.02, 10 steps
+STUDY_1D = StabilityStudy(level=8, tau=0.02, T=0.2)
 
 
 def test_tree_sum_matches_plain_sum():
@@ -44,9 +61,7 @@ def test_tree_sum_single():
 def test_single_deterministic_sample_equals_trajectory():
     space, cfg = _setup_1d()
     h1, h2 = CosineProduct(kx=1), Constant(0.0)
-    stats = run_ensemble(
-        space, cfg, CUBIC, Diffusion.zero(), h1, h2, 1, master_seed=5
-    )
+    stats = run_ensemble(_problem(Diffusion.zero(), 5, h1, h2), STUDY_1D, 1, threads=1)
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), cfg)
     traj = stepper.run(sample_path(5, 0, cfg.n_steps, cfg.tau), initial_state(space, h1, h2))
     assert np.array_equal(stats.mean_l2sq, traj.l2sq)
@@ -55,31 +70,19 @@ def test_single_deterministic_sample_equals_trajectory():
 
 
 def test_zero_noise_envelopes_collapse():
-    space, cfg = _setup_1d()
-    stats = run_ensemble(
-        space, cfg, CUBIC, Diffusion.zero(), CosineProduct(kx=1), Constant(0.0),
-        8, master_seed=1,
-    )
+    stats = run_ensemble(_problem(Diffusion.zero(), 1), STUDY_1D, 8, threads=1)
     assert np.array_equal(stats.min_l2sq, stats.max_l2sq)
     assert np.array_equal(stats.min_H, stats.max_H)
 
 
 def test_jensen_inequality_per_node():
-    space, cfg = _setup_1d()
-    stats = run_ensemble(
-        space, cfg, CUBIC, Diffusion.linear(1.0), CosineProduct(kx=1), Constant(0.0),
-        16, master_seed=2,
-    )
+    stats = run_ensemble(_problem(Diffusion.linear(1.0), 2), STUDY_1D, 16, threads=1)
     assert np.all(stats.mean_H2 >= stats.mean_H**2 - 1e-12)
     assert np.all(stats.mean_H4 >= stats.mean_H2**2 - 1e-12)
 
 
 def test_envelopes_bracket_means():
-    space, cfg = _setup_1d()
-    stats = run_ensemble(
-        space, cfg, CUBIC, Diffusion.linear(1.0), CosineProduct(kx=1), Constant(0.0),
-        16, master_seed=3,
-    )
+    stats = run_ensemble(_problem(Diffusion.linear(1.0), 3), STUDY_1D, 16, threads=1)
     for lo, mid, hi in (
         (stats.min_l2sq, stats.mean_l2sq, stats.max_l2sq),
         (stats.min_h1sq, stats.mean_h1sq, stats.max_h1sq),
@@ -90,39 +93,31 @@ def test_envelopes_bracket_means():
 
 
 def test_bit_reproducible_across_worker_counts():
-    space, cfg = _setup_1d()
-    kwargs = dict(
-        drift=CUBIC, diffusion=Diffusion.linear(1.0),
-        h1=CosineProduct(kx=1), h2=Constant(0.0),
-    )
-    a = run_ensemble(space, cfg, n_samples=12, master_seed=9, threads=1, **kwargs)
-    b = run_ensemble(space, cfg, n_samples=12, master_seed=9, threads=3, **kwargs)
+    problem = _problem(Diffusion.linear(1.0), 9)
+    a = run_ensemble(problem, STUDY_1D, n_samples=12, threads=1)
+    b = run_ensemble(problem, STUDY_1D, n_samples=12, threads=3)
     assert np.array_equal(a.mean_l2sq, b.mean_l2sq)
     assert np.array_equal(a.mean_H4, b.mean_H4)
     assert np.array_equal(a.max_h1sq, b.max_h1sq)
 
 
 def test_ensemble_2d_runs():
-    drift = CUBIC
-    space = FeSpace(build_unit_square_tri_mesh(4), 1, quadrature_degree_for(1, drift))
-    cfg = SchemeConfig(tau=0.05, n_steps=4, newton_abs_tol=1e-13)
-    stats = run_ensemble(
-        space, cfg, drift, Diffusion.linear(1.0),
-        CosineProduct(kx=1, ky=2), Constant(0.0), 4, master_seed=4,
-    )
+    # level 4 of the unit square, tau 0.05, 4 steps
+    problem = _problem(Diffusion.linear(1.0), 4, h1=CosineProduct(kx=1, ky=2), dimension=2)
+    stats = run_ensemble(problem, StabilityStudy(level=4, tau=0.05, T=0.2), 4, threads=1)
     assert stats.n_failures == 0
     assert np.all(np.isfinite(stats.mean_H2))
     assert stats.max_energy_violation <= 1e-8
 
 
-def test_failure_abort_above_threshold():
+def test_failure_abort_above_threshold(monkeypatch):
     # max_iter=0 forces every nonlinear sample to fail
-    space, cfg = _setup_1d()
-    cfg = SchemeConfig(tau=cfg.tau, n_steps=cfg.n_steps, newton_max_iter=0)
+    monkeypatch.setattr(
+        stochwave.ensemble, "SchemeConfig", functools.partial(SchemeConfig, newton_max_iter=0)
+    )
     with pytest.raises(EnsembleFailureError):
         run_ensemble(
-            space, cfg, CUBIC, Diffusion.linear(1.0),
-            CosineProduct(kx=1), Constant(0.0), 5, master_seed=6,
+            _problem(Diffusion.linear(1.0), 6, newton_abs_tol=1e-11), STUDY_1D, 5, threads=1
         )
 
 
@@ -145,7 +140,7 @@ def test_linear_solve_failure_is_contained_per_sample(monkeypatch):
     space, cfg = _setup_1d()
     h1, h2 = CosineProduct(kx=1), Constant(0.0)
     stats = run_ensemble(
-        space, cfg, CUBIC, Diffusion.linear(1.0), h1, h2, 3, master_seed=6,
+        _problem(Diffusion.linear(1.0), 6, h1, h2), STUDY_1D, 3, threads=1,
         max_failure_fraction=0.5,
     )
     assert stats.n_failures == 1
@@ -172,12 +167,8 @@ def test_sample_blocks_are_contiguous_and_capped():
 
 
 def test_rejects_empty_ensemble():
-    space, cfg = _setup_1d()
     with pytest.raises(ValueError):
-        run_ensemble(
-            space, cfg, CUBIC, Diffusion.zero(),
-            CosineProduct(kx=1), Constant(0.0), 0, master_seed=0,
-        )
+        run_ensemble(_problem(Diffusion.zero(), 0), STUDY_1D, 0, threads=1)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,9 @@ def _raw_study(**fields):
     return raw
 
 
+_STABILITY = {"kind": "stability", "level": 4, "tau": 0.02, "T": 0.1}
+
+
 @pytest.mark.parametrize(
     "cfg, field",
     [
@@ -349,6 +352,29 @@ def _raw_study(**fields):
             "drift: drift needs at least one coefficient",
         ),
         ({**_raw_study(level=4), "h2": {"kind": "zero", "value": 3.0}}, "h2.value: unknown field"),
+        ({**_raw_study(level=4), "newton_abs_tol": -1.0}, "newton_abs_tol: must be finite and > 0"),
+        ({**_raw_study(level=4), "newton_abs_tol": 0}, "newton_abs_tol: must be finite and > 0"),
+        (
+            {**_raw_study(level=4), "newton_abs_tol": float("inf")},
+            "newton_abs_tol: must be finite and > 0",
+        ),
+        ({**_raw_study(level=4), "master_seed": -1}, "master_seed: must be >= 0"),
+        ({**_raw_study(level=4), "threads": 0}, "threads: must be >= 1"),
+        (
+            {**_raw_study(level=4), "studies": [_STABILITY, _STABILITY]},
+            "studies[1].label: tiny_stability.csv is also written by studies[0]",
+        ),
+        (
+            {
+                **_raw_study(level=4),
+                "studies": [_STABILITY, {**_STABILITY, "label": "stability_deterministic"}],
+            },
+            "studies[1].label: tiny_stability_deterministic.csv is also written by studies[0]",
+        ),
+        ({**_raw_study(level=4), "name": "a/b"}, "name: must be non-empty, with no '/'"),
+        ({**_raw_study(level=4), "name": ""}, "name: must be non-empty, with no '/'"),
+        (_raw_study(level=4, label="x\\y"), "studies[0].label: must be non-empty, with no '/'"),
+        (_raw_study(level=4, label=""), "studies[0].label: must be non-empty, with no '/'"),
     ],
     ids=[
         "analytic-ladder", "stability-level-0", "empty-levels", "empty-taus",
@@ -357,7 +383,10 @@ def _raw_study(**fields):
         "h1-not-an-object", "studies-not-a-list", "study-not-an-object", "h1-kx-string",
         "diffusion-c-string", "n-samples-float", "n-samples-bool", "master-seed-float",
         "name-int", "drift-coeff-string", "unknown-diffusion-kind", "smoothed-abs-epsilon-0",
-        "drift-no-coefficients", "zero-field-with-value",
+        "drift-no-coefficients", "zero-field-with-value", "newton-abs-tol-negative",
+        "newton-abs-tol-zero", "newton-abs-tol-infinite", "master-seed-negative", "threads-0",
+        "one-label-twice", "label-meets-companion-file", "name-with-slash", "name-empty",
+        "label-with-backslash", "label-empty",
     ],
 )
 def test_cli_config_errors_exit_2(cfg, field, tmp_path, capsys):

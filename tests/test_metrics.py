@@ -4,17 +4,19 @@ import pytest
 import stochwave.metrics
 import stochwave.stepper
 from stochwave.diffusion import Diffusion
-from stochwave.drift import PolynomialDrift
+from stochwave.drift import MODIFIED_CN, PolynomialDrift
 from stochwave.fem import FeSpace
-from stochwave.fields import Constant, CosineProduct, LinearWaveSolution
-from stochwave.ensemble import EnsembleFailureError
+from stochwave.fields import Constant, CosineProduct
+from stochwave.ensemble import EnsembleFailureError, ProblemSpec
 from stochwave.mesh import build_interval_mesh, refine_uniform
 from stochwave.metrics import (
+    AnalyticStudy,
+    RateStudy,
     analytic_error_table,
     convergence_table,
     error_norms,
     quadrature_degree_for,
-    sup_rms_errors,
+    sup_rms,
 )
 from stochwave.noise import BrownianPath, coarsen, sample_path
 from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
@@ -23,20 +25,29 @@ CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
 ZERO = PolynomialDrift([0.0])
 
 
+def _problem(drift, diffusion, master_seed=0, newton_abs_tol=1e-11):
+    """The 1D P1 `mcn` problem with cosine displacement at rest."""
+    return ProblemSpec(
+        dimension=1, degree=1, drift=drift, diffusion=diffusion,
+        h1=CosineProduct(kx=1), h2=Constant(0.0), master_seed=master_seed,
+        scheme=MODIFIED_CN, newton_abs_tol=newton_abs_tol,
+    )
+
+
 def test_sup_rms_single_value():
-    assert sup_rms_errors(np.array([[2.5]])) == pytest.approx(2.5)
+    assert sup_rms(np.array([[2.5]]) ** 2) == pytest.approx(2.5)
 
 
 def test_sup_rms_two_samples():
     # sqrt((9 + 16) / 2) at the worst node
     errs = np.array([[3.0], [4.0]])
-    assert sup_rms_errors(errs) == pytest.approx(np.sqrt(12.5))
+    assert sup_rms(errs**2) == pytest.approx(np.sqrt(12.5))
 
 
 def test_sup_rms_dominates_each_node():
     rng = np.random.default_rng(0)
     errs = rng.uniform(0, 2, (10, 7))
-    sup = sup_rms_errors(errs)
+    sup = sup_rms(errs**2)
     per_node = np.sqrt((errs**2).mean(axis=0))
     assert np.all(sup >= per_node - 1e-12)
 
@@ -124,10 +135,9 @@ def test_rate_rows_match_error_norms_of_stored_states(mode):
     # sample's rows must equal error_norms over the stored trajectories
     levels, taus = ([4, 8], [0.05]) if mode == "spatial" else ([8], [0.1, 0.05])
     table = convergence_table(
-        mode=mode, dimension=1, levels=levels, taus=taus, T=0.2,
-        drift=CUBIC, diffusion=Diffusion.linear(1.0),
-        h1=CosineProduct(kx=1), h2=Constant(0.0),
-        n_samples=1, master_seed=4, reference_extra_levels=1, newton_abs_tol=1e-13,
+        _problem(CUBIC, Diffusion.linear(1.0), master_seed=4, newton_abs_tol=1e-13),
+        RateStudy(mode=mode, levels=levels, taus=taus, T=0.2, reference_extra_levels=1),
+        n_samples=1, threads=1,
     )
     quad = quadrature_degree_for(1, CUBIC)
     ref_level = 16 if mode == "spatial" else 8
@@ -171,18 +181,11 @@ def test_path_coupling_is_exact():
 def test_convergence_table_deterministic_linear_rates():
     # zero noise, zero drift: spatial orders approach r+1 / r / r+1
     table = convergence_table(
-        mode="spatial",
-        dimension=1,
-        levels=[4, 8, 16],
-        taus=[1e-3],
-        T=0.01,
-        drift=ZERO,
-        diffusion=Diffusion.zero(),
-        h1=CosineProduct(kx=1),
-        h2=Constant(0.0),
-        n_samples=1,
-        master_seed=0,
-        reference_extra_levels=2,
+        _problem(ZERO, Diffusion.zero(), master_seed=0),
+        RateStudy(
+            mode="spatial", levels=[4, 8, 16], taus=[1e-3], T=0.01, reference_extra_levels=2
+        ),
+        n_samples=1, threads=1,
     )
     assert table.l2_orders[0] is None
     assert table.l2_orders[-1] == pytest.approx(2.0, abs=0.3)
@@ -193,19 +196,12 @@ def test_convergence_table_deterministic_linear_rates():
 
 def test_convergence_table_temporal_small():
     table = convergence_table(
-        mode="temporal",
-        dimension=1,
-        levels=[16],
-        taus=[0.1, 0.05, 0.025],
-        T=0.2,
-        drift=CUBIC,
-        diffusion=Diffusion.linear(1.0),
-        h1=CosineProduct(kx=1),
-        h2=Constant(0.0),
-        n_samples=8,
-        master_seed=1,
-        reference_extra_levels=2,
-        newton_abs_tol=1e-13,
+        _problem(CUBIC, Diffusion.linear(1.0), master_seed=1, newton_abs_tol=1e-13),
+        RateStudy(
+            mode="temporal", levels=[16], taus=[0.1, 0.05, 0.025], T=0.2,
+            reference_extra_levels=2,
+        ),
+        n_samples=8, threads=1,
     )
     assert table.params[1] == pytest.approx(0.05)
     assert np.all(table.l2[1:] < table.l2[:-1])  # errors shrink along the ladder
@@ -214,35 +210,32 @@ def test_convergence_table_temporal_small():
 
 
 def test_convergence_table_validates_ladders():
-    common = dict(
-        dimension=1, T=0.1, drift=ZERO, diffusion=Diffusion.zero(),
-        h1=CosineProduct(kx=1), h2=Constant(0.0), n_samples=1, master_seed=0,
-    )
+    problem = _problem(ZERO, Diffusion.zero(), master_seed=0)
+
+    def table(**study):
+        return convergence_table(problem, RateStudy(T=0.1, **study), n_samples=1, threads=1)
+
     with pytest.raises(ValueError):
-        convergence_table(mode="spatial", levels=[4, 12], taus=[0.01], **common)
+        table(mode="spatial", levels=[4, 12], taus=[0.01])
     with pytest.raises(ValueError):
-        convergence_table(mode="spatial", levels=[4, 8], taus=[0.01, 0.005], **common)
+        table(mode="spatial", levels=[4, 8], taus=[0.01, 0.005])
     with pytest.raises(ValueError):
-        convergence_table(mode="temporal", levels=[8], taus=[0.1, 0.04], **common)
+        table(mode="temporal", levels=[8], taus=[0.1, 0.04])
     with pytest.raises(ValueError):
-        convergence_table(mode="sideways", levels=[4], taus=[0.01], **common)
+        table(mode="sideways", levels=[4], taus=[0.01])
     # a reference no finer than the finest row would make that row's error 0
     with pytest.raises(ValueError, match="reference_extra_levels"):
-        convergence_table(
-            mode="spatial", levels=[4, 8], taus=[0.01], reference_extra_levels=0, **common
-        )
+        table(mode="spatial", levels=[4, 8], taus=[0.01], reference_extra_levels=0)
     with pytest.raises(ValueError, match="reference_extra_levels"):
-        convergence_table(
-            mode="temporal", levels=[8], taus=[0.1, 0.05], reference_extra_levels=0, **common
-        )
+        table(mode="temporal", levels=[8], taus=[0.1, 0.05], reference_extra_levels=0)
 
 
 def test_convergence_table_rejects_empty_sample_set():
     with pytest.raises(ValueError):
         convergence_table(
-            mode="temporal", dimension=1, levels=[8], taus=[0.1, 0.05], T=0.2,
-            drift=CUBIC, diffusion=Diffusion.linear(1.0),
-            h1=CosineProduct(kx=1), h2=Constant(0.0), n_samples=0, master_seed=0,
+            _problem(CUBIC, Diffusion.linear(1.0), master_seed=0),
+            RateStudy(mode="temporal", levels=[8], taus=[0.1, 0.05], T=0.2),
+            n_samples=0, threads=1,
         )
 
 
@@ -261,43 +254,31 @@ def test_convergence_table_contains_linear_solve_failure(monkeypatch):
     monkeypatch.setattr(
         stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
     )
-    kwargs = dict(
-        mode="temporal", dimension=1, levels=[8], taus=[0.1, 0.05], T=0.2,
-        drift=CUBIC, diffusion=Diffusion.linear(1.0),
-        h1=CosineProduct(kx=1), h2=Constant(0.0), master_seed=3,
-    )
-    table = convergence_table(n_samples=3, max_failure_fraction=0.5, **kwargs)
+    problem = _problem(CUBIC, Diffusion.linear(1.0), master_seed=3)
+    study = RateStudy(mode="temporal", levels=[8], taus=[0.1, 0.05], T=0.2)
+    table = convergence_table(problem, study, n_samples=3, threads=1, max_failure_fraction=0.5)
     assert table.n_failures == 1
     assert table.n_samples == 2
     with pytest.raises(EnsembleFailureError, match="non-positive diagonal"):
-        convergence_table(n_samples=3, **kwargs)
+        convergence_table(problem, study, n_samples=3, threads=1)
 
 
 def test_convergence_table_thread_determinism():
-    kwargs = dict(
-        mode="temporal", dimension=1, levels=[8], taus=[0.1, 0.05], T=0.2,
-        drift=CUBIC, diffusion=Diffusion.linear(1.0),
-        h1=CosineProduct(kx=1), h2=Constant(0.0),
-        n_samples=6, master_seed=3, reference_extra_levels=1,
-        newton_abs_tol=1e-13,
+    problem = _problem(CUBIC, Diffusion.linear(1.0), master_seed=3, newton_abs_tol=1e-13)
+    study = RateStudy(
+        mode="temporal", levels=[8], taus=[0.1, 0.05], T=0.2, reference_extra_levels=1
     )
-    t1 = convergence_table(threads=1, **kwargs)
-    t2 = convergence_table(threads=3, **kwargs)
+    t1 = convergence_table(problem, study, n_samples=6, threads=1)
+    t2 = convergence_table(problem, study, n_samples=6, threads=3)
     assert np.array_equal(t1.l2, t2.l2)
     assert np.array_equal(t1.dtl2, t2.dtl2)
 
 
 def test_analytic_table_linear_wave():
     # keep the ladder coarse so the O(tau) part stays subdominant
+    # the exact solution is LinearWaveSolution(k=1), read from h1
     table = analytic_error_table(
-        levels=[4, 8, 16],
-        tau=1e-4,
-        T=0.05,
-        exact=LinearWaveSolution(k=1),
-        drift=ZERO,
-        diffusion=Diffusion.zero(),
-        h1=CosineProduct(kx=1),
-        h2=Constant(0.0),
+        _problem(ZERO, Diffusion.zero()), AnalyticStudy(levels=[4, 8, 16], tau=1e-4, T=0.05)
     )
     assert table.l2_orders[-1] >= 1.8
     assert table.h1_orders[-1] == pytest.approx(1.0, abs=0.3)
@@ -309,9 +290,7 @@ def test_analytic_table_does_not_depend_on_the_block_width(monkeypatch):
     for points in (1, 64, stochwave.metrics.BLOCK_POINTS):
         monkeypatch.setattr(stochwave.metrics, "BLOCK_POINTS", points)
         table = analytic_error_table(
-            levels=[8, 16], tau=1e-3, T=0.05, exact=LinearWaveSolution(k=1),
-            drift=ZERO, diffusion=Diffusion.zero(),
-            h1=CosineProduct(kx=1), h2=Constant(0.0),
+            _problem(ZERO, Diffusion.zero()), AnalyticStudy(levels=[8, 16], tau=1e-3, T=0.05)
         )
         tables.append(np.stack([table.l2, table.h1, table.dtl2]))
     assert all(np.array_equal(t, tables[0]) for t in tables[1:])
@@ -321,16 +300,12 @@ def test_analytic_table_validates_ladder():
     for levels in ([8, 12], [], [0, 0]):
         with pytest.raises(ValueError, match="levels"):
             analytic_error_table(
-                levels=levels, tau=0.01, T=0.1, exact=LinearWaveSolution(),
-                drift=ZERO, diffusion=Diffusion.zero(),
-                h1=CosineProduct(kx=1), h2=Constant(0.0),
+                _problem(ZERO, Diffusion.zero()), AnalyticStudy(levels=levels, tau=0.01, T=0.1)
             )
 
 
 def test_analytic_table_requires_zero_noise():
     with pytest.raises(ValueError):
         analytic_error_table(
-            levels=[4], tau=0.01, T=0.1, exact=LinearWaveSolution(),
-            drift=ZERO, diffusion=Diffusion.linear(1.0),
-            h1=CosineProduct(kx=1), h2=Constant(0.0),
+            _problem(ZERO, Diffusion.linear(1.0)), AnalyticStudy(levels=[4], tau=0.01, T=0.1)
         )
