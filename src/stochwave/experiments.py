@@ -24,6 +24,7 @@ import numpy as np
 from .diffusion import Diffusion
 from .drift import MODIFIED_CN, SCHEMES, PolynomialDrift
 from .ensemble import (
+    EnsembleStats,
     ProblemSpec,
     StabilityStudy,
     ladder_problems,
@@ -447,6 +448,12 @@ def write_csv(path: Path, lines: list[str], columns: dict[str, typing.Sequence])
     path.write_text("\n".join(lines + body) + "\n")
 
 
+def _samples_line(run: ErrorTable | EnsembleStats) -> str:
+    """The header line of the paths a CSV's numbers come from, failed ones
+    included: the config's count, or 1 for a single deterministic path."""
+    return f"# samples: {run.n_samples + run.n_failures}"
+
+
 def _rate_csvs(problem: ProblemSpec, study: RateStudy | AnalyticStudy, cfg: ExperimentConfig):
     """The study's error table and its one CSV: header lines and named columns."""
     if isinstance(study, RateStudy):
@@ -457,7 +464,8 @@ def _rate_csvs(problem: ProblemSpec, study: RateStudy | AnalyticStudy, cfg: Expe
     for name in ("l2", "h1", "dtl2"):
         columns[name] = getattr(table, name)
         columns[f"{name}_order"] = table.orders(columns[name])
-    return table, [([f"# mode: {table.mode}", f"# reference: {table.reference}"], columns)]
+    lines = [_samples_line(table), f"# mode: {table.mode}", f"# reference: {table.reference}"]
+    return table, [(lines, columns)]
 
 
 # the EnsembleStats series a stability CSV prints, in column order
@@ -485,7 +493,7 @@ def _stability_csvs(problem: ProblemSpec, study: StabilityStudy, cfg: Experiment
     for run, h1 in zip(runs, h1_full):
         columns = {"t": run.times, **{c: getattr(run, c) for c in _STABILITY_COLUMNS}}
         columns["subset_fraction"] = subset_fraction(h1, kappa)
-        csvs.append(([f"# kappa: {_fmt(kappa)}"], columns))
+        csvs.append(([_samples_line(run), f"# kappa: {_fmt(kappa)}"], columns))
     return runs[0], csvs
 
 
@@ -501,7 +509,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         f"# manifest_hash: {mhash}",
         f"# experiment: {cfg.name}",
         f"# seed: {cfg.master_seed}",
-        f"# samples: {cfg.n_samples}",
     ]
 
     problem = cfg.problem()

@@ -120,7 +120,9 @@ class CsrProduct:
     block, with the arguments and zeroed output that ``A @ X`` passes them
     (scipy's ``_matmul_vector`` and ``_matmul_multivector``), so every bit
     equals ``A @ X``; only the per-call dispatch of ``@`` is skipped.  X is
-    a 1-D vector or an (n, S) block of any memory layout.  The kernel reads
+    a 1-D vector or an (n, S) block of any memory layout; the kernel reads
+    the buffer of a C-contiguous X as it is and of any other a C-contiguous
+    copy, and writes straight into an output of X's shape.  The kernel reads
     X without bounds checks, so its length and dtype are checked here.
     """
 
@@ -141,12 +143,14 @@ class CsrProduct:
             raise ValueError(
                 f"cannot apply a {m}x{n} operator to a {X.dtype} array of shape {shape}"
             )
+        if not X.flags.c_contiguous:
+            X = np.ascontiguousarray(X)
         if len(shape) == 1 or shape[1] == 1:
-            y = np.zeros(m)
-            _sparsetools.csr_matvec(m, n, *self._csr, X.ravel(), y)
-            return y if len(shape) == 1 else y.reshape(m, 1)
+            y = np.zeros((m,) + shape[1:])
+            _sparsetools.csr_matvec(m, n, *self._csr, X, y)
+            return y
         Y = np.zeros((m, shape[1]))
-        _sparsetools.csr_matvecs(m, n, shape[1], *self._csr, X.ravel(), Y.ravel())
+        _sparsetools.csr_matvecs(m, n, shape[1], *self._csr, X, Y)
         return Y
 
 

@@ -27,7 +27,7 @@ from .ensemble import (
 from .fem import CsrProduct, FeSpace, transfer_matrix
 from .fields import Constant, CosineProduct, LinearWaveSolution
 from .noise import BrownianPath, coarsen, sample_path
-from .stepper import BLOCK_POINTS, WaveStepper, column_sums, initial_state
+from .stepper import WaveStepper, column_sums, initial_state
 
 __all__ = [
     "RateStudy",
@@ -200,13 +200,15 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
     inits = {ref_level: initial_state(ref_space, problem.h1, problem.h2)}
     factors = [round(cfg.tau / ref_cfg.tau) for _, cfg in rows]
     stride = math.gcd(*factors)
-    shape = (ref_cfg.n_steps // stride + 1, ref_space.n_dofs, S)
+    shape = (ref_cfg.n_steps // stride + 1, S, ref_space.n_dofs)
     Ur, Vr = np.empty(shape), np.empty(shape)
 
-    def keep(n, live, U, V):
-        if n % stride == 0:
-            Ur[n // stride][:, live] = U
-            Vr[n // stride][:, live] = V
+    def keep(n0, live, U, V):
+        first = -n0 % stride  # the window's first node that a row reads
+        m = (n0 + first) // stride
+        U, V = U[first::stride], V[first::stride]
+        Ur[m : m + len(U), live] = U
+        Vr[m : m + len(V), live] = V
 
     ref_paths = [
         sample_path(problem.master_seed, idx, ref_cfg.n_steps, ref_cfg.tau) for idx in indices
@@ -232,10 +234,14 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
         E = None if space is ref_space else CsrProduct(transfer_matrix(space, ref_space))
         err = np.empty((3, S, cfg.n_steps + 1))
 
-        def compare(n, live, U, V):
+        def compare(n0, live, U, V):
+            # one column per (node, sample) of the window, node-major
+            k, s = U.shape[:2]
             pos = alive[live]
-            m = n * factor // stride
-            err[:, pos, n] = _error_sq(E, U, V, Ur[m][:, pos], Vr[m][:, pos], MKref, Mref)
+            at = np.ix_(np.arange(n0, n0 + k) * (factor // stride), pos)
+            Uc, Vc, Urc, Vrc = (X.reshape(k * s, -1).T for X in (U, V, Ur[at], Vr[at]))
+            sq = _error_sq(E, Uc, Vc, Urc, Vrc, MKref, Mref)
+            err[:, pos, n0 : n0 + k] = sq.reshape(3, k, s).transpose(0, 2, 1)
 
         # coupling contract: every row path is the exactly-summed reference path
         paths = [coarsen(ref_paths[p], factor) if factor > 1 else ref_paths[p] for p in alive]
@@ -363,38 +369,32 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
         stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
         xq = space.qpoints[..., 0, None]  # (nc, nq, 1)
         w = space.wdet
-        width = max(1, BLOCK_POINTS // w.size)  # nodes per block of errors
-        block = np.empty((space.n_dofs, width))  # one column per node
         sq = np.empty((3, n_steps + 1))  # squared L2, H1 and d_t errors per node
-        before = None  # the error values of the node before the block
+        before = None  # the error values of the node before the window
 
         def quadrature(vals: np.ndarray) -> np.ndarray:
             """Per node, the weighted sum of its (nc, nq) values; the same bits
-            whatever nodes share the block (see `column_sums`)."""
+            whatever nodes share the window (see `column_sums`)."""
             return column_sums((vals * w[..., None]).reshape(w.size, -1))
 
-        def reduce(start: int, k: int) -> None:
+        def reduce(n0, live, Un, Vn):
             nonlocal before
-            U = block[:, :k]
-            times = np.arange(start, start + k) * tau
+            k = Un.shape[0]
+            U = Un[:, 0].T  # one column per node
+            times = np.arange(n0, n0 + k) * tau
             e_val = space.values_at_qpoints(U) - exact.value(xq, times)
             grad = np.einsum("cln,clq->cqn", U[space.cell_dofs], space.grad_phys[..., 0])
             e_grad = grad - exact.dx(xq, times)
-            sq[0, start : start + k] = quadrature(e_val * e_val)
-            sq[1, start : start + k] = quadrature(e_grad * e_grad)
+            sq[0, n0 : n0 + k] = quadrature(e_val * e_val)
+            sq[1, n0 : n0 + k] = quadrature(e_grad * e_grad)
             if before is not None:
                 e_val = np.concatenate([before, e_val], axis=2)
             de = np.diff(e_val, axis=2) / tau
-            sq[2, start + k - de.shape[2] : start + k] = quadrature(de * de)
+            sq[2, n0 + k - de.shape[2] : n0 + k] = quadrature(de * de)
             before = e_val[..., -1:]
 
-        def keep(n, live, Un, Vn):
-            block[:, n % width] = Un[:, 0]
-            if n % width == width - 1 or n == n_steps:
-                reduce(n - n % width, n % width + 1)
-
         path = BrownianPath(tau, np.zeros(n_steps), problem.master_seed, 0)
-        traj = stepper.run(path, initial_state(space, problem.h1, problem.h2), observe=keep)
+        traj = stepper.run(path, initial_state(space, problem.h1, problem.h2), observe=reduce)
         violation = max(violation, traj.max_energy_violation)
         l2.append(np.sqrt(np.max(sq[0])))
         h1_err.append(np.sqrt(np.max(sq[1])))

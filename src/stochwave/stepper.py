@@ -37,14 +37,19 @@ drift without noise makes three operator products: the predictor's
 residual, the correction's residual and M v.  Every product calls scipy's
 compiled CSR kernel directly (`CsrProduct`), with the arguments ``A @ X``
 would pass it, so only the dispatch of ``@`` is saved, and every bit stays
-as ``@`` makes it.
+as ``@`` makes it.  Each residual product comes with one max-norm
+reduction, a NaN for a column that holds one.
 
 A common round, in which every column takes a frozen correction and
 accepts it, updates the block whole: trial = C - solve(R), which equals
 C + solve(-R) bit for bit because the triangular solves are sign-symmetric.
-When J0 is exact no polish is ever due, and the contraction comparison,
-which a NaN fails, is the whole test; the per-column history is built only
-when the columns part.  Any other round uses per-sample masks to decide
+Its convergence, contraction and finiteness tests compare the columns'
+norms as Python floats (``tolist``), so a block of a few columns pays no
+numpy call for them, and a NaN fails every comparison as it fails the
+masks.  When J0 is exact no polish is ever due, and the contraction
+comparison is the whole test, because every residual that enters a round
+is finite; the per-column masks and history are built only when the
+columns part.  Any other round uses per-sample masks to decide
 which columns take a further correction (residual above tolerance, or the
 extra correction still due) and which pass the CHORD_CONTRACTION test, and
 a sample whose frozen correction is rejected finishes the step alone with
@@ -53,21 +58,23 @@ LinearSolveError is dropped from the block and reported; the others go on.
 The quadrature values of the accepted iterate are carried forward as the
 next step's u^n values.
 
-Energy bookkeeping.  The time loop only solves.  Each node's u, v, M u, K u
-and M v, the step's noise load and, for a nonzero drift, the quadrature
-values of u are copied sample-major into the (window + 1, S, n) buffers of
-a `_Ledger`, slot 0 holding the last node already booked.  A flush turns a
-whole window into the L2, H1 and d_t norms, H and the energy-identity
-residuals at once.  The window holds at most BLOCK_POINTS doubles (and at
-least one step); it is flushed when full, before a failed sample is dropped,
-and at the end of the run.
+Energy bookkeeping.  The time loop only solves.  A `_Ledger` books each
+node by keeping references to the step's own arrays (u, v, W u, M v and the
+noise load), which nothing writes after their step.  A flush stacks the
+window sample-major, shape (window + 1, S, rows), slot 0 holding the last
+node already booked, and turns it into the L2, H1 and d_t norms, H and the
+energy-identity residuals at once.  The window holds at most BLOCK_POINTS
+doubles (and at least one step); it is flushed when full, before a failed
+sample is dropped, and at the end of the run.  An observer (see
+``Observer``) is fed from the same stack: node 0 when the march starts, then
+each flushed window whole, so no node is copied for it.
 
 Batch independence: a sample's numbers are bit-identical whether it steps
 alone or inside any batch, so that outputs do not depend on how samples are
 split over workers.  Every operation is either column-wise in exact
 arithmetic order (sparse products, SuperLU solves with several right-hand
 sides, elementwise maps, max-norms) or a sum over the contiguous last axis
-of a sample-major buffer, which reduces each (node, sample) row on its own.
+of a sample-major stack, which reduces each (node, sample) row on its own.
 Neither the window length nor the moment of a flush enters any sum, so the
 numbers do not depend on the window either.
 """
@@ -76,6 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import gt, le
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,8 +118,14 @@ CHORD_CONTRACTION = 0.1
 # The ensemble sizes its batches by it, and a march its energy window.
 BLOCK_POINTS = 2**14
 
-# observe(n, live, U, V): node index, batch positions of the samples still
-# running, and their (n_dofs, len(live)) displacement and velocity blocks.
+# observe(n0, live, U, V): a window of k consecutive nodes n0..n0+k-1, the
+# batch positions of the samples still running, and their displacements and
+# velocities, sample-major of shape (k, len(live), n_dofs).  It sees node 0
+# alone when the march starts and then every window of the energy ledger as
+# it is flushed, so each node of a march reaches it once and in order; a
+# window ends before any sample is dropped, so ``live`` holds for all its
+# nodes.  U and V are views of the ledger's stack of the window: valid
+# during the call only, and not to be written.
 Observer = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -264,11 +278,14 @@ class WaveStepper:
             return self.drift.derivative(cq)
         return self.drift.potential_quotient_da(cq, unq)
 
-    def _residual(self, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None) -> np.ndarray:
-        """W C with R(C) in its first n_dofs rows.
+    def _residual(
+        self, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """W C with R(C) in its first n_dofs rows, and each column's max |R|.
 
         Rows 3 n_dofs on hold C's quadrature values, one row per point, when
-        the drift or the noise needs them; ``unq`` holds u^n's likewise.
+        the drift or the noise needs them; ``unq`` holds u^n's likewise.  A
+        column's norm is NaN if its residual holds a NaN.
         """
         P = self.W(C)
         n = C.shape[0]
@@ -276,7 +293,7 @@ class WaveStepper:
         if not self._drift_is_zero:
             R -= self._tau2 * self.load_product(self._drift_values(P[3 * n :], unq))
         R -= rhs
-        return P
+        return P, np.maximum.reduce(np.abs(R), axis=0)
 
     # -- one step of a block ----------------------------------------------------
 
@@ -292,43 +309,50 @@ class WaveStepper:
         cfg = self.config
         exact = self._frozen_is_exact
         n, S = C.shape
-        P = self._residual(C, rhs, unq)
-        rnorm = np.abs(P[:n]).max(axis=0)
-        tol = np.maximum(cfg.newton_abs_tol, cfg.newton_rel_tol * rnorm)
-        polish = np.zeros(S, dtype=bool)  # the extra correction is due
-        norms = [rnorm]  # accepted residual norms of the common rounds
+        P, rn = self._residual(C, rhs, unq)
+        r = rn.tolist()
+        tol = [max(cfg.newton_abs_tol, cfg.newton_rel_tol * x) for x in r]
+        norms = [rn]  # accepted residual norms of the common rounds
 
         # Common rounds: every column takes a frozen correction and accepts it.
+        # Their tests compare Python floats, one per column, and a NaN fails
+        # every comparison.  polish[j]: column j's extra correction is due;
+        # with an exact J0 none ever is.
+        polish = None if exact else [False] * S
+        due = sum(map(gt, r, tol))  # columns above tolerance; not a non-finite one
         taken = 0
         pending = None  # a round's trial that some column did not accept
-        need = rnorm > tol  # False for a non-finite residual
-        while need.all() and taken < cfg.newton_max_iter:
+        while due == S and taken < cfg.newton_max_iter:
             trial = C - self._frozen_solve(P[:n])
-            Pt = self._residual(trial, rhs, unq)
-            rt = np.abs(Pt[:n]).max(axis=0)
-            if exact:  # polish stays False, and a NaN fails the comparison
-                ok = (rt <= CHORD_CONTRACTION * rnorm).all()
+            Pt, rt = self._residual(trial, rhs, unq)
+            new = rt.tolist()
+            bound = [CHORD_CONTRACTION * x for x in r]
+            if exact:  # every r is finite here, so an accepted residual is too
+                ok = all(map(le, new, bound))
             else:
-                ok = (polish | (rt <= CHORD_CONTRACTION * rnorm)).all() and np.isfinite(rt).all()
+                ok = all(
+                    (p or a <= b) and math.isfinite(a) for p, a, b in zip(polish, new, bound)
+                )
             if not ok:
                 pending = trial, Pt, rt
                 break
-            C, P, rnorm = trial, Pt, rt
+            C, P, r = trial, Pt, new
             norms.append(rt)
             taken += 1
             if exact:
-                need = rnorm > tol
+                due = sum(map(gt, r, tol))
             else:
-                polish = ~polish & (rt <= tol)
-                need = (rnorm > tol) | polish
+                polish = [not p and x <= t for p, x, t in zip(polish, r, tol)]
+                due = sum(x > t or p for x, t, p in zip(r, tol, polish))
         # an accepted residual is finite, the predictor's may not be
-        if pending is None and not need.any() and (taken or np.isfinite(rnorm).all()):
+        if pending is None and not due and (taken or all(map(math.isfinite, r))):
             return C, P, taken, {}
 
         # Every other round: the columns part.
         every = np.arange(S)
-        rounds = [(every, r) for r in norms]  # accepted residual norms
-        rnorm = rnorm.copy()  # updated in place from here on
+        rounds = [(every, v) for v in norms]  # accepted residual norms
+        rnorm, tol = np.array(r), np.array(tol)  # rnorm is updated in place
+        polish = np.zeros(S, dtype=bool) if exact else np.array(polish)
         iters = np.full(S, taken, dtype=np.int64)
         failed = ~np.isfinite(rnorm)
 
@@ -355,8 +379,7 @@ class WaveStepper:
             else:
                 trial = C[:, cols] - self._frozen_solve(P[:n, cols])
                 sub_unq = None if unq is None else unq[:, cols]
-                Pt = self._residual(trial, rhs[:, cols], sub_unq)
-                rt = np.abs(Pt[:n]).max(axis=0)
+                Pt, rt = self._residual(trial, rhs[:, cols], sub_unq)
             # written so that a NaN residual also rejects the frozen correction
             accept = polish[cols] | (rt <= CHORD_CONTRACTION * rnorm[cols])
             rounds.append((act[accept], rt[accept]))
@@ -414,8 +437,8 @@ class WaveStepper:
                 weighted = assemble_weighted_mass(self.space, w.reshape(self.space.wdet.shape))
                 solve = spd_solver(self.A - self._tau2 * weighted)
             trial = c - solve(p[:n])
-            p_new = self._residual(trial, rhs, unq)
-            history.append(float(np.max(np.abs(p_new[:n]))))
+            p_new, rn = self._residual(trial, rhs, unq)
+            history.append(float(rn[0]))
             if not math.isfinite(history[-1]):
                 raise NewtonDivergedError(step, history)
             c[...], p[...] = trial, p_new
@@ -423,21 +446,6 @@ class WaveStepper:
         return taken
 
     # -- stepping ----------------------------------------------------------------
-
-    def step(self, state: State, dW: float) -> State:
-        """One step of one sample: a batch of one through the stepping core."""
-        nodes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-        def keep(n, live, U, V):
-            nodes[n] = (U, V)
-
-        traj = self._march(state, np.array([[dW]], dtype=float), keep)
-        if traj.failures:
-            raise traj.failures[0]
-        U, V = nodes[1]
-        return State(
-            state.n + 1, FeFunction(self.space, U[:, 0]), FeFunction(self.space, V[:, 0])
-        )
 
     def run(
         self,
@@ -450,8 +458,7 @@ class WaveStepper:
         A batch steps as one block.  With one path a failed solve raises and
         the series are 1-D; with a sequence of paths a failed sample is
         dropped and reported in ``Trajectory.failures``.  ``observe``, if
-        given, is called at every node n = 0..N (see ``Observer``); its
-        arrays are shared with the stepper and must not be modified.
+        given, sees the nodes n = 0..N a window at a time (see ``Observer``).
         """
         cfg = self.config
         single = isinstance(paths, BrownianPath)
@@ -489,10 +496,8 @@ class WaveStepper:
         V = np.repeat(initial.v.coeffs[:, None], S, axis=1)
         n = U.shape[0]
         P, MV = self.W(U), self.mass_product(V)
-        ledger = _Ledger(self, dW, U, V, P, MV)
+        ledger = _Ledger(self, dW, U, V, P, MV, observe)
         live = ledger.live
-        if observe is not None:
-            observe(0, live, U, V)
 
         noise = None
         for step in range(N):
@@ -519,8 +524,6 @@ class WaveStepper:
             MV1 = self.mass_product(V1)
             ledger.book(step, C, V1, P1, MV1, noise, it)
             U, V, P, MV = C, V1, P1, MV1
-            if observe is not None:
-                observe(step + 1, live, U, V)
 
         ledger.flush()
         done = np.array([k for k in range(S) if k not in failures], dtype=np.int64)
@@ -538,102 +541,107 @@ class WaveStepper:
         )
 
 
+def _sample_major(blocks: list[np.ndarray], nodes: int) -> np.ndarray:
+    """Blocks of S columns, in node order with the same rows per node, as one
+    C-contiguous (nodes, S, rows per node) array."""
+    S = blocks[0].shape[1]
+    stacked = np.concatenate(blocks).reshape(nodes, -1, S)  # one C call, unlike np.stack
+    return np.ascontiguousarray(stacked.transpose(0, 2, 1))
+
+
 class _Ledger:
     """The norm and energy series of one march, reduced a window at a time.
 
-    ``nodes[k]`` holds a node's u, v, M u, K u and M v sample-major, shape
-    (5, S, n_dofs); ``noise[k - 1]`` the load of g(u) that drove the step
-    into node k and ``q[k]`` the node's quadrature values, when needed.
-    Slot 0 holds the last node already booked, whose H is ``H_last``.  The
-    series rows are batch positions; ``live`` lists those still running and
-    ``dW`` their increments.
+    ``held[i]`` keeps the step's own arrays of a node: u, v, W u (whose rows
+    give M u, K u and the quadrature values), M v and the load of g(u) that
+    drove the step into the node (None without noise).  They are never
+    written after their step, so booking a node copies nothing; a flush
+    stacks the window sample-major, shape (nodes, S, rows), and reduces it
+    at once.  ``held[0]`` is the last node already booked, whose H is
+    ``H_last``.  The series rows are batch positions; ``live`` lists those
+    still running, ``rows`` indexes their series rows (all of them until a
+    sample is dropped) and ``dW`` holds their increments.  The observer, if
+    any, sees node 0 at once and every later node at the flush that reduces
+    it.
     """
 
-    def __init__(self, stepper: WaveStepper, dW, U, V, P, MV):
+    def __init__(self, stepper: WaveStepper, dW, U, V, P, MV, observe: Observer | None):
         S, N = dW.shape
-        n = U.shape[0]
+        self.n = n = U.shape[0]
         self.dW = dW
         self.live = np.arange(S)
+        self.rows = slice(None)
+        self.observe = observe
         self.series = np.empty((4, S, N + 1))  # l2sq, h1sq, dtl2sq, H per node
         self.resid = np.empty((S, N))
         self.iters = np.zeros((S, N), dtype=np.int64)
         self.wdet = stepper.space.wdet.ravel()
         self.potential = None if stepper._drift_is_zero else stepper.drift.potential
         self.noisy = stepper._noisy
-        per_node = n * (6 if self.noisy else 5) + (0 if self.potential is None else self.wdet.size)
+        per_node = P.shape[0] + n * (4 if self.noisy else 3)  # doubles held per sample
         self.window = max(1, min(N, BLOCK_POINTS // (S * per_node) - 1))
-        self._alloc(S, n)
-        self._put(0, U, V, P, MV, None)
-        l2, h1, dt, H = self._norms(slice(0, 1))
+        self.held = [(U, V, P, MV, None)]
+        self.n0 = 0  # the node of held[0]
+        U, V, P, MV = self._split(_sample_major([U, V, P, MV], 1))
+        l2, h1, dt, H = self._norms(U, V, P, MV)
         self.series[:, :, 0] = l2[0], h1[0], dt[0], H[0]
         self.H_last = H[0]
-        self.n0 = 0  # the node in slot 0
-        self.k = 0  # nodes held after slot 0
+        if observe is not None:
+            observe(0, self.live, U, V)
 
-    def _alloc(self, S: int, n: int) -> None:
-        L = self.window
-        self.nodes = np.empty((L + 1, 5, S, n))
-        self.noise = np.empty((L, S, n)) if self.noisy else None
-        self.q = None if self.potential is None else np.empty((L + 1, S, self.wdet.size))
+    def _split(self, X: np.ndarray):
+        """The u, v, W u and M v views of sample-major nodes."""
+        n = self.n
+        return X[..., :n], X[..., n : 2 * n], X[..., 2 * n : -n], X[..., -n:]
 
-    def _put(self, k, U, V, P, MV, noise) -> None:
-        x = self.nodes[k]
-        n = U.shape[0]
-        x[0], x[1], x[4] = U.T, V.T, MV.T
-        x[2:4] = P[n : 3 * n].reshape(2, n, -1).transpose(0, 2, 1)
-        if noise is not None:
-            self.noise[k - 1] = noise.T
-        if self.q is not None:
-            self.q[k] = P[3 * n :].T
-
-    def _norms(self, slots: slice):
-        """Squared L2, H1 and d_t norms and H, shape (nodes, S), of node slots."""
-        x = self.nodes[slots]
-        U, V = x[:, 0], x[:, 1]
-        l2 = (U * x[:, 2]).sum(axis=-1)
-        h1 = (U * x[:, 3]).sum(axis=-1)
-        dt = (V * x[:, 4]).sum(axis=-1)
+    def _norms(self, U, V, P, MV):
+        """Squared L2, H1 and d_t norms and H, shape (nodes, S), of
+        sample-major nodes."""
+        n = self.n
+        l2 = (U * P[:, :, n : 2 * n]).sum(axis=-1)
+        h1 = (U * P[:, :, 2 * n : 3 * n]).sum(axis=-1)
+        dt = (V * MV).sum(axis=-1)
         H = 0.5 * dt + 0.5 * h1
-        if self.q is not None:
-            H = H + (self.wdet * self.potential(self.q[slots])).sum(axis=-1)
+        if self.potential is not None:
+            H = H + (self.wdet * self.potential(P[:, :, 3 * n :])).sum(axis=-1)
         return l2, h1, dt, H
 
     def book(self, step: int, C, V, P, MV, noise, iters) -> None:
         """Hold the node that ``step`` reached; flush when the window is full."""
-        self.iters[self.live, step] = iters
-        self.k += 1
-        self._put(self.k, C, V, P, MV, noise)
-        if self.k == self.window:
+        self.iters[self.rows, step] = iters
+        self.held.append((C, V, P, MV, noise))
+        if len(self.held) > self.window:
             self.flush()
 
     def flush(self) -> None:
-        """Reduce the held nodes into the series; the last moves to slot 0."""
-        k = self.k
+        """Reduce the held nodes into the series; the last becomes held[0]."""
+        held, n = self.held, self.n
+        k = len(held) - 1  # the steps held
         if not k:
             return
+        U, V, P, MV = self._split(_sample_major([X for node in held for X in node[:4]], k + 1))
+        if self.observe is not None:
+            self.observe(self.n0 + 1, self.live, U[1:], V[1:])
+        l2, h1, dt, H = self._norms(U[1:], V[1:], P[1:], MV[1:])
         a, b = self.n0 + 1, self.n0 + k + 1
-        l2, h1, dt, H = self._norms(slice(1, k + 1))
-        d = self.nodes[1 : k + 1] - self.nodes[:k]
+        for i, x in enumerate((l2, h1, dt, H)):
+            self.series[i, self.rows, a:b] = x.T
+        KU = P[:, :, 2 * n : 3 * n]
+        dU, dV, dKU, dMV = (X[1:] - X[:-1] for X in (U, V, KU, MV))
         Hprev = np.concatenate([self.H_last[None], H[:-1]])
-        resid = H - Hprev + 0.5 * (d[:, 1] * d[:, 4]).sum(axis=-1) + 0.5 * (
-            d[:, 0] * d[:, 3]
-        ).sum(axis=-1)
+        resid = H - Hprev + 0.5 * (dV * dMV).sum(axis=-1) + 0.5 * (dU * dKU).sum(axis=-1)
         if self.noisy:
-            gain = (self.noise[:k] * self.nodes[1 : k + 1, 1]).sum(axis=-1)
+            gain = (_sample_major([x[4] for x in held[1:]], k) * V[1:]).sum(axis=-1)
             resid -= gain * self.dW[:, a - 1 : b - 1].T
-        for i, s in enumerate((l2, h1, dt, H)):
-            self.series[i, self.live, a:b] = s.T
-        self.resid[self.live, a - 1 : b - 1] = resid.T
-        self.nodes[0] = self.nodes[k]
+        self.resid[self.rows, a - 1 : b - 1] = resid.T
         self.H_last = H[-1]
-        self.n0, self.k = b - 1, 0
+        self.held = held[-1:]
+        self.n0 = b - 1
 
     def drop(self, keep: np.ndarray) -> None:
         """Flush, then keep only the samples of the live mask ``keep``."""
         self.flush()
-        self.live = self.live[keep]
+        self.live = self.rows = self.live[keep]
         self.dW = self.dW[keep]
         self.H_last = self.H_last[keep]
-        last = self.nodes[0][:, keep]
-        self._alloc(last.shape[1], last.shape[2])
-        self.nodes[0] = last
+        self.held = [tuple(None if X is None else X[:, keep] for X in self.held[0])]

@@ -28,6 +28,7 @@ from stochwave.metrics import (
 )
 from stochwave.noise import coarsen, sample_path
 from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
+from stepping import one_step
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
 DEG11 = PolynomialDrift([-1.0] + [0.0] * 9 + [-1.0], alpha=1.0, lam=1.0 / 6.0)
@@ -346,7 +347,7 @@ def test_criterion_8_oracle_suite():
         g = Diffusion.linear(1.0)
         stepper = WaveStepper(space4, drift, g, cfg)
         st = initial_state(space4, CosineProduct(kx=1), Constant(0.0))
-        new = stepper.step(st, dW)
+        new = one_step(stepper, st, dW)
         Md = space4.mass.toarray()
         Kd = space4.stiffness.toarray()
         un, vn = st.u.coeffs, st.v.coeffs

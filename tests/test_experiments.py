@@ -241,6 +241,18 @@ def test_analytic_study_runs(tmp_path):
     assert result.studies[0].table.l2[1] < result.studies[0].table.l2[0]
 
 
+def test_samples_header_counts_the_paths_each_csv_ran(tmp_path):
+    # a one-path table prints 1, whatever the config's n_samples says
+    def samples(path):
+        return [l for l in path.read_text().splitlines() if l.startswith("# samples:")]
+
+    run_experiment(_analytic_config(n_samples=50), tmp_path / "a")
+    assert samples(tmp_path / "a" / "lincheck_analytic_rates.csv") == ["# samples: 1"]
+    run_experiment(_tiny_rate_config(), tmp_path / "b")
+    for name, n in (("spatial_rates", 6), ("stability", 6), ("stability_deterministic", 1)):
+        assert samples(tmp_path / "b" / f"tiny_{name}.csv") == [f"# samples: {n}"], name
+
+
 def test_run_experiment_rejects_invalid(tmp_path):
     cfg = _tiny_rate_config()
     cfg.scheme = "leapfrog"

@@ -361,6 +361,7 @@ def _blocks(n):
         "f-order": np.asfortranarray(block),
         "column-view": block[:, 2],
         "column-block-view": block[:, 2:3],
+        "strided-column": rng.standard_normal((2 * n, 1))[::2],
         "strided-block": block[:, ::2],
     }
 

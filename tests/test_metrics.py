@@ -20,6 +20,7 @@ from stochwave.metrics import (
 )
 from stochwave.noise import BrownianPath, coarsen, sample_path
 from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
+from stepping import run_states
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
 ZERO = PolynomialDrift([0.0])
@@ -54,14 +55,7 @@ def test_sup_rms_dominates_each_node():
 
 def _run_states(stepper, path, init):
     """Run one path; return its (U, V) coefficient stacks, row n at node n."""
-    U, V = [], []
-
-    def keep(n, live, Un, Vn):
-        U.append(Un[:, 0].copy())
-        V.append(Vn[:, 0].copy())
-
-    stepper.run(path, init, observe=keep)
-    return np.array(U), np.array(V)
+    return run_states(stepper, path, init)[1:]
 
 
 def test_error_norms_self_is_zero():
@@ -285,10 +279,11 @@ def test_analytic_table_linear_wave():
 
 
 def test_analytic_table_does_not_depend_on_the_block_width(monkeypatch):
-    # one node per block, a few nodes per block, and the default width
+    # the table reduces one energy window per observer call: one node per
+    # window, a few nodes per window, and the default window
     tables = []
-    for points in (1, 64, stochwave.metrics.BLOCK_POINTS):
-        monkeypatch.setattr(stochwave.metrics, "BLOCK_POINTS", points)
+    for points in (1, 2**9, stochwave.stepper.BLOCK_POINTS):
+        monkeypatch.setattr(stochwave.stepper, "BLOCK_POINTS", points)
         table = analytic_error_table(
             _problem(ZERO, Diffusion.zero()), AnalyticStudy(levels=[8, 16], tau=1e-3, T=0.05)
         )

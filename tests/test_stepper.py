@@ -26,6 +26,7 @@ from stochwave.stepper import (
     hamiltonian,
     initial_state,
 )
+from stepping import observed_nodes, one_step, run_states
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
 DEG11 = PolynomialDrift([-1.0] + [0.0] * 9 + [-1.0], alpha=1.0, lam=1.0 / 6.0)
@@ -38,18 +39,6 @@ def _space(n, drift=CUBIC, degree=1):
 
 def _zeros_path(tau, n):
     return BrownianPath(tau, np.zeros(n), 0, 0)
-
-
-def _run_states(stepper, path, init):
-    """Run one path; return the trajectory and its (U, V) coefficient stacks."""
-    U, V = [], []
-
-    def keep(n, live, Un, Vn):
-        U.append(Un[:, 0].copy())
-        V.append(Vn[:, 0].copy())
-
-    traj = stepper.run(path, init, observe=keep)
-    return traj, np.array(U), np.array(V)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +104,7 @@ def test_single_step_matches_dense_nonlinear_oracle(scheme):
     g = Diffusion.linear(1.0)
     stepper = WaveStepper(space, drift, g, cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    new = stepper.step(st, dW)
+    new = one_step(stepper, st, dW)
 
     M = space.mass.toarray()
     K = space.stiffness.toarray()
@@ -163,7 +152,7 @@ def test_step_rejects_nonfinite_increment():
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     with pytest.raises(ValueError):
-        stepper.step(st, np.nan)
+        one_step(stepper, st, np.nan)
 
 
 def test_newton_divergence_reports_step_and_history():
@@ -187,7 +176,7 @@ def test_nonfinite_residual_raises_at_once():
     st = initial_state(space, Constant(1e200), Constant(0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NewtonDivergedError) as exc_info:
-            stepper.step(st, 0.0)
+            one_step(stepper, st, 0.0)
     assert len(exc_info.value.residual_history) == 1
     assert not np.isfinite(exc_info.value.residual_history[0])
 
@@ -250,7 +239,7 @@ def test_chord_step_matches_full_newton(monkeypatch, scheme, drift, tau, amplitu
         return assemble_weighted_mass(space, weights)
 
     monkeypatch.setattr(stochwave.stepper, "assemble_weighted_mass", counted)
-    new = stepper.step(st, dW)
+    new = one_step(stepper, st, dW)
     ref = _full_newton_step(space, drift, g, cfg, st, dW)
     assert np.abs(new.u.coeffs - ref).max() <= 1e-9 * np.abs(ref).max()
     # the Newton fallback is the only path that assembles a Jacobian
@@ -266,17 +255,12 @@ SERIES = ("l2sq", "h1sq", "dtl2sq", "hamiltonians", "energy_residuals", "newton_
 
 def _assert_batch_matches_alone(stepper, paths, init):
     """Every finished sample of the batch equals its own run, bit for bit."""
-    nodes = {}
-
-    def keep(n, live, U, V):
-        nodes[n] = (live.copy(), U.copy(), V.copy())
-
-    batch = stepper.run(paths, init, observe=keep)
+    batch, nodes = observed_nodes(stepper, paths, init)
     for row, k in enumerate(batch.samples):
-        alone, U, V = _run_states(stepper, paths[k], init)
+        alone, U, V = run_states(stepper, paths[k], init)
         for name in SERIES:
             assert np.array_equal(getattr(batch, name)[row], getattr(alone, name)), name
-        for n, (live, Ub, Vb) in nodes.items():
+        for n, (live, Ub, Vb) in enumerate(nodes):
             col = list(live).index(k)
             assert np.array_equal(Ub[:, col], U[n]) and np.array_equal(Vb[:, col], V[n])
     return batch
@@ -360,20 +344,11 @@ def _fix_window(monkeypatch, length):
     """Make every march book its energy series in windows of ``length`` steps."""
 
     class Fixed(stochwave.stepper._Ledger):
-        def _alloc(self, S, n):
+        def __init__(self, *args):
+            super().__init__(*args)
             self.window = length
-            super()._alloc(S, n)
 
     monkeypatch.setattr(stochwave.stepper, "_Ledger", Fixed)
-
-
-def _run_nodes(stepper, paths, init):
-    nodes = []
-
-    def keep(n, live, U, V):
-        nodes.append((live.copy(), U.copy(), V.copy()))
-
-    return stepper.run(paths, init, observe=keep), nodes
 
 
 @pytest.mark.parametrize("dimension", [1, 2], ids=["mcn-cubic-1d", "p1-2d"])
@@ -391,16 +366,16 @@ def test_series_do_not_depend_on_the_window(monkeypatch, dimension):
     windows = []
 
     class Recorded(stochwave.stepper._Ledger):
-        def _alloc(self, S, n):
+        def __init__(self, *args):
+            super().__init__(*args)
             windows.append(self.window)
-            super()._alloc(S, n)
 
     monkeypatch.setattr(stochwave.stepper, "_Ledger", Recorded)
-    ref, ref_nodes = _run_nodes(stepper, paths, init)
+    ref, ref_nodes = observed_nodes(stepper, paths, init)
     assert 1 < windows[0] < N  # the default window flushes inside the run
     for length in (1, N, N + 7):
         _fix_window(monkeypatch, length)
-        traj, nodes = _run_nodes(stepper, paths, init)
+        traj, nodes = observed_nodes(stepper, paths, init)
         for name in SERIES:
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), (length, name)
         for got, want in zip(nodes, ref_nodes, strict=True):
@@ -428,6 +403,93 @@ def test_failure_inside_a_window_leaves_the_others_intact(monkeypatch, length):
         assert np.array_equal(getattr(batch, name), getattr(clean, name)), name
 
 
+@pytest.mark.parametrize("length", [1, None, 40, 47], ids=["window-1", "default", "N", "N+7"])
+def test_observer_sees_every_node_once_in_order(monkeypatch, length):
+    # sample 2 fails at step 11, inside the default window's second flush
+    space, N = _space(32), 40
+    cfg = SchemeConfig(tau=0.01, n_steps=N, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
+    paths = [sample_path(11, k, N, 0.01) for k in range(5)]
+    inc = paths[2].increments.copy()
+    inc[11] = 1e200
+    paths[2] = BrownianPath(0.01, inc, 11, 2)
+
+    def record():
+        calls = []
+        observe = lambda n0, live, U, V: calls.append((n0, live.copy(), U.copy(), V.copy()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = stepper.run(paths, init, observe=observe)
+        assert list(traj.failures) == [2] and traj.failures[2].step == 11
+        return calls
+
+    windows = []
+
+    class Recorded(stochwave.stepper._Ledger):
+        def __init__(self, *args):
+            super().__init__(*args)
+            windows.append(self.window)
+
+    monkeypatch.setattr(stochwave.stepper, "_Ledger", Recorded)
+    if length is not None:
+        _fix_window(monkeypatch, length)
+    calls = record()
+    if length is None:
+        assert 1 < windows[0] < 11  # the failure falls inside a later window
+    _fix_window(monkeypatch, 1)
+    ref = record()
+    # node 0 alone, then one call per flush, with k nodes shown after n0
+    assert calls[0][0] == 0 and len(calls[0][2]) == 1
+    assert [n0 for n0, *_ in calls] == list(np.cumsum([0] + [len(U) for _, _, U, _ in calls[:-1]]))
+    assert sum(len(U) for _, _, U, _ in calls) == N + 1
+    # the flush before the drop shows the pre-drop live set, up to node 11
+    for n0, live, U, V in calls:
+        last = n0 + len(U) - 1
+        assert list(live) == ([0, 1, 2, 3, 4] if last <= 11 else [0, 1, 3, 4])
+        assert n0 > 11 or last <= 11
+        assert U.shape == V.shape == (len(U), live.size, space.n_dofs)
+    # every node carries the bits of the one-node-window run
+    assert len(ref) == N + 1
+    for n0, live, U, V in calls:
+        for i in range(len(U)):
+            m, ref_live, ref_U, ref_V = ref[n0 + i]
+            assert m == n0 + i and np.array_equal(live, ref_live)
+            assert np.array_equal(U[i], ref_U[0]) and np.array_equal(V[i], ref_V[0])
+
+
+def test_float_tests_on_an_exact_jacobian(monkeypatch):
+    # f = -u makes J0 exact.  From a constant displacement at rest the
+    # predictor of a path whose first increment is tau meets the tolerance
+    # as it stands, and two 1e200 increments make another path's residual
+    # overflow at its predictor.
+    drift = PolynomialDrift([-1.0], alpha=0.0, lam=1.0)
+    space, tau, N = _space(8, drift), 0.02, 10
+    cfg = SchemeConfig(tau=tau, n_steps=N, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, drift, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, Constant(1.0), Constant(0.0))
+    paths = [sample_path(4, k, N, tau) for k in range(4)]
+    inc = paths[1].increments.copy()
+    inc[0] = tau
+    paths[1] = BrownianPath(tau, inc, 4, 1)
+    inc = paths[2].increments.copy()
+    inc[3:5] = 1e200
+    paths[2] = BrownianPath(tau, inc, 4, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = _assert_batch_matches_alone(stepper, paths, init)
+        with pytest.raises(NewtonDivergedError) as exc_info:
+            stepper.run(paths[2], init)
+    assert list(batch.samples) == [0, 1, 3] and list(batch.failures) == [2]
+    exc = batch.failures[2]
+    assert isinstance(exc, NewtonDivergedError) and exc.step == 4
+    assert len(exc.residual_history) == 1 and not np.isfinite(exc.residual_history[0])
+    assert exc_info.value.step == 4
+    assert batch.newton_iters[1, 0] == 0  # met the tolerance at the predictor
+    assert batch.newton_iters[0, 0] == batch.newton_iters[2, 0] == 1
+    clean = stepper.run(paths[:2] + paths[3:], init)
+    for name in SERIES:
+        assert np.array_equal(getattr(batch, name), getattr(clean, name)), name
+
+
 class _Plain:
     """A product object that applies its matrix with a plain ``@`` and counts."""
 
@@ -450,16 +512,19 @@ def _plain_products(stepper):
     return calls
 
 
-def _products_per_step(stepper, paths, init):
-    """The run's trajectory and, per step, the products it made."""
+def _products_per_step(monkeypatch, stepper, paths, init):
+    """The run's trajectory and, per step, the products it made: with
+    one-step windows the observer sees each node as soon as it is booked."""
+    _fix_window(monkeypatch, 1)
     calls = _plain_products(stepper)
     seen = []
-    traj = stepper.run(paths, init, observe=lambda n, *_: seen.append(dict(calls)))
+    traj = stepper.run(paths, init, observe=lambda n0, *_: seen.append(dict(calls)))
+    assert len(seen) == traj.l2sq.shape[-1]
     steps = [{k: b[k] - a[k] for k in b} for a, b in zip(seen, seen[1:])]
     return traj, steps
 
 
-def test_linear_step_applies_the_operators_three_times():
+def test_linear_step_applies_the_operators_three_times(monkeypatch):
     # predictor residual, the one exact correction's residual and M v: the
     # residual's stacked product also yields M c, K c and the quadrature
     # values whose drift load the residual subtracts
@@ -468,13 +533,13 @@ def test_linear_step_applies_the_operators_three_times():
     cfg = SchemeConfig(tau=0.01, n_steps=3)
     stepper = WaveStepper(space, drift, Diffusion.zero(), cfg)
     init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    traj, steps = _products_per_step(stepper, _zeros_path(0.01, 3), init)
+    traj, steps = _products_per_step(monkeypatch, stepper, _zeros_path(0.01, 3), init)
     assert list(traj.newton_iters) == [1, 1, 1]
     assert [d["W"] + d["mass_product"] for d in steps] == [3, 3, 3]
     assert [(d["load_product"], d["qpoint_product"]) for d in steps] == [(2, 0)] * 3
 
 
-def test_cubic_common_round_costs_one_stacked_and_one_load_product():
+def test_cubic_common_round_costs_one_stacked_and_one_load_product(monkeypatch):
     # each residual is one stacked product, which carries the quadrature
     # values, and one load of the drift; the step adds M v and the noise load
     space = _space(8)
@@ -482,7 +547,7 @@ def test_cubic_common_round_costs_one_stacked_and_one_load_product():
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
     paths = [sample_path(5, k, 6, 0.01) for k in range(2)]
-    traj, steps = _products_per_step(stepper, paths, init)
+    traj, steps = _products_per_step(monkeypatch, stepper, paths, init)
     assert not traj.failures
     assert np.array_equal(traj.newton_iters[1], traj.newton_iters[0])  # common rounds only
     for it, d in zip(traj.newton_iters[0], steps, strict=True):
@@ -501,9 +566,9 @@ def test_kernel_products_match_plain_matmul(dimension):
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     init = initial_state(space, h1, Constant(0.5))
     paths = [sample_path(13, k, 15, 0.02) for k in range(3)]
-    ref, ref_nodes = _run_nodes(stepper, paths, init)
+    ref, ref_nodes = observed_nodes(stepper, paths, init)
     calls = _plain_products(stepper)
-    traj, nodes = _run_nodes(stepper, paths, init)
+    traj, nodes = observed_nodes(stepper, paths, init)
     assert calls["W"] > 0 and calls["load_product"] > 0
     for name in SERIES:
         assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
@@ -525,7 +590,7 @@ def test_linear_wave_tracks_exact_solution():
         cfg = SchemeConfig(tau=tau, n_steps=N)
         stepper = WaveStepper(space, ZERO, Diffusion.zero(), cfg)
         st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-        _, U, _ = _run_states(stepper, _zeros_path(tau, N), st)
+        _, U, _ = run_states(stepper, _zeros_path(tau, N), st)
         xs = np.linspace(0, 1, 101)[:, None]
         err = np.abs(
             evaluate(FeFunction(space, U[-1]), xs) - exact.value(xs[:, 0], tau * N)
@@ -601,8 +666,8 @@ def test_deterministic_runs_seed_independent():
     cfg = SchemeConfig(tau=0.01, n_steps=20)
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    _, U1, _ = _run_states(stepper, sample_path(1, 0, 20, 0.01), st)
-    _, U2, _ = _run_states(stepper, sample_path(2, 5, 20, 0.01), st)
+    _, U1, _ = run_states(stepper, sample_path(1, 0, 20, 0.01), st)
+    _, U2, _ = run_states(stepper, sample_path(2, 5, 20, 0.01), st)
     assert U1.shape == (21, space.n_dofs)
     assert np.array_equal(U1, U2)
 
@@ -617,7 +682,7 @@ def test_mixed_primal_equivalence():
     stepper = WaveStepper(space, drift, g, cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     path = sample_path(3, 0, 10, tau)
-    _, U, V = _run_states(stepper, path, st)
+    _, U, V = run_states(stepper, path, st)
     M = space.mass
     K = space.stiffness
     for n in range(1, cfg.n_steps):
