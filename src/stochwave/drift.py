@@ -90,33 +90,50 @@ class PolynomialDrift:
         return acc
 
     def potential(self, u):
-        """V(u) = -sum a_j/(j+1) u^{j+1}."""
+        """V(u) = -sum a_j/(j+1) u^{j+1}, by Horner evaluation from the top
+        nonzero coefficient; zero coefficients add nothing and are skipped."""
         u = np.asarray(u, dtype=float)
-        acc = np.zeros_like(u)
+        acc = None
         for j in range(self.q, 0, -1):
-            acc = (acc - self.coeffs[j - 1] / (j + 1)) * u
-        return acc * u
+            aj = self.coeffs[j - 1]
+            if acc is not None:
+                if aj != 0.0:
+                    acc -= aj / (j + 1)
+                acc *= u
+            elif aj != 0.0:
+                acc = -(aj / (j + 1)) * u
+        if acc is None:
+            return np.zeros(u.shape)
+        acc *= u
+        return acc
 
     def potential_quotient(self, a, b):
         """The two-point slope -(V(a)-V(b))/(a-b), division-free.
 
         Equals sum_j a_j/(j+1) sum_{k=0..j} a^k b^{j-k}; the inner sum s_j
-        follows the recurrence s_j = b^j + a s_{j-1}.
+        follows the recurrence s_j = b^j + a s_{j-1}.  The powers, the sums
+        and the total are updated in place; the inputs are never written.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        bpow = b
-        s = a + b  # s_1; updated in place, the same arithmetic as bpow + a * s
-        total = np.zeros(s.shape)
+        s = a + b  # s_1
+        total = None
         for j in range(1, self.q + 1):
+            if j == 2:
+                bpow = b * b
+            elif j > 2:
+                bpow *= b
             if j > 1:
-                bpow = bpow * b
                 s *= a
                 s += bpow
             aj = self.coeffs[j - 1]
-            if aj != 0.0:
+            if aj == 0.0:
+                continue
+            if total is None:
+                total = (aj / (j + 1)) * s
+            else:
                 total += (aj / (j + 1)) * s
-        return total
+        return np.zeros(s.shape) if total is None else total
 
     def potential_quotient_da(self, a, b):
         """Partial derivative of potential_quotient with respect to ``a``."""

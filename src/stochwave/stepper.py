@@ -16,12 +16,16 @@ the zero state, J0 = M + tau^2 K - tau^2 w(0, 0) M, made once per stepper
 (w is the pointwise drift derivative: f' for `implicit`, the quotient's
 derivative in its first argument for `mcn`).  For a linear drift J0 is the
 exact Jacobian.  Otherwise chord iterates converge only linearly, so the
-iterate that first meets the tolerance gets one more frozen correction;
-stopping at the tolerance leaves rate-table rows ~1e-4 away from Newton's.
-A frozen correction that does not cut the residual by CHORD_CONTRACTION is
-rejected, and the step continues from the last accepted iterate with full
-Newton, which assembles and factors the analytic Jacobian on every
-iteration.  So every step that Newton alone solves is still solved.
+iterate that first meets the tolerance gets one more frozen correction,
+the polish: stopping at the tolerance leaves rate-table rows ~1e-4 away
+from Newton's.  An iterate whose residual is already at most
+POLISH_FRACTION of the tolerance gains nothing from it and skips it.
+Nothing reads the residual after the polish, so the polish is a frozen
+solve and one product with W (below) alone: no drift quotient, no load and
+no max-norm.  A frozen correction that does not cut the residual by
+CHORD_CONTRACTION is rejected, and the step continues from the last
+accepted iterate with full Newton, which assembles and factors the
+analytic Jacobian on every iteration.  So every step that Newton alone solves is still solved.
 
 Batches.  `WaveStepper.run` advances S samples (Brownian paths) from one
 initial state as a single block of coefficients, shape (n_dofs, S), one
@@ -51,8 +55,10 @@ comparison is the whole test, because every residual that enters a round
 is finite; the per-column masks and history are built only when the
 columns part.  Any other round uses per-sample masks to decide
 which columns take a further correction (residual above tolerance, or the
-extra correction still due) and which pass the CHORD_CONTRACTION test, and
-a sample whose frozen correction is rejected finishes the step alone with
+polish still due) and which pass the CHORD_CONTRACTION test.  A column that
+takes its polish is done, whatever the residual its round computes for
+the others; a round in which every column polishes computes none.  A
+sample whose frozen correction is rejected finishes the step alone with
 full Newton.  A sample that diverges, meets a non-finite residual or a
 LinearSolveError is dropped from the block and reported; the others go on.
 The quadrature values of the accepted iterate are carried forward as the
@@ -61,13 +67,15 @@ next step's u^n values.
 Energy bookkeeping.  The time loop only solves.  A `_Ledger` books each
 node by keeping references to the step's own arrays (u, v, W u, M v and the
 noise load), which nothing writes after their step.  A flush stacks the
-window sample-major, shape (window + 1, S, rows), slot 0 holding the last
-node already booked, and turns it into the L2, H1 and d_t norms, H and the
-energy-identity residuals at once.  The window holds at most BLOCK_POINTS
-doubles (and at least one step); it is flushed when full, before a failed
-sample is dropped, and at the end of the run.  An observer (see
-``Observer``) is fed from the same stack: node 0 when the march starts, then
-each flushed window whole, so no node is copied for it.
+window's nodes once, sample-major, shape (window, S, rows), without the
+rows of A u, and turns the stack into the L2, H1 and d_t norms, H and the
+energy-identity residuals at once; the steps into its first node are
+taken from the rows it kept of the previous flush's last node.  The
+window holds at most BLOCK_POINTS doubles (and at least one step); it is
+flushed when full, before a failed sample is dropped, and at the end of
+the run.  An observer (see ``Observer``) is fed from the same stack: node
+0 when the march starts, then each flushed window whole, so no node is
+copied for it.
 
 Batch independence: a sample's numbers are bit-identical whether it steps
 alone or inside any batch, so that outputs do not depend on how samples are
@@ -109,6 +117,10 @@ __all__ = [
 # A frozen correction must shrink the residual's max-norm at least this much
 # to be accepted.
 CHORD_CONTRACTION = 0.1
+
+# A chord iterate that meets the tolerance takes one more frozen correction
+# (the polish) unless its residual is already at most this fraction of it.
+POLISH_FRACTION = 0.01
 
 # Doubles per working block.  Measured per sample-step on one core (1D levels
 # 128 and 512, 2D levels 8 and 16): the cost falls with the batch until its
@@ -187,8 +199,8 @@ class Trajectory:
     positions and ``failures`` maps the position of every dropped sample to
     its error.  ``newton_iters`` holds, per step, the number of accepted
     corrections: frozen-Jacobian (chord) and full-Newton ones alike, the
-    extra chord correction included; rejected frozen corrections are not
-    counted.
+    polish included where it was taken (see POLISH_FRACTION); rejected
+    frozen corrections are not counted.
     """
 
     times: np.ndarray
@@ -317,13 +329,16 @@ class WaveStepper:
         # Common rounds: every column takes a frozen correction and accepts it.
         # Their tests compare Python floats, one per column, and a NaN fails
         # every comparison.  polish[j]: column j's extra correction is due;
-        # with an exact J0 none ever is.
+        # with an exact J0 none ever is.  A column that took it is done, and
+        # its residual is not read again.
         polish = None if exact else [False] * S
         due = sum(map(gt, r, tol))  # columns above tolerance; not a non-finite one
         taken = 0
         pending = None  # a round's trial that some column did not accept
         while due == S and taken < cfg.newton_max_iter:
             trial = C - self._frozen_solve(P[:n])
+            if not exact and all(polish):  # nothing reads the polish's residual
+                return trial, self.W(trial), taken + 1, {}
             Pt, rt = self._residual(trial, rhs, unq)
             new = rt.tolist()
             bound = [CHORD_CONTRACTION * x for x in r]
@@ -331,18 +346,22 @@ class WaveStepper:
                 ok = all(map(le, new, bound))
             else:
                 ok = all(
-                    (p or a <= b) and math.isfinite(a) for p, a, b in zip(polish, new, bound)
+                    p or (a <= b and math.isfinite(a)) for p, a, b in zip(polish, new, bound)
                 )
             if not ok:
                 pending = trial, Pt, rt
                 break
-            C, P, r = trial, Pt, new
+            C, P = trial, Pt
             norms.append(rt)
             taken += 1
             if exact:
+                r = new
                 due = sum(map(gt, r, tol))
             else:
-                polish = [not p and x <= t for p, x, t in zip(polish, r, tol)]
+                r = [x if p else y for p, x, y in zip(polish, r, new)]
+                polish = [
+                    not p and POLISH_FRACTION * t < x <= t for p, x, t in zip(polish, r, tol)
+                ]
                 due = sum(x > t or p for x, t, p in zip(r, tol, polish))
         # an accepted residual is finite, the predictor's may not be
         if pending is None and not due and (taken or all(map(math.isfinite, r))):
@@ -374,16 +393,22 @@ class WaveStepper:
             if not act.size:
                 break
             cols = slice(None) if act.size == S else act  # a view when full
+            pol = polish[act]
             if pending is not None:  # the last common round's, for every column
                 (trial, Pt, rt), pending = pending, None
             else:
                 trial = C[:, cols] - self._frozen_solve(P[:n, cols])
+                if pol.all():  # the polish alone, after which no column is active
+                    C[:, cols], P[:, cols] = trial, self.W(trial)
+                    iters[act] += 1
+                    break
                 sub_unq = None if unq is None else unq[:, cols]
                 Pt, rt = self._residual(trial, rhs[:, cols], sub_unq)
-            # written so that a NaN residual also rejects the frozen correction
-            accept = polish[cols] | (rt <= CHORD_CONTRACTION * rnorm[cols])
+            # a polishing column is done whatever its residual; for any other,
+            # a NaN residual also rejects the frozen correction
+            accept = pol | (rt <= CHORD_CONTRACTION * rnorm[cols])
             rounds.append((act[accept], rt[accept]))
-            ok = accept & np.isfinite(rt)
+            ok = accept & (pol | np.isfinite(rt))
             if ok.all():
                 j, ok = cols, slice(None)
             else:
@@ -391,8 +416,10 @@ class WaveStepper:
                     errors[j] = NewtonDivergedError(step, history(j))
                     failed[j] = True
                 j = act[ok]
-            polish[j] = ~(polish[j] | exact) & (rt[ok] <= tol[j])
-            C[:, j], P[:, j], rnorm[j] = trial[:, ok], Pt[:, ok], rt[ok]
+            done = pol[ok]
+            rn = np.where(done, rnorm[j], rt[ok])
+            polish[j] = ~(done | exact) & (POLISH_FRACTION * tol[j] < rn) & (rn <= tol[j])
+            C[:, j], P[:, j], rnorm[j] = trial[:, ok], Pt[:, ok], rn
             iters[j] += 1
             for j in act[~accept]:  # continues alone with full Newton
                 s = slice(j, j + 1)
@@ -541,24 +568,18 @@ class WaveStepper:
         )
 
 
-def _sample_major(blocks: list[np.ndarray], nodes: int) -> np.ndarray:
-    """Blocks of S columns, in node order with the same rows per node, as one
-    C-contiguous (nodes, S, rows per node) array."""
-    S = blocks[0].shape[1]
-    stacked = np.concatenate(blocks).reshape(nodes, -1, S)  # one C call, unlike np.stack
-    return np.ascontiguousarray(stacked.transpose(0, 2, 1))
-
-
 class _Ledger:
     """The norm and energy series of one march, reduced a window at a time.
 
-    ``held[i]`` keeps the step's own arrays of a node: u, v, W u (whose rows
-    give M u, K u and the quadrature values), M v and the load of g(u) that
-    drove the step into the node (None without noise).  They are never
-    written after their step, so booking a node copies nothing; a flush
-    stacks the window sample-major, shape (nodes, S, rows), and reduces it
-    at once.  ``held[0]`` is the last node already booked, whose H is
-    ``H_last``.  The series rows are batch positions; ``live`` lists those
+    ``held`` keeps, per node not yet reduced, views of the step's own
+    arrays: u, v, M v, the rows of W u but A u's (M u, K u and the
+    quadrature values) and the load of g(u) that drove the step into the
+    node (left out without noise).  They are never written after their
+    step, so booking a node copies nothing.  A flush stacks the held nodes
+    once, sample-major, and reduces them at once.  Of the last node reduced
+    it keeps the u, v, M v, M u and K u rows (``last``, shape
+    (S, 5 n_dofs)) and H (``H_last``), which the next flush differences
+    against.  The series rows are batch positions; ``live`` lists those
     still running, ``rows`` indexes their series rows (all of them until a
     sample is dropped) and ``dW`` holds their increments.  The observer, if
     any, sees node 0 at once and every later node at the flush that reduces
@@ -578,64 +599,64 @@ class _Ledger:
         self.wdet = stepper.space.wdet.ravel()
         self.potential = None if stepper._drift_is_zero else stepper.drift.potential
         self.noisy = stepper._noisy
+        self.q_rows = slice(5 * n, P.shape[0] + 2 * n)  # of a stacked node
         per_node = P.shape[0] + n * (4 if self.noisy else 3)  # doubles held per sample
         self.window = max(1, min(N, BLOCK_POINTS // (S * per_node) - 1))
-        self.held = [(U, V, P, MV, None)]
-        self.n0 = 0  # the node of held[0]
-        U, V, P, MV = self._split(_sample_major([U, V, P, MV], 1))
-        l2, h1, dt, H = self._norms(U, V, P, MV)
+        self.held = []
+        self.n0 = 0  # the node of ``last``
+        X = _sample_major([(U, V, MV, P[n:])])
+        l2, h1, dt, H = self._norms(X)
         self.series[:, :, 0] = l2[0], h1[0], dt[0], H[0]
-        self.H_last = H[0]
+        self.last, self.H_last = X[0, :, : 5 * n], H[0]
         if observe is not None:
-            observe(0, self.live, U, V)
+            observe(0, self.live, X[..., :n], X[..., n : 2 * n])
 
-    def _split(self, X: np.ndarray):
-        """The u, v, W u and M v views of sample-major nodes."""
-        n = self.n
-        return X[..., :n], X[..., n : 2 * n], X[..., 2 * n : -n], X[..., -n:]
-
-    def _norms(self, U, V, P, MV):
-        """Squared L2, H1 and d_t norms and H, shape (nodes, S), of
-        sample-major nodes."""
-        n = self.n
-        l2 = (U * P[:, :, n : 2 * n]).sum(axis=-1)
-        h1 = (U * P[:, :, 2 * n : 3 * n]).sum(axis=-1)
+    def _norms(self, X):
+        """Squared L2, H1 and d_t norms and H, shape (nodes, S), of stacked
+        nodes."""
+        U, V, MV, MU, KU = (X[..., i * self.n : (i + 1) * self.n] for i in range(5))
+        l2 = (U * MU).sum(axis=-1)
+        h1 = (U * KU).sum(axis=-1)
         dt = (V * MV).sum(axis=-1)
         H = 0.5 * dt + 0.5 * h1
         if self.potential is not None:
-            H = H + (self.wdet * self.potential(P[:, :, 3 * n :])).sum(axis=-1)
+            H = H + (self.wdet * self.potential(X[..., self.q_rows])).sum(axis=-1)
         return l2, h1, dt, H
 
     def book(self, step: int, C, V, P, MV, noise, iters) -> None:
         """Hold the node that ``step`` reached; flush when the window is full."""
         self.iters[self.rows, step] = iters
-        self.held.append((C, V, P, MV, noise))
-        if len(self.held) > self.window:
+        node = (C, V, MV, P[self.n :])
+        self.held.append(node if noise is None else node + (noise,))
+        if len(self.held) >= self.window:
             self.flush()
 
     def flush(self) -> None:
-        """Reduce the held nodes into the series; the last becomes held[0]."""
-        held, n = self.held, self.n
-        k = len(held) - 1  # the steps held
+        """Reduce the held nodes into the series; keep the last one's rows."""
+        k, n = len(self.held), self.n
         if not k:
             return
-        U, V, P, MV = self._split(_sample_major([X for node in held for X in node[:4]], k + 1))
+        X = _sample_major(self.held)
+        U, V = X[..., :n], X[..., n : 2 * n]
         if self.observe is not None:
-            self.observe(self.n0 + 1, self.live, U[1:], V[1:])
-        l2, h1, dt, H = self._norms(U[1:], V[1:], P[1:], MV[1:])
+            self.observe(self.n0 + 1, self.live, U, V)
+        l2, h1, dt, H = self._norms(X)
         a, b = self.n0 + 1, self.n0 + k + 1
         for i, x in enumerate((l2, h1, dt, H)):
             self.series[i, self.rows, a:b] = x.T
-        KU = P[:, :, 2 * n : 3 * n]
-        dU, dV, dKU, dMV = (X[1:] - X[:-1] for X in (U, V, KU, MV))
+        kept = X[..., : 5 * n]
+        D = np.empty(kept.shape)  # the steps of the kept rows
+        np.subtract(kept[0], self.last, out=D[0])
+        np.subtract(kept[1:], kept[:-1], out=D[1:])
+        dU, dV, dMV, _, dKU = (D[..., i * n : (i + 1) * n] for i in range(5))
         Hprev = np.concatenate([self.H_last[None], H[:-1]])
         resid = H - Hprev + 0.5 * (dV * dMV).sum(axis=-1) + 0.5 * (dU * dKU).sum(axis=-1)
         if self.noisy:
-            gain = (_sample_major([x[4] for x in held[1:]], k) * V[1:]).sum(axis=-1)
+            gain = (X[..., -n:] * V).sum(axis=-1)
             resid -= gain * self.dW[:, a - 1 : b - 1].T
         self.resid[self.rows, a - 1 : b - 1] = resid.T
-        self.H_last = H[-1]
-        self.held = held[-1:]
+        self.last, self.H_last = kept[-1], H[-1]
+        self.held = []
         self.n0 = b - 1
 
     def drop(self, keep: np.ndarray) -> None:
@@ -643,5 +664,12 @@ class _Ledger:
         self.flush()
         self.live = self.rows = self.live[keep]
         self.dW = self.dW[keep]
-        self.H_last = self.H_last[keep]
-        self.held = [tuple(None if X is None else X[:, keep] for X in self.held[0])]
+        self.last, self.H_last = self.last[keep], self.H_last[keep]
+
+
+def _sample_major(nodes: list[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Nodes of blocks of S columns, with the same rows per node, as one
+    C-contiguous (nodes, S, rows per node) array."""
+    S = nodes[0][0].shape[1]
+    stacked = np.concatenate([X for node in nodes for X in node])  # one C call, unlike np.stack
+    return np.ascontiguousarray(stacked.reshape(len(nodes), -1, S).transpose(0, 2, 1))

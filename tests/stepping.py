@@ -1,4 +1,5 @@
-"""Test helpers that step through `WaveStepper.run` and read its observer."""
+"""Test helpers that step through `WaveStepper.run` and read its observer,
+and plain reference versions of the drift kernels the stepper calls."""
 
 import numpy as np
 
@@ -38,3 +39,31 @@ def one_step(stepper, state: State, dW: float) -> State:
     _, U, V = run_states(stepper, path, state)
     space = stepper.space
     return State(state.n + 1, FeFunction(space, U[1]), FeFunction(space, V[1]))
+
+
+def reference_potential(drift, u):
+    """V(u) = -sum a_j/(j+1) u^{j+1} by plain Horner evaluation from zero."""
+    u = np.asarray(u, dtype=float)
+    acc = np.zeros_like(u)
+    for j in range(drift.q, 0, -1):
+        acc = (acc - drift.coeffs[j - 1] / (j + 1)) * u
+    return acc * u
+
+
+def reference_potential_quotient(drift, a, b):
+    """-(V(a)-V(b))/(a-b) through the recurrence s_j = b^j + a s_{j-1},
+    summed into a zero total."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    bpow = b
+    s = a + b
+    total = np.zeros(s.shape)
+    for j in range(1, drift.q + 1):
+        if j > 1:
+            bpow = bpow * b
+            s *= a
+            s += bpow
+        aj = drift.coeffs[j - 1]
+        if aj != 0.0:
+            total += (aj / (j + 1)) * s
+    return total

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from stochwave.drift import FULLY_IMPLICIT, MODIFIED_CN, PolynomialDrift
+from stepping import reference_potential, reference_potential_quotient
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)  # f = -u - u^3
 DEG11 = PolynomialDrift([-1.0] + [0.0] * 9 + [-1.0], alpha=1.0, lam=1.0 / 6.0)
+DEG7 = PolynomialDrift([-1.0] + [0.0] * 5 + [-1.0], alpha=1.0, lam=0.25)
 
 
 def test_value_cubic():
@@ -179,3 +181,33 @@ def test_flags():
     assert PolynomialDrift([0.0]).is_zero
     assert PolynomialDrift([-2.0]).is_linear
     assert not CUBIC.is_linear
+
+
+@pytest.mark.parametrize(
+    "drift",
+    [
+        CUBIC,
+        DEG7,
+        DEG11,
+        PolynomialDrift([0.5, -1.0, 0.25, 0.0, -2.0]),
+        PolynomialDrift([-1.0], lam=1.0),
+        PolynomialDrift([0.0]),
+    ],
+    ids=["cubic", "deg7", "deg11", "dense-deg5", "linear", "zero"],
+)
+def test_kernels_keep_the_bits_of_plain_horner(drift):
+    # strided views, as the stepper and the ledger pass them, with exact
+    # zeros and the diagonal a == b among the points
+    rng = np.random.default_rng(7)
+    base = rng.normal(scale=1.5, size=(2, 5, 4, 13))
+    base[:, :, 0, :3] = 0.0
+    base[1, :, :, ::4] = base[0, :, :, ::4]
+    a, b = base[0, :, :, 1:12], base[1, :, :, 1:12]
+    before = base.copy()
+    for u in (a, b, 0.7, 0.0):
+        assert np.array_equal(drift.potential(u), reference_potential(drift, u))
+    for x, y in ((a, b), (b, a), (a, a), (1.7, 0.3), (0.0, 0.0)):
+        assert np.array_equal(
+            drift.potential_quotient(x, y), reference_potential_quotient(drift, x, y)
+        )
+    assert np.array_equal(base, before)  # neither kernel writes into its inputs

@@ -20,6 +20,7 @@ from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
 from stochwave.metrics import quadrature_degree_for
 from stochwave.noise import BrownianPath, sample_path
 from stochwave.stepper import (
+    POLISH_FRACTION,
     NewtonDivergedError,
     SchemeConfig,
     WaveStepper,
@@ -457,6 +458,57 @@ def test_observer_sees_every_node_once_in_order(monkeypatch, length):
             assert np.array_equal(U[i], ref_U[0]) and np.array_equal(V[i], ref_V[0])
 
 
+def test_windows_agree_across_a_drop_and_keep_only_live_rows(monkeypatch):
+    # sample 1 fails at step 30, inside the second default window and the
+    # first N-step one
+    space, N, F = _space(16), 40, 30
+    n = space.n_dofs
+    cfg = SchemeConfig(tau=0.01, n_steps=N, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
+    paths = [sample_path(11, k, N, 0.01) for k in range(4)]
+    clean = stepper.run(paths[:1] + paths[2:], init)
+    inc = paths[1].increments.copy()
+    inc[F] = 1e200
+    paths[1] = BrownianPath(0.01, inc, 11, 1)
+    kept = []
+
+    class Checked(stochwave.stepper._Ledger):
+        def drop(self, keep):
+            super().drop(keep)
+            kept.append((self.n0, self.live.copy(), self.last.copy(), self.window))
+
+    runs = []
+    for length in (1, None, N):
+        monkeypatch.setattr(stochwave.stepper, "_Ledger", Checked)
+        if length is not None:
+            _fix_window(monkeypatch, length)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj, nodes = observed_nodes(stepper, paths, init)
+        assert list(traj.failures) == [1] and traj.failures[1].step == F
+        ((n0, live, last, window),) = kept[len(runs) :]
+        # the last node's rows after the drop: u, v, M v, M u and K u of the
+        # live samples only
+        assert n0 == F and list(live) == [0, 2, 3] and last.shape == (3, 5 * n)
+        _, U, V = nodes[F]
+        cols = [0, 2, 3]
+        assert np.array_equal(last[:, :n], U[:, cols].T)
+        assert np.array_equal(last[:, n : 2 * n], V[:, cols].T)
+        assert np.array_equal(last[:, 2 * n : 3 * n], stepper.mass_product(V[:, cols]).T)
+        assert np.array_equal(last[:, 3 * n :], stepper.W(U[:, cols])[n : 3 * n].T)
+        runs.append((traj, nodes, window))
+    default = runs[1][2]
+    assert [w for *_, w in runs] == [1, default, N] and 1 < default < F and F % default
+    (ref, ref_nodes, _), *others = runs
+    for traj, nodes, _ in others:
+        for name in SERIES:
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+        for got, want in zip(nodes, ref_nodes, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for name in SERIES:  # nothing of the dropped sample reaches the others
+        assert np.array_equal(getattr(ref, name), getattr(clean, name)), name
+
+
 def test_float_tests_on_an_exact_jacobian(monkeypatch):
     # f = -u makes J0 exact.  From a constant displacement at rest the
     # predictor of a path whose first increment is tau meets the tolerance
@@ -513,14 +565,32 @@ def _plain_products(stepper):
 
 
 def _products_per_step(monkeypatch, stepper, paths, init):
-    """The run's trajectory and, per step, the products it made: with
-    one-step windows the observer sees each node as soon as it is booked."""
+    """The run's trajectory and, per step, the products it made, its drift
+    evaluations ("drift") and the max-norms of the residuals it computed
+    ("norms", one list per residual): with one-step windows the observer
+    sees each node as soon as it is booked."""
     _fix_window(monkeypatch, 1)
     calls = _plain_products(stepper)
+    calls["drift"], norms = 0, []
+    drift_values, residual = stepper._drift_values, stepper._residual
+
+    def counted(*args):
+        calls["drift"] += 1
+        return drift_values(*args)
+
+    def logged(*args):
+        P, rn = residual(*args)
+        norms.append(rn.tolist())
+        return P, rn
+
+    stepper._drift_values, stepper._residual = counted, logged
     seen = []
-    traj = stepper.run(paths, init, observe=lambda n0, *_: seen.append(dict(calls)))
+    traj = stepper.run(paths, init, observe=lambda n0, *_: seen.append((dict(calls), len(norms))))
     assert len(seen) == traj.l2sq.shape[-1]
-    steps = [{k: b[k] - a[k] for k in b} for a, b in zip(seen, seen[1:])]
+    steps = [
+        {**{k: b[k] - a[k] for k in b}, "norms": norms[i:j]}
+        for (a, i), (b, j) in zip(seen, seen[1:])
+    ]
     return traj, steps
 
 
@@ -539,9 +609,14 @@ def test_linear_step_applies_the_operators_three_times(monkeypatch):
     assert [(d["load_product"], d["qpoint_product"]) for d in steps] == [(2, 0)] * 3
 
 
+def _tolerance(cfg, r0):
+    return max(cfg.newton_abs_tol, cfg.newton_rel_tol * r0)
+
+
 def test_cubic_common_round_costs_one_stacked_and_one_load_product(monkeypatch):
     # each residual is one stacked product, which carries the quadrature
-    # values, and one load of the drift; the step adds M v and the noise load
+    # values, and one load of the drift; the polish, if due, is one stacked
+    # product alone; the step adds M v and the noise load
     space = _space(8)
     cfg = SchemeConfig(tau=0.01, n_steps=6)
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
@@ -550,9 +625,56 @@ def test_cubic_common_round_costs_one_stacked_and_one_load_product(monkeypatch):
     traj, steps = _products_per_step(monkeypatch, stepper, paths, init)
     assert not traj.failures
     assert np.array_equal(traj.newton_iters[1], traj.newton_iters[0])  # common rounds only
+    polished = []
     for it, d in zip(traj.newton_iters[0], steps, strict=True):
-        assert it >= 2  # the cubic's chord iterates take the extra correction
-        assert d == {"W": 1 + it, "mass_product": 1, "load_product": 2 + it, "qpoint_product": 0}
+        norms = d.pop("norms")
+        tol = [_tolerance(cfg, r) for r in norms[0]]
+        assert all(x <= t for x, t in zip(norms[-1], tol))
+        (polish,) = {POLISH_FRACTION * t < x for x, t in zip(norms[-1], tol)}
+        corrections = len(norms) - 1  # every residual but the predictor's
+        assert corrections >= 1 and it == corrections + polish
+        polished.append(polish)
+        assert d == {
+            "W": 1 + it,
+            "mass_product": 1,
+            "load_product": 2 + corrections,
+            "qpoint_product": 0,
+            "drift": 1 + corrections,
+        }
+    assert any(polished)
+
+
+# One sample, one step of the cubic: its chord iterates meet the tolerance
+# after two corrections, at about 0.002 tol on path 3 and 0.37 tol on path 0.
+POLISH_CASES = {"skips": (3, False), "takes": (0, True)}
+
+
+def _one_step_cubic():
+    space = _space(8)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), SchemeConfig(tau=0.01, n_steps=1))
+    return stepper, initial_state(space, CosineProduct(kx=1), Constant(0.5))
+
+
+@pytest.mark.parametrize("case", POLISH_CASES)
+def test_polish_only_when_due(monkeypatch, case):
+    seed, takes = POLISH_CASES[case]
+    stepper, init = _one_step_cubic()
+    traj, (d,) = _products_per_step(monkeypatch, stepper, [sample_path(seed, 0, 1, 0.01)], init)
+    (r0,), *_, (r,) = d["norms"]
+    tol = _tolerance(stepper.config, r0)
+    assert r <= tol and (r > POLISH_FRACTION * tol) == takes
+    corrections = len(d["norms"]) - 1
+    assert corrections == 2 and traj.newton_iters[0, 0] == corrections + takes
+    # the polish is one frozen solve and one stacked product: no drift, no load
+    assert d["W"] == 1 + corrections + takes
+    assert d["drift"] == 1 + corrections and d["load_product"] == 2 + corrections
+
+
+def test_polish_skip_and_take_in_one_batch_equal_their_runs_alone():
+    stepper, init = _one_step_cubic()
+    paths = [sample_path(seed, 0, 1, 0.01) for seed, _ in POLISH_CASES.values()]
+    batch = _assert_batch_matches_alone(stepper, paths, init)
+    assert list(batch.newton_iters[:, 0]) == [2, 3]
 
 
 @pytest.mark.parametrize("dimension", [1, 2], ids=["mcn-cubic-1d", "p1-2d"])
