@@ -7,13 +7,7 @@ from .fem import (
     FeSpace,
     assemble_mass,
     assemble_stiffness,
-    assemble_pointwise_load,
-    evaluate,
-    interpolate,
     l2_project,
-    norm_l2,
-    seminorm_h1,
-    transfer_to_fine,
 )
 from .drift import FULLY_IMPLICIT, MODIFIED_CN, PolynomialDrift
 from .diffusion import Diffusion
@@ -24,7 +18,6 @@ from .stepper import (
     State,
     Trajectory,
     WaveStepper,
-    hamiltonian,
     initial_state,
 )
 from .ensemble import EnsembleStats, ProblemSpec, StabilityStudy, run_ensemble, subset_fraction
@@ -34,7 +27,6 @@ from .metrics import (
     RateStudy,
     analytic_error_table,
     convergence_table,
-    error_norms,
     sup_rms,
 )
 from .experiments import (

@@ -40,6 +40,10 @@ __all__ = [
     "subset_fraction",
 ]
 
+# A study fails as a whole when more than this fraction of its samples fail.
+MAX_FAILURE_FRACTION = 0.10
+
+
 def sample_blocks(n_samples: int, workers: int, points_per_sample: int) -> list[range]:
     """Contiguous index blocks, enough for every worker.
 
@@ -134,8 +138,8 @@ class ProblemSpec:
         """Spaces at the given resolutions, on meshes refined from the coarsest.
 
         Every level must be the coarsest one times a power of two, as on a
-        checked ladder and its reference, so each finer mesh descends from
-        the coarser ones and transfers between them are exact.
+        checked ladder and its reference, so each finer mesh refines the
+        coarser ones and transfers between them are exact.
         """
         levels = sorted(set(levels))
         build = build_interval_mesh if self.dimension == 1 else build_unit_square_tri_mesh
@@ -187,13 +191,12 @@ def map_samples(
     n_samples: int,
     threads: int,
     points_per_sample: int,
-    max_failure_fraction: float,
 ) -> tuple[list[SampleRecord], int]:
     """Run ``batch((payload, block))`` over contiguous sample blocks.
 
     Returns the finished samples' records in index order and the number of
     failed samples.  Raises EnsembleFailureError when more than
-    ``max_failure_fraction`` of the samples failed, or all of them did.
+    MAX_FAILURE_FRACTION of the samples failed, or all of them did.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -204,7 +207,7 @@ def map_samples(
     )
     failed = [r for r in records if r.failure is not None]
     good = [r for r in records if r.failure is None]
-    if len(failed) > max_failure_fraction * n_samples or not good:
+    if len(failed) > MAX_FAILURE_FRACTION * n_samples or not good:
         raise EnsembleFailureError(
             f"{len(failed)}/{n_samples} samples failed; first: {failed[0].failure}"
         )
@@ -263,8 +266,6 @@ class EnsembleStats:
     # per-sample series, one row per finished sample (for subset curves)
     sample_l2sq: np.ndarray = field(repr=False)
     sample_h1sq: np.ndarray = field(repr=False)
-    sample_dtl2sq: np.ndarray = field(repr=False)
-    sample_H: np.ndarray = field(repr=False)
 
 
 def run_ensemble(
@@ -272,7 +273,6 @@ def run_ensemble(
     study: StabilityStudy,
     n_samples: int,
     threads: int,
-    max_failure_fraction: float = 0.10,
 ) -> EnsembleStats:
     """Run n_samples independent trajectories at the study's level and step,
     and aggregate statistics.
@@ -283,7 +283,7 @@ def run_ensemble(
     cfg = problem.scheme_config(study.tau, study.T)
     good, n_failed = map_samples(
         _run_batch, (problem, study), n_samples, threads,
-        problem.points_per_sample(study.level), max_failure_fraction,
+        problem.points_per_sample(study.level),
     )
     l2, h1s, dt, H = (np.stack(series) for series in zip(*(r.series for r in good)))
     n = len(good)
@@ -311,25 +311,16 @@ def run_ensemble(
         max_energy_violation=max(r.violation for r in good),
         sample_l2sq=l2,
         sample_h1sq=h1s,
-        sample_dtl2sq=dt,
-        sample_H=H,
     )
 
 
-def subset_fraction(
-    h1_full_sq: np.ndarray,
-    kappa: float,
-    ref_h1_full_sq: np.ndarray | None = None,
-) -> np.ndarray:
+def subset_fraction(h1_full_sq: np.ndarray, kappa: float) -> np.ndarray:
     """Fraction of samples whose running-max squared H1 norms stay below kappa.
 
     ``h1_full_sq`` is (n_samples, n_nodes) of ||u||_{L2}^2 + ||grad u||_{L2}^2
-    for the discrete solution; the optional reference series stands in for the
-    strong solution.  Returns the per-node fraction curve.
+    for the discrete solution.  Returns the per-node fraction curve.
     """
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     running = np.maximum.accumulate(h1_full_sq, axis=1)
-    if ref_h1_full_sq is not None:
-        running = running + np.maximum.accumulate(ref_h1_full_sq, axis=1)
     return (running <= kappa).mean(axis=0)

@@ -1,10 +1,10 @@
 """Lagrange finite element spaces on structured meshes.
 
-Provides P1/P2 spaces, mass/stiffness/load assembly, L2 projection,
-interpolation, point evaluation, quadrature norms, and exact transfer between
-nested meshes.  Neumann boundary conditions are natural: no dof is ever
-constrained.  `CsrProduct` applies a sparse operator to a dense block through
-scipy's compiled CSR kernel, without the dispatch of ``@``.
+Provides P1/P2 spaces, mass/stiffness/load assembly, L2 projection and the
+exact transfer matrix between nested meshes.  Neumann boundary conditions
+are natural: no dof is ever constrained.  `CsrProduct` applies a sparse
+operator to a dense block through scipy's compiled CSR kernel, without the
+dispatch of ``@``.
 """
 
 from __future__ import annotations
@@ -28,15 +28,9 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "assemble_weighted_mass",
-    "assemble_pointwise_load",
     "load_vector",
     "l2_project",
-    "interpolate",
-    "evaluate",
-    "norm_l2",
-    "seminorm_h1",
     "transfer_matrix",
-    "transfer_to_fine",
 ]
 
 
@@ -181,7 +175,6 @@ class FeSpace:
             self._init_interval()
         else:
             self._init_triangles()
-        self._transfer_cache: dict[int, sp.csr_matrix] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -320,10 +313,6 @@ class FeSpace:
         """
         return self.qpoint_product(coeffs).reshape(self.wdet.shape + coeffs.shape[1:])
 
-    def qpoint_load(self, vals: np.ndarray) -> np.ndarray:
-        """b[i] = quadrature of vals * phi_i, for vals shaped as values_at_qpoints returns."""
-        return self.load_product(vals.reshape((self.wdet.size,) + vals.shape[2:]))
-
 
 @dataclass
 class FeFunction:
@@ -371,25 +360,14 @@ def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     return space._scatter_matrix(_symmetrize(local))
 
 
-def assemble_pointwise_load(
-    space: FeSpace, fn: Callable, *states: FeFunction
-) -> np.ndarray:
-    """b[i] = integral of fn(state values at x) phi_i(x), by quadrature.
-
-    ``fn`` is applied to the quadrature-point values of the given states (one
-    array per state) and must vectorize over numpy arrays.
-    """
-    return space.qpoint_load(fn(*(space.values_at_qpoints(s.coeffs) for s in states)))
-
-
 def load_vector(space: FeSpace, field: Callable) -> np.ndarray:
     """b[i] = integral of field(x) phi_i(x) for a pointwise coordinate field."""
     pts = space.qpoints.reshape(-1, space.mesh.dimension)
-    return space.qpoint_load(_eval_field(field, pts))
+    return space.load_product(_eval_field(field, pts))
 
 
 # ---------------------------------------------------------------------------
-# Projection and interpolation
+# Projection
 # ---------------------------------------------------------------------------
 
 def l2_project(space: FeSpace, field: Callable) -> FeFunction:
@@ -397,27 +375,8 @@ def l2_project(space: FeSpace, field: Callable) -> FeFunction:
     return FeFunction(space, space.mass_solve(load_vector(space, field)))
 
 
-def interpolate(space: FeSpace, field: Callable) -> FeFunction:
-    """Nodal interpolant (coefficients = field values at dof coordinates)."""
-    return FeFunction(space, _eval_field(field, space.dof_coords))
-
-
 # ---------------------------------------------------------------------------
-# Norms
-# ---------------------------------------------------------------------------
-
-def norm_l2(u: FeFunction) -> float:
-    c = u.coeffs
-    return float(np.sqrt(max(0.0, c @ (u.space.mass @ c))))
-
-
-def seminorm_h1(u: FeFunction) -> float:
-    c = u.coeffs
-    return float(np.sqrt(max(0.0, c @ (u.space.stiffness @ c))))
-
-
-# ---------------------------------------------------------------------------
-# Point evaluation and nested transfer
+# Nested transfer
 # ---------------------------------------------------------------------------
 
 def _locate(mesh: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,24 +401,8 @@ def _locate(mesh: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cell, np.column_stack([loc_xi, loc_eta])
 
 
-def evaluate(u: FeFunction, points: np.ndarray) -> np.ndarray:
-    """Evaluate a finite element function at arbitrary points of the domain."""
-    space = u.space
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    cell, loc = _locate(space.mesh, points)
-    if space.mesh.dimension == 1:
-        basis = _basis_1d(space.degree, loc[:, 0])
-    else:
-        basis = _basis_tri(space.degree, loc[:, 0], loc[:, 1])
-    return np.einsum("pl,pl->p", u.coeffs[space.cell_dofs[cell]], basis)
-
-
 def transfer_matrix(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
     """Prolongation E with (E c)_p = u_c(fine dof point p); exact by nesting."""
-    key = id(coarse)
-    cached = fine._transfer_cache.get(key)
-    if cached is not None:
-        return cached
     pts = fine.dof_coords
     cell, loc = _locate(coarse.mesh, pts)
     if coarse.mesh.dimension == 1:
@@ -469,20 +412,6 @@ def transfer_matrix(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
     npts, nl = basis.shape
     rows = np.repeat(np.arange(npts), nl)
     cols = coarse.cell_dofs[cell].ravel()
-    E = sp.coo_matrix(
+    return sp.coo_matrix(
         (basis.ravel(), (rows, cols)), shape=(fine.n_dofs, coarse.n_dofs)
     ).tocsr()
-    fine._transfer_cache[key] = E
-    return E
-
-
-def transfer_to_fine(u_coarse: FeFunction, fine: FeSpace) -> FeFunction:
-    """Represent a coarse function exactly on a nested finer space."""
-    coarse = u_coarse.space
-    if coarse is fine:
-        return FeFunction(fine, u_coarse.coeffs.copy())
-    if fine.degree != coarse.degree:
-        raise ValueError("transfer requires matching polynomial degree")
-    if not fine.mesh.descends_from(coarse.mesh):
-        raise ValueError("target mesh does not descend from the source mesh")
-    return FeFunction(fine, transfer_matrix(coarse, fine) @ u_coarse.coeffs)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,7 @@ class Mesh:
     1D cells are vertex-index pairs, 2D cells are counterclockwise vertex-index
     triples obtained by splitting each lattice square along the same diagonal.
     ``resolution`` is the number of cells per side, so vertices sit exactly on
-    the lattice k/resolution.  Meshes are immutable; ``parent`` records the
-    refinement lineage used by nested-transfer checks.
+    the lattice k/resolution.  Meshes are immutable.
     """
 
     dimension: int
@@ -30,7 +29,6 @@ class Mesh:
     cells: np.ndarray  # (n_cells, dimension + 1) int
     h: float
     resolution: int
-    parent: "Mesh | None" = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -39,15 +37,6 @@ class Mesh:
     @property
     def n_cells(self) -> int:
         return self.cells.shape[0]
-
-    def descends_from(self, other: "Mesh") -> bool:
-        """True if ``other`` appears in this mesh's refinement lineage (or is self)."""
-        m: Mesh | None = self
-        while m is not None:
-            if m is other:
-                return True
-            m = m.parent
-        return False
 
 
 def build_interval_mesh(n_cells: int) -> Mesh:
@@ -86,13 +75,9 @@ def build_unit_square_tri_mesh(n_per_side: int) -> Mesh:
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Halve every cell: 1D bisection, 2D split into 4 congruent children.
 
-    The child is rebuilt on the doubled lattice so parent vertex coordinates
-    are reproduced bit-identically (k/n == 2k/(2n) in IEEE arithmetic).
+    The finer mesh is built on the doubled lattice, so the coarse vertex
+    coordinates are reproduced bit-identically (k/n == 2k/(2n) in IEEE
+    arithmetic).
     """
-    if mesh.dimension == 1:
-        child = build_interval_mesh(2 * mesh.resolution)
-    else:
-        child = build_unit_square_tri_mesh(2 * mesh.resolution)
-    return Mesh(
-        child.dimension, child.vertices, child.cells, child.h, child.resolution, mesh
-    )
+    build = build_interval_mesh if mesh.dimension == 1 else build_unit_square_tri_mesh
+    return build(2 * mesh.resolution)

@@ -33,7 +33,6 @@ __all__ = [
     "RateStudy",
     "AnalyticStudy",
     "ErrorTable",
-    "error_norms",
     "sup_rms",
     "convergence_table",
     "analytic_problems",
@@ -79,37 +78,6 @@ def _error_products(space: FeSpace) -> tuple[CsrProduct, CsrProduct]:
     """The stacked [M; K] and M products that `_error_sq` measures with."""
     M = space.mass
     return CsrProduct(sp.vstack([M, space.stiffness], format="csr")), CsrProduct(M)
-
-
-def error_norms(
-    coarse: tuple[np.ndarray, np.ndarray],
-    ref: tuple[np.ndarray, np.ndarray],
-    coarse_space: FeSpace,
-    ref_space: FeSpace,
-    tau_coarse: float,
-    tau_ref: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node (L2, H1-seminorm, d_t L2) error norms of one coupled pair.
-
-    ``coarse`` and ``ref`` are (U, V) coefficient stacks, row n holding the
-    displacement or velocity at time node n.  The coarse solution is lifted
-    to the reference space.  The d_t series is the mixed-form velocity error
-    at the shared nodes, starting at node 1.
-    """
-    factor = round(tau_coarse / tau_ref)
-    if factor < 1 or not math.isclose(factor * tau_ref, tau_coarse, rel_tol=1e-9):
-        raise ValueError(f"tau_ref={tau_ref} must divide tau_coarse={tau_coarse}")
-    (Uc, Vc), (Ur, Vr) = coarse, ref
-    Ur, Vr = Ur[::factor], Vr[::factor]
-    if Uc.shape[0] != Ur.shape[0]:
-        raise ValueError("trajectories do not cover the same time span")
-    E = None
-    if coarse_space is not ref_space:
-        if not ref_space.mesh.descends_from(coarse_space.mesh):
-            raise ValueError("reference mesh does not descend from the coarse mesh")
-        E = CsrProduct(transfer_matrix(coarse_space, ref_space))
-    l2sq, h1sq, dtl2sq = _error_sq(E, Uc.T, Vc.T, Ur.T, Vr.T, *_error_products(ref_space))
-    return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(dtl2sq[1:])
 
 
 def sup_rms(squared: np.ndarray) -> float:
@@ -266,7 +234,6 @@ def convergence_table(
     study: RateStudy,
     n_samples: int,
     threads: int,
-    max_failure_fraction: float = 0.10,
 ) -> ErrorTable:
     """Coupled-reference convergence study over the study's halving ladder.
 
@@ -293,7 +260,7 @@ def convergence_table(
     )
     good, n_failed = map_samples(
         _rate_batch, (problem, runs), n_samples, threads,
-        problem.points_per_sample(ref_level), max_failure_fraction,
+        problem.points_per_sample(ref_level),
     )
     l2, h1_err, dtl2 = (
         np.array([sup_rms(np.stack([r.series[k][j] for r in good])) for k in range(len(row_keys))])

@@ -11,8 +11,11 @@ keeps the two-step history u^{n-1} = u^n - tau v^n implicit in the state.
 
 The solver is the chord method (Kelley, *Iterative Methods for Linear and
 Nonlinear Equations*, SIAM 1995, ch. 5): starting from the explicit predictor
-u^n + tau v^n, every correction reuses one factor of the Jacobian frozen at
-the zero state, J0 = M + tau^2 K - tau^2 w(0, 0) M, made once per stepper
+u^n + tau v^n, a column meets the tolerance when max |R| is at most
+max(newton_abs_tol, NEWTON_REL_TOL times the predictor's max |R|), and it
+fails when NEWTON_MAX_ITER corrections leave it above.  Every correction
+reuses one factor of the Jacobian frozen at the zero state,
+J0 = M + tau^2 K - tau^2 w(0, 0) M, made once per stepper
 (w is the pointwise drift derivative: f' for `implicit`, the quotient's
 derivative in its first argument for `mcn`).  For a linear drift J0 is the
 exact Jacobian.  Otherwise chord iterates converge only linearly, so the
@@ -111,12 +114,17 @@ __all__ = [
     "NewtonDivergedError",
     "column_sums",
     "initial_state",
-    "hamiltonian",
 ]
 
 # A frozen correction must shrink the residual's max-norm at least this much
 # to be accepted.
 CHORD_CONTRACTION = 0.1
+
+# A column meets the tolerance when its residual's max-norm is at most
+# max(newton_abs_tol, NEWTON_REL_TOL * the predictor's), and is dropped when
+# NEWTON_MAX_ITER accepted corrections leave it above.
+NEWTON_REL_TOL = 1e-10
+NEWTON_MAX_ITER = 30
 
 # A chord iterate that meets the tolerance takes one more frozen correction
 # (the polish) unless its residual is already at most this fraction of it.
@@ -163,8 +171,6 @@ class SchemeConfig:
     n_steps: int
     scheme: str = MODIFIED_CN
     newton_abs_tol: float = 1e-11
-    newton_rel_tol: float = 1e-10
-    newton_max_iter: int = 30
 
     def __post_init__(self) -> None:
         if self.tau <= 0:
@@ -173,12 +179,8 @@ class SchemeConfig:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if min(self.newton_abs_tol, self.newton_rel_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-
-    @property
-    def duration(self) -> float:
-        return self.tau * self.n_steps
+        if self.newton_abs_tol <= 0:
+            raise ValueError(f"newton_abs_tol must be positive, got {self.newton_abs_tol}")
 
 
 @dataclass
@@ -234,16 +236,6 @@ def column_sums(X: np.ndarray) -> np.ndarray:
 def initial_state(space: FeSpace, h1: Callable, h2: Callable) -> State:
     """Project the initial displacement and velocity onto the space."""
     return State(0, l2_project(space, h1), l2_project(space, h2))
-
-
-def hamiltonian(
-    space: FeSpace, drift: PolynomialDrift, u: FeFunction, v: FeFunction
-) -> float:
-    """Discrete energy: half the kinetic and gradient norms plus the potential."""
-    kin = 0.5 * float(v.coeffs @ (space.mass @ v.coeffs))
-    grad = 0.5 * float(u.coeffs @ (space.stiffness @ u.coeffs))
-    pot = float(np.sum(space.wdet * drift.potential(space.values_at_qpoints(u.coeffs))))
-    return kin + grad + pot
 
 
 class WaveStepper:
@@ -323,7 +315,7 @@ class WaveStepper:
         n, S = C.shape
         P, rn = self._residual(C, rhs, unq)
         r = rn.tolist()
-        tol = [max(cfg.newton_abs_tol, cfg.newton_rel_tol * x) for x in r]
+        tol = [max(cfg.newton_abs_tol, NEWTON_REL_TOL * x) for x in r]
         norms = [rn]  # accepted residual norms of the common rounds
 
         # Common rounds: every column takes a frozen correction and accepts it.
@@ -335,7 +327,7 @@ class WaveStepper:
         due = sum(map(gt, r, tol))  # columns above tolerance; not a non-finite one
         taken = 0
         pending = None  # a round's trial that some column did not accept
-        while due == S and taken < cfg.newton_max_iter:
+        while due == S and taken < NEWTON_MAX_ITER:
             trial = C - self._frozen_solve(P[:n])
             if not exact and all(polish):  # nothing reads the polish's residual
                 return trial, self.W(trial), taken + 1, {}
@@ -383,7 +375,7 @@ class WaveStepper:
         }
         while True:
             act = np.flatnonzero(~failed & ((rnorm > tol) | polish))
-            spent = iters[act] >= cfg.newton_max_iter
+            spent = iters[act] >= NEWTON_MAX_ITER
             if spent.any():
                 for j in act[spent & ~polish[act]]:  # polished columns already meet tol
                     errors[j] = NewtonDivergedError(step, history(j))
@@ -451,11 +443,10 @@ class WaveStepper:
         Updates the (n_dofs, 1) view c and the (rows of W, 1) view p of W c
         in place; returns the number of corrections taken.
         """
-        cfg = self.config
         n = c.shape[0]
         taken = 0
         while history[-1] > tol:
-            if iters + taken >= cfg.newton_max_iter:
+            if iters + taken >= NEWTON_MAX_ITER:
                 raise NewtonDivergedError(step, history)
             if self._drift_is_zero:  # J0 is the exact Jacobian
                 solve = self._frozen_solve

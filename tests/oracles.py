@@ -1,0 +1,45 @@
+"""Reference helpers that the tests measure the program against: point
+evaluation, the load of a pointwise function of states, and the error norms
+of one stored coupled pair."""
+
+import numpy as np
+
+from stochwave.fem import CsrProduct, FeFunction, _basis_1d, _basis_tri, _locate, transfer_matrix
+from stochwave.metrics import _error_products, _error_sq
+
+
+def evaluate(u: FeFunction, points: np.ndarray) -> np.ndarray:
+    """Evaluate a finite element function at arbitrary points of the domain."""
+    space = u.space
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    cell, loc = _locate(space.mesh, points)
+    if space.mesh.dimension == 1:
+        basis = _basis_1d(space.degree, loc[:, 0])
+    else:
+        basis = _basis_tri(space.degree, loc[:, 0], loc[:, 1])
+    return np.einsum("pl,pl->p", u.coeffs[space.cell_dofs[cell]], basis)
+
+
+def pointwise_load(space, fn, *states: FeFunction) -> np.ndarray:
+    """b[i] = integral of fn(state values at x) phi_i(x), by the space's
+    quadrature: fn maps the states' quadrature values to the load's."""
+    vals = fn(*(space.values_at_qpoints(s.coeffs) for s in states))
+    return space.load_product(vals.reshape(-1))
+
+
+def error_norms(coarse, ref, coarse_space, ref_space, tau_coarse, tau_ref):
+    """Per-node (L2, H1-seminorm, d_t L2) error norms of one coupled pair.
+
+    ``coarse`` and ``ref`` are (U, V) coefficient stacks, row n holding node
+    n; tau_ref must divide tau_coarse and both must span the same time.  The
+    coarse solution is lifted to the reference space and measured as the
+    rate tables measure it.  The d_t series starts at node 1.
+    """
+    factor = round(tau_coarse / tau_ref)
+    (Uc, Vc), (Ur, Vr) = coarse, ref
+    Ur, Vr = Ur[::factor], Vr[::factor]
+    E = None
+    if coarse_space is not ref_space:
+        E = CsrProduct(transfer_matrix(coarse_space, ref_space))
+    l2sq, h1sq, dtl2sq = _error_sq(E, Uc.T, Vc.T, Ur.T, Vr.T, *_error_products(ref_space))
+    return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(dtl2sq[1:])

@@ -62,13 +62,15 @@ def test_bench_attribute_lookups_resolve():
 
 
 # Tracer targets that no longer resolve and so are skipped: the CSV writers
-# became ``write_csv``, ``noise_load`` left the stepper, the mesh builders are
-# no longer looked up through these modules, and the rate study maps its
-# batches through the ensemble's ``parallel_map``.
+# became ``write_csv``, ``noise_load`` left the stepper, the stepper's ledger
+# computes H itself and nothing called ``hamiltonian``, so it left the
+# program, the mesh builders are no longer looked up through these modules,
+# and the rate study maps its batches through the ensemble's ``parallel_map``.
 KNOWN_DEAD = {
     ("experiments", None, "write_rate_csv"),
     ("experiments", None, "write_stability_csv"),
     ("stepper", "WaveStepper", "noise_load"),
+    ("stepper", None, "hamiltonian"),
     ("experiments", None, "build_interval_mesh"),
     ("experiments", None, "build_unit_square_tri_mesh"),
     ("metrics", None, "build_interval_mesh"),

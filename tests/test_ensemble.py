@@ -1,9 +1,8 @@
-import functools
-
 import numpy as np
 import pytest
 
 import stochwave.ensemble
+import stochwave.parallel
 import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import MODIFIED_CN, PolynomialDrift
@@ -23,6 +22,7 @@ from stochwave.linsolve import LinearSolveError
 from stochwave.mesh import build_interval_mesh
 from stochwave.metrics import quadrature_degree_for
 from stochwave.noise import BrownianPath, sample_path
+from stochwave.parallel import parallel_map
 from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
@@ -111,10 +111,8 @@ def test_ensemble_2d_runs():
 
 
 def test_failure_abort_above_threshold(monkeypatch):
-    # max_iter=0 forces every nonlinear sample to fail
-    monkeypatch.setattr(
-        stochwave.ensemble, "SchemeConfig", functools.partial(SchemeConfig, newton_max_iter=0)
-    )
+    # a cap of 0 corrections forces every nonlinear sample to fail
+    monkeypatch.setattr(stochwave.stepper, "NEWTON_MAX_ITER", 0)
     with pytest.raises(EnsembleFailureError):
         run_ensemble(
             _problem(Diffusion.linear(1.0), 6, newton_abs_tol=1e-11), STUDY_1D, 5, threads=1
@@ -139,10 +137,8 @@ def test_linear_solve_failure_is_contained_per_sample(monkeypatch):
     )
     space, cfg = _setup_1d()
     h1, h2 = CosineProduct(kx=1), Constant(0.0)
-    stats = run_ensemble(
-        _problem(Diffusion.linear(1.0), 6, h1, h2), STUDY_1D, 3, threads=1,
-        max_failure_fraction=0.5,
-    )
+    monkeypatch.setattr(stochwave.ensemble, "MAX_FAILURE_FRACTION", 0.5)
+    stats = run_ensemble(_problem(Diffusion.linear(1.0), 6, h1, h2), STUDY_1D, 3, threads=1)
     assert stats.n_failures == 1
     assert stats.n_samples == 2
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
@@ -153,6 +149,45 @@ def test_linear_solve_failure_is_contained_per_sample(monkeypatch):
         for k in (0, 2)
     ]
     assert np.array_equal(stats.mean_H, (kept[0].hamiltonians + kept[1].hamiltonians) / 2)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for the process pool: record each pool's size and map in
+    this process, so no worker process is started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(stochwave.parallel, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_pool_has_no_more_workers_than_tasks(pool_sizes):
+    assert parallel_map(abs, [-1, 2], 64) == [1, 2]
+    assert parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert parallel_map(abs, [-5], 64) == [5]  # one task runs without a pool
+    assert pool_sizes == [2, 2]
+
+
+def test_two_samples_on_many_workers_make_a_pool_of_two(pool_sizes):
+    problem = _problem(Diffusion.linear(1.0), 2)
+    wide = run_ensemble(problem, STUDY_1D, n_samples=2, threads=64)
+    assert pool_sizes == [2]
+    alone = run_ensemble(problem, STUDY_1D, n_samples=2, threads=1)
+    assert np.array_equal(wide.sample_l2sq, alone.sample_l2sq)
+    assert np.array_equal(wide.mean_H, alone.mean_H)
 
 
 def test_sample_blocks_are_contiguous_and_capped():
@@ -202,13 +237,6 @@ def test_subset_fraction_monotone_in_kappa_and_time():
     f2 = subset_fraction(series, 1.2)
     assert np.all(f2 >= f1)  # nondecreasing in kappa
     assert np.all(np.diff(f1) <= 1e-15)  # nonincreasing along the run
-
-
-def test_subset_fraction_with_reference():
-    series = np.full((4, 5), 0.3)
-    ref = np.full((4, 5), 0.2)
-    assert np.all(subset_fraction(series, 0.6, ref) == 1.0)
-    assert np.all(subset_fraction(series, 0.4, ref) == 0.0)
 
 
 def test_subset_fraction_rejects_negative_kappa():

@@ -8,18 +8,15 @@ from stochwave.fem import (
     FeFunction,
     FeSpace,
     assemble_mass,
-    assemble_pointwise_load,
     assemble_stiffness,
-    evaluate,
-    interpolate,
     l2_project,
     load_vector,
-    norm_l2,
-    seminorm_h1,
-    transfer_to_fine,
+    transfer_matrix,
 )
 from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
-from stochwave.stepper import SchemeConfig, WaveStepper
+from stochwave.noise import BrownianPath
+from stochwave.stepper import SchemeConfig, State, WaveStepper
+from oracles import evaluate, pointwise_load
 
 
 def _dense_load_oracle(space, field, n_gauss=50):
@@ -116,15 +113,15 @@ def test_partition_of_unity_at_qpoints(dim, degree):
 def test_stiffness_energy_quadratic():
     # coeffs of the interpolant of x^2: energy -> integral (2x)^2 = 4/3
     space = FeSpace(build_interval_mesh(64), 1)
-    u = interpolate(space, lambda x: x**2)
-    energy = u.coeffs @ (space.stiffness @ u.coeffs)
+    c = space.dof_coords[:, 0] ** 2
+    energy = c @ (space.stiffness @ c)
     assert energy == pytest.approx(4.0 / 3.0, abs=5e-4)  # O(h^2) interpolation gap
 
 
 def test_stiffness_energy_quadratic_p2_exact():
     space = FeSpace(build_interval_mesh(4), 2)
-    u = interpolate(space, lambda x: x**2)
-    energy = u.coeffs @ (space.stiffness @ u.coeffs)
+    c = space.dof_coords[:, 0] ** 2  # the nodal interpolant of x^2
+    energy = c @ (space.stiffness @ c)
     assert energy == pytest.approx(4.0 / 3.0, rel=1e-13)
 
 
@@ -172,7 +169,7 @@ def test_project_does_not_expand_l2_norm():
     # ||f||^2 = 1/2 + 1/12 + 2 (g, 0.5 x) with the cross term -2/(9 pi^2)
     exact_norm = np.sqrt(0.5 + 1.0 / 12.0 - 2.0 / (9 * np.pi**2))
     # ||P_h f|| <= ||f|| up to quadrature tolerance
-    assert norm_l2(u) <= exact_norm + 1e-8
+    assert np.sqrt(u.coeffs @ (space.mass @ u.coeffs)) <= exact_norm + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +210,21 @@ def test_laplacian_eigenvalue_cos():
 
 
 # ---------------------------------------------------------------------------
-# Pointwise loads
+# Pointwise loads: the load product of quadrature-point values
 # ---------------------------------------------------------------------------
 
 def test_pointwise_load_identity_gives_mass_action():
     rng = np.random.default_rng(5)
     space = FeSpace(build_interval_mesh(7), 1)
     u = FeFunction(space, rng.standard_normal(space.n_dofs))
-    b = assemble_pointwise_load(space, lambda v: v, u)
+    b = pointwise_load(space, lambda v: v, u)
     assert np.abs(b - space.mass @ u.coeffs).max() < 1e-13
 
 
 def test_pointwise_load_constant_one():
     space = FeSpace(build_unit_square_tri_mesh(2), 1)
     u = FeFunction(space, np.zeros(space.n_dofs))
-    b = assemble_pointwise_load(space, lambda v: np.ones_like(v), u)
+    b = pointwise_load(space, lambda v: np.ones_like(v), u)
     assert b.sum() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -236,7 +233,7 @@ def test_pointwise_load_cubic_vs_quadrature_oracle():
     hat = np.zeros(space.n_dofs)
     hat[1] = 1.0
     u = FeFunction(space, hat)
-    b = assemble_pointwise_load(space, lambda v: v**3, u)
+    b = pointwise_load(space, lambda v: v**3, u)
 
     def cubed(x):
         vals = np.where(x <= 0.5, 2 * x, 2 * (1 - x))
@@ -251,7 +248,7 @@ def test_pointwise_load_two_states():
     space = FeSpace(build_interval_mesh(5), 1, quad_degree=4)
     u = FeFunction(space, rng.standard_normal(space.n_dofs))
     v = FeFunction(space, rng.standard_normal(space.n_dofs))
-    b = assemble_pointwise_load(space, lambda a, c: a * c, u, v)
+    b = pointwise_load(space, lambda a, c: a * c, u, v)
     oracle = _dense_load_oracle(
         space,
         lambda x: evaluate(u, x[:, None]) * evaluate(v, x[:, None]),
@@ -260,29 +257,38 @@ def test_pointwise_load_two_states():
 
 
 # ---------------------------------------------------------------------------
-# Norms
+# Norms: the mass and stiffness quadratic forms
 # ---------------------------------------------------------------------------
+
+def _sq_norms(space, c):
+    """Squared L2 norm and H1 seminorm of coefficients c."""
+    return c @ (space.mass @ c), c @ (space.stiffness @ c)
+
 
 def test_norms_constant():
     space = FeSpace(build_interval_mesh(5), 1)
-    one = FeFunction(space, np.ones(space.n_dofs))
-    assert norm_l2(one) == pytest.approx(1.0, rel=1e-12)
-    # the quadratic form cancels to rounding; the norm is its square root
-    assert seminorm_h1(one) == pytest.approx(0.0, abs=1e-7)
+    l2sq, h1sq = _sq_norms(space, np.ones(space.n_dofs))
+    assert l2sq == pytest.approx(1.0, rel=1e-12)
+    # the quadratic form cancels to rounding
+    assert h1sq == pytest.approx(0.0, abs=1e-14)
 
 
 def test_h1_seminorm_linear_exact():
     space = FeSpace(build_interval_mesh(6), 1)
-    u = interpolate(space, lambda x: x)
-    assert seminorm_h1(u) == pytest.approx(1.0, rel=1e-13)
+    assert _sq_norms(space, space.dof_coords[:, 0])[1] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_l2_norm_matches_mass_quadratic_form():
+    # the series a run reports at node 0 are the quadratic forms of its state
     rng = np.random.default_rng(7)
     space = FeSpace(build_unit_square_tri_mesh(2), 2)
-    u = FeFunction(space, rng.standard_normal(space.n_dofs))
-    qf = np.sqrt(u.coeffs @ (space.mass @ u.coeffs))
-    assert abs(norm_l2(u) - qf) < 1e-12
+    u, v = (FeFunction(space, rng.standard_normal(space.n_dofs)) for _ in range(2))
+    stepper = WaveStepper(space, PolynomialDrift([0.0]), Diffusion.zero(), SchemeConfig(0.01, 1))
+    traj = stepper.run(BrownianPath(0.01, np.zeros(1), 0, 0), State(0, u, v))
+    l2sq, h1sq = _sq_norms(space, u.coeffs)
+    assert traj.l2sq[0] == pytest.approx(l2sq, rel=1e-13)
+    assert traj.h1sq[0] == pytest.approx(h1sq, rel=1e-13)
+    assert traj.dtl2sq[0] == pytest.approx(_sq_norms(space, v.coeffs)[0], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +298,8 @@ def test_l2_norm_matches_mass_quadratic_form():
 def test_transfer_constant():
     coarse = FeSpace(build_interval_mesh(2), 1)
     fine = FeSpace(refine_uniform(coarse.mesh), 1)
-    u = FeFunction(coarse, np.full(coarse.n_dofs, 2.5))
-    v = transfer_to_fine(u, fine)
-    assert np.abs(v.coeffs - 2.5).max() < 1e-14
+    v = transfer_matrix(coarse, fine) @ np.full(coarse.n_dofs, 2.5)
+    assert np.abs(v - 2.5).max() < 1e-14
 
 
 def test_transfer_hat_preserves_l2_norm():
@@ -302,9 +307,8 @@ def test_transfer_hat_preserves_l2_norm():
     fine = FeSpace(refine_uniform(coarse.mesh), 1)
     hat = np.zeros(coarse.n_dofs)
     hat[1] = 1.0
-    u = FeFunction(coarse, hat)
-    v = transfer_to_fine(u, fine)
-    assert abs(norm_l2(v) - norm_l2(u)) < 1e-12
+    v = transfer_matrix(coarse, fine) @ hat
+    assert abs(np.sqrt(_sq_norms(fine, v)[0]) - np.sqrt(_sq_norms(coarse, hat)[0])) < 1e-12
 
 
 @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -314,21 +318,14 @@ def test_transfer_random_isometry(dim, degree):
     coarse = FeSpace(mesh, degree)
     fine_mesh = refine_uniform(refine_uniform(mesh))
     fine = FeSpace(fine_mesh, degree)
-    u = FeFunction(coarse, rng.standard_normal(coarse.n_dofs))
-    v = transfer_to_fine(u, fine)
-    assert abs(norm_l2(v) - norm_l2(u)) < 1e-12
-    assert abs(seminorm_h1(v) - seminorm_h1(u)) < 1e-12
+    u = rng.standard_normal(coarse.n_dofs)
+    v = transfer_matrix(coarse, fine) @ u
+    for a, b in zip(_sq_norms(fine, v), _sq_norms(coarse, u)):
+        assert abs(np.sqrt(a) - np.sqrt(b)) < 1e-12
     # pointwise agreement at the fine quadrature points
     pts = fine.qpoints.reshape(-1, dim)
-    assert np.abs(evaluate(v, pts) - evaluate(u, pts)).max() < 1e-12
-
-
-def test_transfer_rejects_non_nested():
-    a = FeSpace(build_interval_mesh(4), 1)
-    b = FeSpace(build_interval_mesh(8), 1)  # same sizes but no lineage
-    u = FeFunction(a, np.zeros(a.n_dofs))
-    with pytest.raises(ValueError):
-        transfer_to_fine(u, b)
+    got = fine.values_at_qpoints(v).ravel()
+    assert np.abs(got - evaluate(FeFunction(coarse, u), pts)).max() < 1e-12
 
 
 def test_fe_function_length_check():

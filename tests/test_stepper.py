@@ -6,27 +6,22 @@ import scipy.sparse.linalg as spla
 import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
-from stochwave.fem import (
-    FeFunction,
-    FeSpace,
-    assemble_pointwise_load,
-    assemble_weighted_mass,
-    evaluate,
-    norm_l2,
-)
+from stochwave.fem import FeFunction, FeSpace, assemble_weighted_mass
 from stochwave.fields import Constant, CosineProduct, LinearWaveSolution, TentBump
 from stochwave.linsolve import LinearSolveError
 from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
 from stochwave.metrics import quadrature_degree_for
 from stochwave.noise import BrownianPath, sample_path
 from stochwave.stepper import (
+    NEWTON_MAX_ITER,
+    NEWTON_REL_TOL,
     POLISH_FRACTION,
     NewtonDivergedError,
     SchemeConfig,
     WaveStepper,
-    hamiltonian,
     initial_state,
 )
+from oracles import evaluate, pointwise_load
 from stepping import observed_nodes, one_step, run_states
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
@@ -67,7 +62,8 @@ def test_initial_state_tent_projected():
     space = _space(16)
     st = initial_state(space, Constant(0.0), TentBump())
     assert st.v.coeffs.max() > 0.9
-    assert norm_l2(st.v) <= np.sqrt(1.0 / 6.0) + 1e-6  # ||tent||_L2 = sqrt(1/6)
+    l2 = np.sqrt(st.v.coeffs @ (space.mass @ st.v.coeffs))
+    assert l2 <= np.sqrt(1.0 / 6.0) + 1e-6  # ||tent||_L2 = sqrt(1/6)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +152,11 @@ def test_step_rejects_nonfinite_increment():
         one_step(stepper, st, np.nan)
 
 
-def test_newton_divergence_reports_step_and_history():
+def test_newton_divergence_reports_step_and_history(monkeypatch):
     # a step that needs several iterations, capped at one
+    monkeypatch.setattr(stochwave.stepper, "NEWTON_MAX_ITER", 1)
     space = _space(8)
-    cfg = SchemeConfig(tau=0.5, n_steps=1, newton_abs_tol=1e-13, newton_max_iter=1)
+    cfg = SchemeConfig(tau=0.5, n_steps=1, newton_abs_tol=1e-13)
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     st.u.coeffs[:] *= 3.0
@@ -192,9 +189,7 @@ def _full_newton_step(space, drift, g, cfg, state, dW):
     A = M + tau * tau * K
     un, vn = state.u.coeffs, state.v.coeffs
     unq = space.values_at_qpoints(un)
-    rhs = M @ (un + tau * vn) + tau * dW * assemble_pointwise_load(
-        space, g.value, state.u
-    )
+    rhs = M @ (un + tau * vn) + tau * dW * pointwise_load(space, g.value, state.u)
     if cfg.scheme == "implicit":
         f = drift.value
         df = drift.derivative
@@ -203,13 +198,13 @@ def _full_newton_step(space, drift, g, cfg, state, dW):
         df = lambda c: drift.potential_quotient_da(c, unq)  # noqa: E731
 
     def residual(c):
-        load = assemble_pointwise_load(space, f, FeFunction(space, c))
+        load = pointwise_load(space, f, FeFunction(space, c))
         return A @ c - tau * tau * load - rhs
 
     c = un + tau * vn
     r = residual(c)
-    tol = max(cfg.newton_abs_tol, cfg.newton_rel_tol * np.abs(r).max())
-    for _ in range(cfg.newton_max_iter):
+    tol = max(cfg.newton_abs_tol, NEWTON_REL_TOL * np.abs(r).max())
+    for _ in range(NEWTON_MAX_ITER):
         if np.abs(r).max() <= tol:
             return c
         cq = space.values_at_qpoints(c)
@@ -217,6 +212,18 @@ def _full_newton_step(space, drift, g, cfg, state, dW):
         c = c - spla.spsolve(J.tocsc(), r)
         r = residual(c)
     raise AssertionError("reference Newton did not converge")
+
+
+def _count_assemblies(monkeypatch):
+    """The list that every Jacobian assembly (full Newton only) appends to."""
+    assemblies = []
+
+    def counted(space, weights):
+        assemblies.append(1)
+        return assemble_weighted_mass(space, weights)
+
+    monkeypatch.setattr(stochwave.stepper, "assemble_weighted_mass", counted)
+    return assemblies
 
 
 @pytest.mark.parametrize("scheme", ["mcn", "implicit"])
@@ -232,14 +239,7 @@ def test_chord_step_matches_full_newton(monkeypatch, scheme, drift, tau, amplitu
     st = initial_state(space, CosineProduct(kx=1), Constant(0.5))
     st.u.coeffs[:] *= amplitude
     dW = 0.3 * np.sqrt(tau)
-
-    assemblies = []
-
-    def counted(space, weights):
-        assemblies.append(1)
-        return assemble_weighted_mass(space, weights)
-
-    monkeypatch.setattr(stochwave.stepper, "assemble_weighted_mass", counted)
+    assemblies = _count_assemblies(monkeypatch)
     new = one_step(stepper, st, dW)
     ref = _full_newton_step(space, drift, g, cfg, st, dW)
     assert np.abs(new.u.coeffs - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -296,13 +296,7 @@ def test_batch_with_partial_newton_fallback_equals_samples_alone(monkeypatch):
     stepper = WaveStepper(space, DEG11, Diffusion.linear(1.0), cfg)
     init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
     paths = [sample_path(11, k, 4, 0.2) for k in range(6)]
-    assemblies = []
-
-    def counted(space, weights):
-        assemblies.append(1)
-        return assemble_weighted_mass(space, weights)
-
-    monkeypatch.setattr(stochwave.stepper, "assemble_weighted_mass", counted)
+    assemblies = _count_assemblies(monkeypatch)
     fallback = []
     for path in paths:
         del assemblies[:]
@@ -352,6 +346,19 @@ def _fix_window(monkeypatch, length):
     monkeypatch.setattr(stochwave.stepper, "_Ledger", Fixed)
 
 
+def _record_windows(monkeypatch):
+    """The list that every march appends its ledger's window length to."""
+    windows = []
+
+    class Recorded(stochwave.stepper._Ledger):
+        def __init__(self, *args):
+            super().__init__(*args)
+            windows.append(self.window)
+
+    monkeypatch.setattr(stochwave.stepper, "_Ledger", Recorded)
+    return windows
+
+
 @pytest.mark.parametrize("dimension", [1, 2], ids=["mcn-cubic-1d", "p1-2d"])
 def test_series_do_not_depend_on_the_window(monkeypatch, dimension):
     if dimension == 1:
@@ -364,14 +371,7 @@ def test_series_do_not_depend_on_the_window(monkeypatch, dimension):
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     init = initial_state(space, h1, Constant(0.5))
     paths = [sample_path(11, k, N, 0.01) for k in range(3)]
-    windows = []
-
-    class Recorded(stochwave.stepper._Ledger):
-        def __init__(self, *args):
-            super().__init__(*args)
-            windows.append(self.window)
-
-    monkeypatch.setattr(stochwave.stepper, "_Ledger", Recorded)
+    windows = _record_windows(monkeypatch)
     ref, ref_nodes = observed_nodes(stepper, paths, init)
     assert 1 < windows[0] < N  # the default window flushes inside the run
     for length in (1, N, N + 7):
@@ -424,14 +424,7 @@ def test_observer_sees_every_node_once_in_order(monkeypatch, length):
         assert list(traj.failures) == [2] and traj.failures[2].step == 11
         return calls
 
-    windows = []
-
-    class Recorded(stochwave.stepper._Ledger):
-        def __init__(self, *args):
-            super().__init__(*args)
-            windows.append(self.window)
-
-    monkeypatch.setattr(stochwave.stepper, "_Ledger", Recorded)
+    windows = _record_windows(monkeypatch)
     if length is not None:
         _fix_window(monkeypatch, length)
     calls = record()
@@ -610,7 +603,7 @@ def test_linear_step_applies_the_operators_three_times(monkeypatch):
 
 
 def _tolerance(cfg, r0):
-    return max(cfg.newton_abs_tol, cfg.newton_rel_tol * r0)
+    return max(cfg.newton_abs_tol, NEWTON_REL_TOL * r0)
 
 
 def test_cubic_common_round_costs_one_stacked_and_one_load_product(monkeypatch):
@@ -677,6 +670,35 @@ def test_polish_skip_and_take_in_one_batch_equal_their_runs_alone():
     assert list(batch.newton_iters[:, 0]) == [2, 3]
 
 
+def test_iteration_cap_inside_a_parted_batch(monkeypatch):
+    # capped at two corrections: path 0 meets the tolerance with its polish
+    # still due, path 3 meets it without, and an increment of 1 leaves its
+    # column at about 1.7 tol, above it, so the columns part at the cap
+    monkeypatch.setattr(stochwave.stepper, "NEWTON_MAX_ITER", 2)
+    stepper, init = _one_step_cubic()
+    over = BrownianPath(0.01, np.array([1.0]), 0, 0)
+    paths = [sample_path(0, 0, 1, 0.01), over, sample_path(3, 0, 1, 0.01)]
+    _, (d,) = _products_per_step(monkeypatch, stepper, paths, init)
+    norms = d["norms"]  # the predictor's and the two corrections' residuals
+    assert d["W"] == 3  # the polish still due at the cap is not taken
+    batch = _assert_batch_matches_alone(stepper, paths, init)
+    # the column over the tolerance is dropped with its step and history
+    assert list(batch.samples) == [0, 2] and list(batch.failures) == [1]
+    exc, history = batch.failures[1], [r[1] for r in norms]
+    assert isinstance(exc, NewtonDivergedError) and exc.step == 0
+    assert exc.residual_history == history
+    assert history[-1] > _tolerance(stepper.config, history[0])
+    with pytest.raises(NewtonDivergedError) as alone:
+        stepper.run(over, init)
+    assert alone.value.step == 0 and alone.value.residual_history == history
+    # a column whose only pending correction at the cap is the polish is done
+    for col, due in ((0, True), (2, False)):
+        r0, _, r2 = (r[col] for r in norms)
+        tol = _tolerance(stepper.config, r0)
+        assert r2 <= tol and (r2 > POLISH_FRACTION * tol) == due
+    assert list(batch.newton_iters[:, 0]) == [2, 2]
+
+
 @pytest.mark.parametrize("dimension", [1, 2], ids=["mcn-cubic-1d", "p1-2d"])
 def test_kernel_products_match_plain_matmul(dimension):
     if dimension == 1:
@@ -735,7 +757,9 @@ def test_hamiltonian_nonincreasing_without_noise(scheme):
 def test_hamiltonian_zero_state():
     space = _space(8)
     st = initial_state(space, Constant(0.0), Constant(0.0))
-    assert hamiltonian(space, CUBIC, st.u, st.v) == pytest.approx(0.0, abs=1e-14)
+    stepper = WaveStepper(space, CUBIC, Diffusion.zero(), SchemeConfig(tau=0.01, n_steps=3))
+    traj = stepper.run(_zeros_path(0.01, 3), st)
+    assert np.abs(traj.hamiltonians).max() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_hamiltonian_cosine_analytic_value():
@@ -743,22 +767,27 @@ def test_hamiltonian_cosine_analytic_value():
     # pi^2/4 + (1/4 + 3/32) using integrals of cos^2 and cos^4
     space = _space(64)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    H = hamiltonian(space, CUBIC, st.u, st.v)
-    expected = np.pi**2 / 4 + 0.25 + 3.0 / 32.0
-    assert H == pytest.approx(expected, rel=0.01)
-    # the stepper's H comes from the products it shares with the norms
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), SchemeConfig(tau=0.01, n_steps=1))
     traj = stepper.run(_zeros_path(0.01, 1), st)
-    assert traj.hamiltonians[0] == pytest.approx(H, rel=1e-14)
+    H = traj.hamiltonians[0]
+    expected = np.pi**2 / 4 + 0.25 + 3.0 / 32.0
+    assert H == pytest.approx(expected, rel=0.01)
+    # the stepper's H is half the reported norms plus the quadrature potential
+    u, v = st.u.coeffs, st.v.coeffs
+    pot = np.sum(space.wdet * CUBIC.potential(space.values_at_qpoints(u)))
+    kinetic, gradient = v @ (space.mass @ v), u @ (space.stiffness @ u)
+    assert H == pytest.approx(0.5 * kinetic + 0.5 * gradient + pot, rel=1e-14)
+    assert (traj.dtl2sq[0], traj.h1sq[0]) == pytest.approx((kinetic, gradient), rel=1e-14)
 
 
 def test_hamiltonian_coercivity_lower_bound():
-    # validated drift: H >= (alpha/2) ||u||^2
+    # validated drift: H >= (alpha/2) ||u||^2 at every node of a noisy run
     space = _space(32)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    H = hamiltonian(space, CUBIC, st.u, st.v)
-    l2sq = st.u.coeffs @ (space.mass @ st.u.coeffs)
-    assert H >= 0.5 * CUBIC.alpha * l2sq
+    cfg = SchemeConfig(tau=0.01, n_steps=20, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    traj = stepper.run(sample_path(5, 0, 20, 0.01), st)
+    assert np.all(traj.hamiltonians >= 0.5 * CUBIC.alpha * traj.l2sq)
 
 
 @pytest.mark.parametrize("scheme", ["mcn", "implicit"])
@@ -810,13 +839,13 @@ def test_mixed_primal_equivalence():
     for n in range(1, cfg.n_steps):
         u_pp = U[n] - tau * V[n]  # u^{n-1} reconstruction
         assert np.abs(u_pp - U[n - 1]).max() < 1e-12
-        fvals = assemble_pointwise_load(
+        fvals = pointwise_load(
             space,
             lambda a, b: drift.potential_quotient(a, b),
             FeFunction(space, U[n + 1]),
             FeFunction(space, U[n]),
         )
-        gvals = assemble_pointwise_load(space, g.value, FeFunction(space, U[n]))
+        gvals = pointwise_load(space, g.value, FeFunction(space, U[n]))
         res = (
             M @ ((U[n + 1] - 2 * U[n] + u_pp) / tau)
             + tau * (K @ U[n + 1])
