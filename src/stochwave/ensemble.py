@@ -25,7 +25,7 @@ import numpy as np
 from .diffusion import Diffusion
 from .drift import PolynomialDrift
 from .fem import FeSpace
-from .mesh import build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
+from .mesh import build_interval_mesh, build_unit_square_tri_mesh
 from .noise import sample_path
 from .parallel import parallel_map
 from .quadrature import interval_rule, triangle_rule
@@ -135,20 +135,14 @@ class ProblemSpec:
         )
 
     def spaces(self, levels: Sequence[int]) -> dict[int, FeSpace]:
-        """Spaces at the given resolutions, on meshes refined from the coarsest.
+        """Spaces at the given resolutions, each on its own uniform mesh.
 
-        Every level must be the coarsest one times a power of two, as on a
-        checked ladder and its reference, so each finer mesh refines the
-        coarser ones and transfers between them are exact.
+        On a checked ladder and its reference every level is the coarsest
+        one times a power of two, so each finer mesh refines the coarser
+        ones and transfers between them are exact.
         """
-        levels = sorted(set(levels))
         build = build_interval_mesh if self.dimension == 1 else build_unit_square_tri_mesh
-        mesh = build(levels[0])
-        meshes = {mesh.resolution: mesh}
-        while mesh.resolution < levels[-1]:
-            mesh = refine_uniform(mesh)
-            meshes[mesh.resolution] = mesh
-        return {l: FeSpace(meshes[l], self.degree, self.quad_degree) for l in levels}
+        return {l: FeSpace(build(l), self.degree, self.quad_degree) for l in sorted(set(levels))}
 
     def points_per_sample(self, level: int) -> int:
         """Quadrature points of one sample's field on the mesh at this level."""

@@ -161,6 +161,8 @@ def _load(value, annotation, path: str):
     if dataclasses.is_dataclass(annotation):
         return _load_object(value, annotation, path)
     if type(value) in _JSON_TYPES[annotation]:
+        if annotation is float and not abs(value) <= sys.float_info.max:  # NaN, 1e400, 10**400
+            raise _expected(path, "finite float", value)
         return value
     raise _expected(path, annotation.__name__, value)
 
@@ -234,7 +236,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             taus = s.taus
         elif isinstance(s, StabilityStudy):
             ladder = [] if s.level >= 1 else [f"level: must be >= 1, got {s.level}"]
-            if s.kappa is not None and s.kappa < 0:
+            if s.kappa is not None and not s.kappa >= 0:
                 errors.append(f"{p}.kappa: must be >= 0")
             taus = [s.tau]
         elif isinstance(s, AnalyticStudy):

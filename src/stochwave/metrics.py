@@ -138,18 +138,6 @@ class ErrorTable:
             out.append(float(np.log2(prev / curr)))
         return out
 
-    @property
-    def l2_orders(self):
-        return self.orders(self.l2)
-
-    @property
-    def h1_orders(self):
-        return self.orders(self.h1)
-
-    @property
-    def dtl2_orders(self):
-        return self.orders(self.dtl2)
-
 
 def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
     """Per-sample squared error series for every table row (one sample block).

@@ -29,10 +29,6 @@ class BrownianPath:
     def n_steps(self) -> int:
         return self.increments.shape[0]
 
-    @property
-    def duration(self) -> float:
-        return self.tau * self.n_steps
-
 
 def sample_path(
     master_seed: int, sample_index: int, n_steps: int, tau: float

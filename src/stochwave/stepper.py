@@ -47,25 +47,24 @@ would pass it, so only the dispatch of ``@`` is saved, and every bit stays
 as ``@`` makes it.  Each residual product comes with one max-norm
 reduction, a NaN for a column that holds one.
 
-A common round, in which every column takes a frozen correction and
-accepts it, updates the block whole: trial = C - solve(R), which equals
+Rounds.  The active columns are those above the tolerance or with the
+polish due.  A round gives each of them one frozen correction, so every
+active column has taken the same number of corrections, and one count
+serves the iteration cap.  The correction trial = C - solve(R) equals
 C + solve(-R) bit for bit because the triangular solves are sign-symmetric.
-Its convergence, contraction and finiteness tests compare the columns'
-norms as Python floats (``tolist``), so a block of a few columns pays no
-numpy call for them, and a NaN fails every comparison as it fails the
-masks.  When J0 is exact no polish is ever due, and the contraction
-comparison is the whole test, because every residual that enters a round
-is finite; the per-column masks and history are built only when the
-columns part.  Any other round uses per-sample masks to decide
-which columns take a further correction (residual above tolerance, or the
-polish still due) and which pass the CHORD_CONTRACTION test.  A column that
-takes its polish is done, whatever the residual its round computes for
-the others; a round in which every column polishes computes none.  A
-sample whose frozen correction is rejected finishes the step alone with
-full Newton.  A sample that diverges, meets a non-finite residual or a
-LinearSolveError is dropped from the block and reported; the others go on.
-The quadrature values of the accepted iterate are carried forward as the
-next step's u^n values.
+The round's tests compare the columns' norms as Python floats (``tolist``), so
+a block of a few columns pays no numpy call for them.  An active column's
+norm is finite (a non-finite predictor norm makes its tolerance infinite or
+fails the comparison), so a correction that passes the contraction test is
+finite too.  A column that takes its polish is done, whatever its residual;
+a round in which every active column polishes computes none.  When every
+active column accepts, the trial replaces them whole; otherwise only the
+accepted columns are written back, and a column whose correction is
+rejected finishes the step alone with full Newton.  A column that diverges,
+meets a non-finite residual or a LinearSolveError is dropped from the block
+and reported with its residual history, which is rebuilt from the rounds'
+records only then; the others go on.  The quadrature values of the accepted
+iterate are carried forward as the next step's u^n values.
 
 Energy bookkeeping.  The time loop only solves.  A `_Ledger` books each
 node by keeping references to the step's own arrays (u, v, W u, M v and the
@@ -94,7 +93,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import gt, le
 from typing import Callable, Sequence
 
 import numpy as np
@@ -303,128 +301,87 @@ class WaveStepper:
 
     def _solve(
         self, step: int, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | int, dict[int, Exception]]:
+    ) -> tuple[np.ndarray, np.ndarray, list[int], dict[int, Exception]]:
         """Solve R(c) = 0 for every column of the predictor block C.
 
         Returns the solutions, their products W c, the accepted corrections
-        per column (one int when the columns never parted) and the errors of
-        the columns that failed.
+        per column and the errors of the columns that failed.
         """
-        cfg = self.config
-        exact = self._frozen_is_exact
         n, S = C.shape
         P, rn = self._residual(C, rhs, unq)
-        r = rn.tolist()
-        tol = [max(cfg.newton_abs_tol, NEWTON_REL_TOL * x) for x in r]
-        norms = [rn]  # accepted residual norms of the common rounds
-
-        # Common rounds: every column takes a frozen correction and accepts it.
-        # Their tests compare Python floats, one per column, and a NaN fails
-        # every comparison.  polish[j]: column j's extra correction is due;
-        # with an exact J0 none ever is.  A column that took it is done, and
-        # its residual is not read again.
-        polish = None if exact else [False] * S
-        due = sum(map(gt, r, tol))  # columns above tolerance; not a non-finite one
-        taken = 0
-        pending = None  # a round's trial that some column did not accept
-        while due == S and taken < NEWTON_MAX_ITER:
-            trial = C - self._frozen_solve(P[:n])
-            if not exact and all(polish):  # nothing reads the polish's residual
-                return trial, self.W(trial), taken + 1, {}
-            Pt, rt = self._residual(trial, rhs, unq)
-            new = rt.tolist()
-            bound = [CHORD_CONTRACTION * x for x in r]
-            if exact:  # every r is finite here, so an accepted residual is too
-                ok = all(map(le, new, bound))
-            else:
-                ok = all(
-                    p or (a <= b and math.isfinite(a)) for p, a, b in zip(polish, new, bound)
-                )
-            if not ok:
-                pending = trial, Pt, rt
+        r = rn.tolist()  # each column's last accepted residual norm
+        tol = [max(self.config.newton_abs_tol, NEWTON_REL_TOL * x) for x in r]
+        act = [j for j in range(S) if r[j] > tol[j]]  # the active columns, all finite
+        errors: dict[int, Exception] = {}
+        if len(act) < S:  # the others meet the tolerance or are not finite
+            errors = {
+                j: NewtonDivergedError(step, [x]) for j, x in enumerate(r) if not math.isfinite(x)
+            }
+        rounds = [(range(S), rn)]  # each round's columns and residual norms
+        iters = [0] * S
+        polish = [False] * S  # polish[j]: column j's extra frozen correction is due
+        due = 0  # polishes due among the active columns
+        taken = 0  # corrections taken by every active column
+        while act:
+            if taken >= NEWTON_MAX_ITER:  # a column whose polish is due meets tol
+                for j in act:
+                    if polish[j]:
+                        iters[j] = taken
+                    else:
+                        errors[j] = NewtonDivergedError(step, _history(rounds, j))
                 break
-            C, P = trial, Pt
-            norms.append(rt)
+            full = len(act) == S
+            if full:
+                trial = C - self._frozen_solve(P[:n])
+            else:
+                trial = C[:, act] - self._frozen_solve(P[:n, act])
             taken += 1
-            if exact:
-                r = new
-                due = sum(map(gt, r, tol))
+            if due == len(act):  # all polish, and nothing reads the polish's residual
+                Pt, new = self.W(trial), None
             else:
-                r = [x if p else y for p, x, y in zip(polish, r, new)]
-                polish = [
-                    not p and POLISH_FRACTION * t < x <= t for p, x, t in zip(polish, r, tol)
-                ]
-                due = sum(x > t or p for x, t, p in zip(r, tol, polish))
-        # an accepted residual is finite, the predictor's may not be
-        if pending is None and not due and (taken or all(map(math.isfinite, r))):
-            return C, P, taken, {}
-
-        # Every other round: the columns part.
-        every = np.arange(S)
-        rounds = [(every, v) for v in norms]  # accepted residual norms
-        rnorm, tol = np.array(r), np.array(tol)  # rnorm is updated in place
-        polish = np.zeros(S, dtype=bool) if exact else np.array(polish)
-        iters = np.full(S, taken, dtype=np.int64)
-        failed = ~np.isfinite(rnorm)
-
-        def history(j: int) -> list[float]:
-            return [float(v[c == j][0]) for c, v in rounds if (c == j).any()]
-
-        errors: dict[int, Exception] = {
-            j: NewtonDivergedError(step, history(j)) for j in np.flatnonzero(failed)
-        }
-        while True:
-            act = np.flatnonzero(~failed & ((rnorm > tol) | polish))
-            spent = iters[act] >= NEWTON_MAX_ITER
-            if spent.any():
-                for j in act[spent & ~polish[act]]:  # polished columns already meet tol
-                    errors[j] = NewtonDivergedError(step, history(j))
-                    failed[j] = True
-                polish[act[spent]] = False
-                act = act[~spent]
-            if not act.size:
-                break
-            cols = slice(None) if act.size == S else act  # a view when full
-            pol = polish[act]
-            if pending is not None:  # the last common round's, for every column
-                (trial, Pt, rt), pending = pending, None
+                if full:
+                    Pt, rt = self._residual(trial, rhs, unq)
+                else:
+                    Pt, rt = self._residual(trial, rhs[:, act], None if unq is None else unq[:, act])
+                new = rt.tolist()
+            going, ok, rejected = [], [], []  # columns; positions in act
+            due = 0
+            for i, j in enumerate(act):
+                if polish[j]:  # done, whatever its residual
+                    ok.append(i)
+                    iters[j] = taken
+                elif new[i] <= CHORD_CONTRACTION * r[j]:
+                    ok.append(i)
+                    r[j] = x = new[i]
+                    if x > tol[j]:
+                        going.append(j)
+                    elif not self._frozen_is_exact and POLISH_FRACTION * tol[j] < x:
+                        polish[j] = True
+                        due += 1
+                        going.append(j)
+                    else:
+                        iters[j] = taken
+                else:
+                    rejected.append(i)
+            if rejected:
+                cols = [act[i] for i in ok]
+                C[:, cols], P[:, cols] = trial[:, ok], Pt[:, ok]
+            elif full:
+                C, P = trial, Pt
             else:
-                trial = C[:, cols] - self._frozen_solve(P[:n, cols])
-                if pol.all():  # the polish alone, after which no column is active
-                    C[:, cols], P[:, cols] = trial, self.W(trial)
-                    iters[act] += 1
-                    break
-                sub_unq = None if unq is None else unq[:, cols]
-                Pt, rt = self._residual(trial, rhs[:, cols], sub_unq)
-            # a polishing column is done whatever its residual; for any other,
-            # a NaN residual also rejects the frozen correction
-            accept = pol | (rt <= CHORD_CONTRACTION * rnorm[cols])
-            rounds.append((act[accept], rt[accept]))
-            ok = accept & (pol | np.isfinite(rt))
-            if ok.all():
-                j, ok = cols, slice(None)
-            else:
-                for j in act[accept & ~ok]:
-                    errors[j] = NewtonDivergedError(step, history(j))
-                    failed[j] = True
-                j = act[ok]
-            done = pol[ok]
-            rn = np.where(done, rnorm[j], rt[ok])
-            polish[j] = ~(done | exact) & (POLISH_FRACTION * tol[j] < rn) & (rn <= tol[j])
-            C[:, j], P[:, j], rnorm[j] = trial[:, ok], Pt[:, ok], rn
-            iters[j] += 1
-            for j in act[~accept]:  # continues alone with full Newton
+                C[:, act], P[:, act] = trial, Pt
+            for i in rejected:  # continues alone with full Newton
+                j = act[i]
                 s = slice(j, j + 1)
-                hist = history(j)
                 try:
-                    iters[j] += self._newton(
-                        step, C[:, s], P[:, s], tol[j], iters[j], hist,
+                    iters[j] = taken - 1 + self._newton(
+                        step, C[:, s], P[:, s], tol[j], taken - 1, _history(rounds, j),
                         rhs[:, s], None if unq is None else unq[:, s],
                     )
                 except (NewtonDivergedError, LinearSolveError) as exc:
                     errors[j] = exc
-                    failed[j] = True
-                rnorm[j] = hist[-1]
+            rounds.append((act, new))
+            act = going
         return C, P, iters, errors
 
     def _newton(
@@ -534,7 +491,7 @@ class WaveStepper:
                 live = ledger.live
                 if not live.size:
                     break
-                it, C, P1 = it[keep], C[:, keep], P1[:, keep]
+                it, C, P1 = np.asarray(it)[keep], C[:, keep], P1[:, keep]
                 U, V, MV = U[:, keep], V[:, keep], MV[:, keep]
                 if self._noisy:
                     noise = noise[:, keep]
@@ -656,6 +613,11 @@ class _Ledger:
         self.live = self.rows = self.live[keep]
         self.dW = self.dW[keep]
         self.last, self.H_last = self.last[keep], self.H_last[keep]
+
+
+def _history(rounds: list[tuple[Sequence[int], Sequence[float]]], j: int) -> list[float]:
+    """Column j's residual norms, one per round it took part in."""
+    return [float(v[c.index(j)]) for c, v in rounds if j in c]
 
 
 def _sample_major(nodes: list[tuple[np.ndarray, ...]]) -> np.ndarray:

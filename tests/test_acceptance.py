@@ -143,8 +143,8 @@ def test_criterion_1_analytic_linear_check():
             AnalyticStudy(levels=[8, 16, 32, 64], tau=1e-4, T=0.5),
         )
     )
-    l2o = table.l2_orders[-1]
-    h1o = table.h1_orders[-1]
+    l2o = table.orders(table.l2)[-1]
+    h1o = table.orders(table.h1)[-1]
     ok = l2o >= 1.8 and abs(h1o - 1.0) <= 0.3 and elapsed < 60
     _report(
         "criterion 1",
@@ -154,13 +154,18 @@ def test_criterion_1_analytic_linear_check():
     )
 
 
+def _finest_orders(table):
+    """The L2, H1 and d_t orders of the finest pair."""
+    return tuple(table.orders(e)[-1] for e in (table.l2, table.h1, table.dtl2))
+
+
 # ---------------------------------------------------------------------------
 # Criterion 2: spatial rates, cubic drift
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_spatial_rates(table1):
     table, elapsed = table1
-    got = (table.l2_orders[-1], table.h1_orders[-1], table.dtl2_orders[-1])
+    got = _finest_orders(table)
     want = (2.005, 1.001, 2.004)
     ok = all(abs(g - w) <= 0.3 for g, w in zip(got, want)) and elapsed < 300
     _report(
@@ -177,7 +182,7 @@ def test_criterion_2_spatial_rates(table1):
 
 def test_criterion_3_temporal_rates(table2):
     table, elapsed = table2
-    got = (table.l2_orders[-1], table.h1_orders[-1], table.dtl2_orders[-1])
+    got = _finest_orders(table)
     ok = all(0.7 <= g <= 1.3 for g in got) and elapsed < 600
     _report(
         "criterion 3",
@@ -193,11 +198,7 @@ def test_criterion_3_temporal_rates(table2):
 
 def test_criterion_4_half_order_loss(table6):
     table, elapsed = table6
-    l2o, h1o, dto = (
-        table.l2_orders[-1],
-        table.h1_orders[-1],
-        table.dtl2_orders[-1],
-    )
+    l2o, h1o, dto = _finest_orders(table)
     ok = dto < 0.75 and l2o >= 0.85 and h1o >= 0.85 and elapsed < 600
     _report(
         "criterion 4",
@@ -215,7 +216,7 @@ def test_criterion_4_half_order_loss(table6):
 
 def test_criterion_5_degree11_robustness(table3):
     table, elapsed = table3
-    got = (table.l2_orders[-1], table.h1_orders[-1], table.dtl2_orders[-1])
+    got = _finest_orders(table)
     want = (2.0, 1.0, 2.0)
     ok = (
         table.n_failures == 0

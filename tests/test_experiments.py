@@ -368,7 +368,7 @@ _STABILITY = {"kind": "stability", "level": 4, "tau": 0.02, "T": 0.1}
         ({**_raw_study(level=4), "newton_abs_tol": 0}, "newton_abs_tol: must be finite and > 0"),
         (
             {**_raw_study(level=4), "newton_abs_tol": float("inf")},
-            "newton_abs_tol: must be finite and > 0",
+            "newton_abs_tol: expected finite float, got inf",
         ),
         ({**_raw_study(level=4), "master_seed": -1}, "master_seed: must be >= 0"),
         ({**_raw_study(level=4), "threads": 0}, "threads: must be >= 1"),
@@ -413,6 +413,39 @@ def test_cli_config_errors_exit_2(cfg, field, tmp_path, capsys):
     assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_HOLE = "<non-finite>"  # replaced by a JSON number beyond the finite floats
+
+
+@pytest.mark.parametrize(
+    "literal, shown", [("NaN", "nan"), ("1e400", "inf"), ("1" + "0" * 400, "1" + "0" * 400)],
+    ids=["NaN", "1e400", "10**400"],
+)
+@pytest.mark.parametrize(
+    "path, raw",
+    [
+        ("studies[0].kappa", _raw_study(level=4, kappa=_HOLE)),
+        ("studies[0].T", _raw_study(level=4, T=_HOLE)),
+        (
+            "diffusion.epsilon",
+            {**_raw_study(level=4), "diffusion": {"kind": "smoothed_abs", "epsilon": _HOLE}},
+        ),
+        ("drift.coeffs[0]", {**_raw_study(level=4), "drift": {"coeffs": [_HOLE, 0.0, -1.0]}}),
+    ],
+    ids=["kappa", "T", "epsilon", "drift-coeff"],
+)
+def test_cli_rejects_non_finite_floats(path, raw, literal, shown, tmp_path, capsys):
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(json.dumps(raw).replace(json.dumps(_HOLE), literal))
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: expected finite float, got {shown}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validation_rejects_nan_kappa():
+    cfg = _with_study(StabilityStudy(level=4, tau=0.02, T=0.1, kappa=float("nan")))
+    assert "studies[0].kappa: must be >= 0" in validate_config(cfg)
 
 
 def test_cli_unreadable_config_exits_2(tmp_path):

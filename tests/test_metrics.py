@@ -162,10 +162,10 @@ def test_convergence_table_deterministic_linear_rates():
         ),
         n_samples=1, threads=1,
     )
-    assert table.l2_orders[0] is None
-    assert table.l2_orders[-1] == pytest.approx(2.0, abs=0.3)
-    assert table.h1_orders[-1] == pytest.approx(1.0, abs=0.3)
-    assert table.dtl2_orders[-1] == pytest.approx(2.0, abs=0.4)
+    assert table.orders(table.l2)[0] is None
+    assert table.orders(table.l2)[-1] == pytest.approx(2.0, abs=0.3)
+    assert table.orders(table.h1)[-1] == pytest.approx(1.0, abs=0.3)
+    assert table.orders(table.dtl2)[-1] == pytest.approx(2.0, abs=0.4)
     assert table.params[0] == 0.25
 
 
@@ -257,8 +257,8 @@ def test_analytic_table_linear_wave():
     table = analytic_error_table(
         _problem(ZERO, Diffusion.zero()), AnalyticStudy(levels=[4, 8, 16], tau=1e-4, T=0.05)
     )
-    assert table.l2_orders[-1] >= 1.8
-    assert table.h1_orders[-1] == pytest.approx(1.0, abs=0.3)
+    assert table.orders(table.l2)[-1] >= 1.8
+    assert table.orders(table.h1)[-1] == pytest.approx(1.0, abs=0.3)
 
 
 def test_analytic_table_does_not_depend_on_the_block_width(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochwave.noise import BrownianPath, coarsen, sample_path
+from stochwave.noise import coarsen, sample_path
 
 
 def test_reproducible_bitwise():
@@ -94,8 +94,3 @@ def test_coarsen_rejects_bad_factor():
         coarsen(path, 3)
     with pytest.raises(ValueError):
         coarsen(path, 0)
-
-
-def test_duration():
-    path = BrownianPath(0.25, np.zeros(8), 0, 0)
-    assert path.duration == 2.0

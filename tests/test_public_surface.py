@@ -1,7 +1,8 @@
 """Every name a stochwave module exports in ``__all__`` is one the program
 uses: loaded somewhere in src/stochwave outside ``__init__.py``, imported by
-the benchmark's scripts, or the console entry point.  A helper that only the
-tests call belongs under tests/ (see oracles.py)."""
+the benchmark's scripts, or the console entry point.  Every public method or
+property of a class is loaded in the package or read by the benchmark.  A
+helper that only the tests call belongs under tests/ (see oracles.py)."""
 
 import ast
 import importlib
@@ -10,7 +11,7 @@ import tomllib
 from pathlib import Path
 
 import stochwave
-from test_bench_names import SCRIPTS, _imported_names
+from test_bench_names import BENCH, SCRIPTS, _imported_names
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +50,31 @@ def test_every_exported_name_is_used_by_the_program():
         if name not in used and (module.__name__, name) not in entry
     ]
     assert not unused, f"exported but used only outside the program: {unused}"
+
+
+def _bench_reads() -> set[str]:
+    """Attributes the benchmark's scripts load, and those its tracer wraps."""
+    names = set()
+    for script in SCRIPTS:
+        for node in ast.walk(ast.parse((BENCH / script).read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    tracer = ast.parse((BENCH / "tracer.py").read_text()).body
+    (targets,) = [
+        n.value for n in tracer
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "_TARGETS"
+    ]
+    return names | {attribute for _, _, attribute, _ in ast.literal_eval(targets)}
+
+
+def test_every_public_class_member_is_used_by_the_program():
+    used = _loaded_names() | _bench_reads()
+    unused = [
+        f"{path.stem}.{cls.name}.{f.name}"
+        for path in sorted((ROOT / "src" / "stochwave").glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_") and f.name not in used
+    ]
+    assert not unused, f"defined but used only outside the program: {unused}"

@@ -13,6 +13,7 @@ from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
 from stochwave.metrics import quadrature_degree_for
 from stochwave.noise import BrownianPath, sample_path
 from stochwave.stepper import (
+    CHORD_CONTRACTION,
     NEWTON_MAX_ITER,
     NEWTON_REL_TOL,
     POLISH_FRACTION,
@@ -697,6 +698,30 @@ def test_iteration_cap_inside_a_parted_batch(monkeypatch):
         tol = _tolerance(stepper.config, r0)
         assert r2 <= tol and (r2 > POLISH_FRACTION * tol) == due
     assert list(batch.newton_iters[:, 0]) == [2, 2]
+
+
+def test_partial_round_with_a_rejection_and_a_polish_due(monkeypatch):
+    # At step 2, in the fourth round, sample 25's frozen correction is
+    # rejected and it finishes with full Newton.  In the fifth, over samples
+    # 13 and 14 alone, 14's is rejected while 13 meets the tolerance with its
+    # polish due: one column of a partial block is written back, and 13 then
+    # takes its polish alone.
+    space = _space(16)
+    cfg = SchemeConfig(tau=0.5, n_steps=3, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
+    init.u.coeffs[:] *= 0.5
+    paths = [sample_path(11, k, 3, 0.5) for k in (13, 14, 25)]
+    traj, steps = _products_per_step(monkeypatch, stepper, paths, init)
+    assert traj.newton_iters.tolist() == [[8, 7, 6], [8, 8, 5], [7, 9, 5]]
+    norms = steps[2]["norms"]  # predictor, four rounds, Newton, a round, Newton
+    assert [len(r) for r in norms] == [3, 3, 3, 3, 3, 1, 1, 2, 1]
+    (r0, *_), r4, (x13, x14) = norms[0], norms[4], norms[7]
+    tol = _tolerance(cfg, r0)
+    assert POLISH_FRACTION * tol < x13 <= tol and x14 > CHORD_CONTRACTION * r4[1]
+    _assert_batch_matches_alone(stepper, paths, init)
+    # reversed, 13's column is not its position among the round's columns
+    _assert_batch_matches_alone(stepper, paths[::-1], init)
 
 
 @pytest.mark.parametrize("dimension", [1, 2], ids=["mcn-cubic-1d", "p1-2d"])
