@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,9 @@ class Diffusion:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown diffusion kind {self.kind!r}; expected {_KINDS}")
-        if self.kind == "smoothed_abs" and self.epsilon <= 0:
+        if not (math.isfinite(self.c) and math.isfinite(self.epsilon)):
+            raise ValueError(f"diffusion needs finite c and epsilon, got {self.c}, {self.epsilon}")
+        if self.kind == "smoothed_abs" and not self.epsilon > 0:
             raise ValueError("smoothed_abs needs epsilon > 0")
 
     @classmethod

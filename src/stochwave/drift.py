@@ -170,6 +170,10 @@ class PolynomialDrift:
     def validate(self, scheme: str) -> list[str]:
         """Run the admissibility checks; return a list of violations (empty = ok)."""
         violations: list[str] = []
+        constants = {"coefficients": self.coeffs, "alpha": (self.alpha,), "lambda": (self.lam,)}
+        bad = [name for name, values in constants.items() if not np.all(np.isfinite(values))]
+        if bad:
+            return [f"drift {' and '.join(bad)} must be finite"]
         if self.q % 2 == 0:
             violations.append(
                 f"drift polynomial degree must be odd, got q={self.q}"

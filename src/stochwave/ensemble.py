@@ -202,8 +202,10 @@ def map_samples(
     failed = [r for r in records if r.failure is not None]
     good = [r for r in records if r.failure is None]
     if len(failed) > MAX_FAILURE_FRACTION * n_samples or not good:
+        names = ", ".join(str(r.index) for r in failed)
         raise EnsembleFailureError(
-            f"{len(failed)}/{n_samples} samples failed; first: {failed[0].failure}"
+            f"{len(failed)}/{n_samples} samples failed (samples {names}); "
+            f"first, sample {failed[0].index}: {failed[0].failure}"
         )
     return good, len(failed)
 
@@ -314,7 +316,7 @@ def subset_fraction(h1_full_sq: np.ndarray, kappa: float) -> np.ndarray:
     ``h1_full_sq`` is (n_samples, n_nodes) of ||u||_{L2}^2 + ||grad u||_{L2}^2
     for the discrete solution.  Returns the per-node fraction curve.
     """
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     running = np.maximum.accumulate(h1_full_sq, axis=1)
     return (running <= kappa).mean(axis=0)

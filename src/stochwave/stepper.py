@@ -2,16 +2,19 @@
 
 One step solves the nonlinear algebraic system
 
-    R(c) = (M + tau^2 K) c - tau^2 b_drift(c) - M (u^n + tau v^n) - tau b_g dW = 0
+    R(c) = (M + tau^2 K) c - tau^2 b_drift(c) - M (u^n + D^n) - tau b_g dW = 0
 
-for the new displacement coefficients c, where b_drift carries either the
-fully implicit drift f(c) or the two-point potential quotient against u^n,
-and b_g is the load of g(u^n).  Afterwards v^{n+1} = (c - u^n)/tau, which
-keeps the two-step history u^{n-1} = u^n - tau v^n implicit in the state.
+for the new displacement coefficients c, where D^n = u^n - u^{n-1} is the
+last step (D^0 = tau v^0), b_drift carries either the fully implicit drift
+f(c) or the two-point potential quotient against u^n, and b_g is the load of
+g(u^n).  The march carries this two-step recurrence as it stands: u^n, D^n
+and the products W u^n and W u^{n-1} with the stacked operator W (below).
+The velocity v^{n+1} = D^{n+1}/tau is a difference quotient that only the
+energy ledger forms, a window at a time.
 
 The solver is the chord method (Kelley, *Iterative Methods for Linear and
 Nonlinear Equations*, SIAM 1995, ch. 5): starting from the explicit predictor
-u^n + tau v^n, a column meets the tolerance when max |R| is at most
+u^n + D^n, a column meets the tolerance when max |R| is at most
 max(newton_abs_tol, NEWTON_REL_TOL times the predictor's max |R|), and it
 fails when NEWTON_MAX_ITER corrections leave it above.  Every correction
 reuses one factor of the Jacobian frozen at the zero state,
@@ -39,13 +42,14 @@ evaluation Q when the drift or the noise reads point values: one product
 per iterate yields R's linear part, M c, K c and c's quadrature values, so
 the iterate a column accepts brings all four along and no step evaluates
 Q on its own.  Each row of W is summed exactly as in its own operator, so
-these are the bits that separate products would give.  A step of a linear
-drift without noise makes three operator products: the predictor's
-residual, the correction's residual and M v.  Every product calls scipy's
-compiled CSR kernel directly (`CsrProduct`), with the arguments ``A @ X``
-would pass it, so only the dispatch of ``@`` is saved, and every bit stays
-as ``@`` makes it.  Each residual product comes with one max-norm
-reduction, a NaN for a column that holds one.
+these are the bits that separate products would give.  W is linear, so the
+predictor's product needs no product of its own: it is (P - Pprev) + P,
+and the right-hand side is its M rows plus tau dW times the noise load.  A
+step of a linear drift without noise makes one operator product, the
+correction's residual; the ledger adds one mass product and one segment
+sum per window.  Every product calls scipy's compiled CSR kernel directly
+(`CsrProduct`), with the arguments ``A @ X`` would pass it, so only the
+dispatch of ``@`` is saved, and every bit stays as ``@`` makes it.
 
 Rounds.  The active columns are those above the tolerance or with the
 polish due.  A round gives each of them one frozen correction, so every
@@ -67,26 +71,23 @@ records only then; the others go on.  The quadrature values of the accepted
 iterate are carried forward as the next step's u^n values.
 
 Energy bookkeeping.  The time loop only solves.  A `_Ledger` books each
-node by keeping references to the step's own arrays (u, v, W u, M v and the
-noise load), which nothing writes after their step.  A flush stacks the
-window's nodes once, sample-major, shape (window, S, rows), without the
-rows of A u, and turns the stack into the L2, H1 and d_t norms, H and the
-energy-identity residuals at once; the steps into its first node are
-taken from the rows it kept of the previous flush's last node.  The
-window holds at most BLOCK_POINTS doubles (and at least one step); it is
-flushed when full, before a failed sample is dropped, and at the end of
-the run.  An observer (see ``Observer``) is fed from the same stack: node
-0 when the march starts, then each flushed window whole, so no node is
-copied for it.
+node by reference to the step's own arrays.  A flush forms V = D/tau and
+M V for the window's nodes with one mass product, writes u.Mu, u.Ku, v.Mv,
+dv.dMv, du.dKu, V(u) at the quadrature points and g.v into one array, and
+reduces every (node, sample) column with one segment-sum product: the L2,
+H1 and d_t norms, H and the energy-identity residuals at once.  The window
+holds at most BLOCK_POINTS doubles (and at least one step); it is flushed
+when full, before a failed sample is dropped, and at the end of the run.
+An observer (see ``Observer``) sees node 0 when the march starts, then
+each flushed window whole, as views of the ledger's stacks.
 
 Batch independence: a sample's numbers are bit-identical whether it steps
 alone or inside any batch, so that outputs do not depend on how samples are
-split over workers.  Every operation is either column-wise in exact
-arithmetic order (sparse products, SuperLU solves with several right-hand
-sides, elementwise maps, max-norms) or a sum over the contiguous last axis
-of a sample-major stack, which reduces each (node, sample) row on its own.
-Neither the window length nor the moment of a flush enters any sum, so the
-numbers do not depend on the window either.
+split over workers.  Every operation is column-wise in exact arithmetic
+order: sparse products (the segment sums among them), SuperLU solves with
+several right-hand sides, elementwise maps and max-norms.  Neither the
+window length nor the moment of a flush enters any sum, so the numbers do
+not depend on the window either.
 """
 
 from __future__ import annotations
@@ -138,12 +139,12 @@ BLOCK_POINTS = 2**14
 
 # observe(n0, live, U, V): a window of k consecutive nodes n0..n0+k-1, the
 # batch positions of the samples still running, and their displacements and
-# velocities, sample-major of shape (k, len(live), n_dofs).  It sees node 0
-# alone when the march starts and then every window of the energy ledger as
-# it is flushed, so each node of a march reaches it once and in order; a
-# window ends before any sample is dropped, so ``live`` holds for all its
-# nodes.  U and V are views of the ledger's stack of the window: valid
-# during the call only, and not to be written.
+# velocities, of shape (k, len(live), n_dofs).  It sees node 0 alone when
+# the march starts and then every window of the energy ledger as it is
+# flushed, so each node of a march reaches it once and in order; a window
+# ends before any sample is dropped, so ``live`` holds for all its nodes.
+# U and V are transposed, strided views of the ledger's node-major stacks
+# of the window: valid during the call only, and not to be written.
 Observer = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -264,6 +265,11 @@ class WaveStepper:
         self.W = CsrProduct(sp.vstack(blocks, format="csr"))
         self.mass_product = CsrProduct(M)
         self.load_product = space.load_product
+        # the ledger's column sums of u.Mu, u.Ku, v.Mv, (w V(u_q),) dv.dMv,
+        # du.dKu (and g.v), one row per block of its products
+        ones = np.ones((1, space.n_dofs))
+        blocks = [ones] * 3 + ([] if self._drift_is_zero else [space.wdet.reshape(1, -1)])
+        self.ledger_sums = CsrProduct(sp.block_diag(blocks + [ones] * (2 + self._noisy), "csr"))
         w0 = self._jacobian_weight(np.zeros(1), np.zeros(1))[0]
         self._frozen_solve = spd_solver(self.A - self._tau2 * w0 * M)
         self._frozen_is_exact = drift.is_linear
@@ -281,34 +287,35 @@ class WaveStepper:
         return self.drift.potential_quotient_da(cq, unq)
 
     def _residual(
-        self, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
+        self, P: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """W C with R(C) in its first n_dofs rows, and each column's max |R|.
+        """R(C) of the iterate C whose product W C is P, and each column's max |R|.
 
-        Rows 3 n_dofs on hold C's quadrature values, one row per point, when
-        the drift or the noise needs them; ``unq`` holds u^n's likewise.  A
-        column's norm is NaN if its residual holds a NaN.
+        Rows 3 n_dofs on of P hold C's quadrature values, one row per point,
+        when the drift or the noise needs them; ``unq`` holds u^n's likewise.
+        P is not written.  A column's norm is NaN if its residual holds a NaN.
         """
-        P = self.W(C)
-        n = C.shape[0]
-        R = P[:n]
-        if not self._drift_is_zero:
-            R -= self._tau2 * self.load_product(self._drift_values(P[3 * n :], unq))
-        R -= rhs
-        return P, np.maximum.reduce(np.abs(R), axis=0)
+        n = rhs.shape[0]
+        if self._drift_is_zero:
+            R = P[:n] - rhs
+        else:
+            R = P[:n] - self._tau2 * self.load_product(self._drift_values(P[3 * n :], unq))
+            R -= rhs
+        return R, np.maximum.reduce(np.abs(R), axis=0)
 
     # -- one step of a block ----------------------------------------------------
 
     def _solve(
-        self, step: int, C: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
+        self, step: int, C: np.ndarray, P: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, list[int], dict[int, Exception]]:
-        """Solve R(c) = 0 for every column of the predictor block C.
+        """Solve R(c) = 0 for every column of the predictor block C, whose
+        product W C is P; C and P may be written.
 
         Returns the solutions, their products W c, the accepted corrections
         per column and the errors of the columns that failed.
         """
-        n, S = C.shape
-        P, rn = self._residual(C, rhs, unq)
+        S = C.shape[1]
+        R, rn = self._residual(P, rhs, unq)
         r = rn.tolist()  # each column's last accepted residual norm
         tol = [max(self.config.newton_abs_tol, NEWTON_REL_TOL * x) for x in r]
         act = [j for j in range(S) if r[j] > tol[j]]  # the active columns, all finite
@@ -332,17 +339,18 @@ class WaveStepper:
                 break
             full = len(act) == S
             if full:
-                trial = C - self._frozen_solve(P[:n])
+                trial = C - self._frozen_solve(R)
             else:
-                trial = C[:, act] - self._frozen_solve(P[:n, act])
+                trial = C[:, act] - self._frozen_solve(R[:, act])
             taken += 1
+            Pt = self.W(trial)
             if due == len(act):  # all polish, and nothing reads the polish's residual
-                Pt, new = self.W(trial), None
+                Rt = new = None
             else:
                 if full:
-                    Pt, rt = self._residual(trial, rhs, unq)
+                    Rt, rt = self._residual(Pt, rhs, unq)
                 else:
-                    Pt, rt = self._residual(trial, rhs[:, act], None if unq is None else unq[:, act])
+                    Rt, rt = self._residual(Pt, rhs[:, act], None if unq is None else unq[:, act])
                 new = rt.tolist()
             going, ok, rejected = [], [], []  # columns; positions in act
             due = 0
@@ -363,19 +371,22 @@ class WaveStepper:
                         iters[j] = taken
                 else:
                     rejected.append(i)
+            # only the columns going on read R again, and a polish round has none
             if rejected:
                 cols = [act[i] for i in ok]
-                C[:, cols], P[:, cols] = trial[:, ok], Pt[:, ok]
+                C[:, cols], P[:, cols], R[:, cols] = trial[:, ok], Pt[:, ok], Rt[:, ok]
             elif full:
-                C, P = trial, Pt
+                C, P, R = trial, Pt, Rt
             else:
                 C[:, act], P[:, act] = trial, Pt
+                if Rt is not None:
+                    R[:, act] = Rt
             for i in rejected:  # continues alone with full Newton
                 j = act[i]
                 s = slice(j, j + 1)
                 try:
                     iters[j] = taken - 1 + self._newton(
-                        step, C[:, s], P[:, s], tol[j], taken - 1, _history(rounds, j),
+                        step, C[:, s], P[:, s], R[:, s], tol[j], taken - 1, _history(rounds, j),
                         rhs[:, s], None if unq is None else unq[:, s],
                     )
                 except (NewtonDivergedError, LinearSolveError) as exc:
@@ -385,20 +396,14 @@ class WaveStepper:
         return C, P, iters, errors
 
     def _newton(
-        self,
-        step: int,
-        c: np.ndarray,
-        p: np.ndarray,
-        tol: float,
-        iters: int,
-        history: list[float],
-        rhs: np.ndarray,
-        unq: np.ndarray | None,
+        self, step: int, c: np.ndarray, p: np.ndarray, r: np.ndarray, tol: float, iters: int,
+        history: list[float], rhs: np.ndarray, unq: np.ndarray | None,
     ) -> int:
         """Full Newton on one column from its last accepted iterate.
 
-        Updates the (n_dofs, 1) view c and the (rows of W, 1) view p of W c
-        in place; returns the number of corrections taken.
+        Updates the (n_dofs, 1) view c, the (rows of W, 1) view p of W c and
+        the (n_dofs, 1) view r of R(c) in place; returns the number of
+        corrections taken.
         """
         n = c.shape[0]
         taken = 0
@@ -411,12 +416,13 @@ class WaveStepper:
                 w = self._jacobian_weight(p[3 * n :, 0], unq[:, 0])
                 weighted = assemble_weighted_mass(self.space, w.reshape(self.space.wdet.shape))
                 solve = spd_solver(self.A - self._tau2 * weighted)
-            trial = c - solve(p[:n])
-            p_new, rn = self._residual(trial, rhs, unq)
+            trial = c - solve(r)
+            p_new = self.W(trial)
+            r_new, rn = self._residual(p_new, rhs, unq)
             history.append(float(rn[0]))
             if not math.isfinite(history[-1]):
                 raise NewtonDivergedError(step, history)
-            c[...], p[...] = trial, p_new
+            c[...], p[...], r[...] = trial, p_new, r_new
             taken += 1
         return taken
 
@@ -470,18 +476,22 @@ class WaveStepper:
         U = np.repeat(initial.u.coeffs[:, None], S, axis=1)
         V = np.repeat(initial.v.coeffs[:, None], S, axis=1)
         n = U.shape[0]
-        P, MV = self.W(U), self.mass_product(V)
-        ledger = _Ledger(self, dW, U, V, P, MV, observe)
+        D = tau * V  # u^0 - u^{-1}
+        P, Pprev = self.W(U), self.W(U - D)  # W u^n, W u^{n-1}
+        ledger = _Ledger(self, dW, U, V, P, observe)
         live = ledger.live
 
         noise = None
         for step in range(N):
             uq = P[3 * n :] if self._needs_q else None
-            rhs = P[n : 2 * n] + tau * MV
+            Pc = P - Pprev  # W D, and then the predictor's product W (u^n + D)
+            Pc += P
             if self._noisy:
                 noise = self.load_product(self.diffusion.value(uq))
-                rhs += noise * (tau * ledger.dW[:, step])
-            C, P1, it, errors = self._solve(initial.n + step, U + tau * V, rhs, uq)
+                rhs = Pc[n : 2 * n] + noise * (tau * ledger.dW[:, step])
+            else:
+                rhs = Pc[n : 2 * n].copy()  # the solve may write Pc
+            C, P1, it, errors = self._solve(initial.n + step, U + D, Pc, rhs, uq)
             if errors:
                 keep = np.ones(live.size, dtype=bool)
                 for j, exc in errors.items():
@@ -492,51 +502,44 @@ class WaveStepper:
                 if not live.size:
                     break
                 it, C, P1 = np.asarray(it)[keep], C[:, keep], P1[:, keep]
-                U, V, MV = U[:, keep], V[:, keep], MV[:, keep]
+                U, P = U[:, keep], P[:, keep]
                 if self._noisy:
                     noise = noise[:, keep]
-            V1 = (C - U) / tau
-            MV1 = self.mass_product(V1)
-            ledger.book(step, C, V1, P1, MV1, noise, it)
-            U, V, P, MV = C, V1, P1, MV1
+            D = C - U
+            ledger.book(C, D, P1, noise, it)
+            U, Pprev, P = C, P, P1
 
         ledger.flush()
         done = np.array([k for k in range(S) if k not in failures], dtype=np.int64)
-        l2sq, h1sq, dtl2sq, H = ledger.series[:, done]
+        series = ledger.series[:, done]
         return Trajectory(
-            np.arange(N + 1) * tau,
-            l2sq,
-            h1sq,
-            dtl2sq,
-            H,
-            ledger.resid[done],
-            ledger.iters[done],
-            samples=done,
-            failures=failures,
+            np.arange(N + 1) * tau, *series, ledger.resid[done], ledger.iters[done],
+            samples=done, failures=failures,
         )
 
 
 class _Ledger:
     """The norm and energy series of one march, reduced a window at a time.
 
-    ``held`` keeps, per node not yet reduced, views of the step's own
-    arrays: u, v, M v, the rows of W u but A u's (M u, K u and the
-    quadrature values) and the load of g(u) that drove the step into the
-    node (left out without noise).  They are never written after their
-    step, so booking a node copies nothing.  A flush stacks the held nodes
-    once, sample-major, and reduces them at once.  Of the last node reduced
-    it keeps the u, v, M v, M u and K u rows (``last``, shape
-    (S, 5 n_dofs)) and H (``H_last``), which the next flush differences
-    against.  The series rows are batch positions; ``live`` lists those
-    still running, ``rows`` indexes their series rows (all of them until a
-    sample is dropped) and ``dW`` holds their increments.  The observer, if
-    any, sees node 0 at once and every later node at the flush that reduces
-    it.
+    ``held`` keeps, per node not yet reduced, references to the step's own
+    arrays: u, its step D, the rows of W u below A u's (M u, K u and the
+    quadrature values) and, with noise, the load of g(u_prev) that drove
+    the step.  Nothing writes them after their step, so booking copies
+    nothing.  A flush joins each kind into a node-major stack, column i S + s
+    holding node i of sample s, and sums every product block of its columns
+    with one product by ``WaveStepper.ledger_sums``.  Of the last node it
+    keeps v, M v and K u (``last``) and H (``H_last``) for the next flush to
+    difference against.  The series rows are batch positions; ``live``
+    lists those still running, ``rows`` indexes their series rows (all of
+    them until a sample is dropped) and ``dW`` holds their increments.  The
+    observer, if any, sees node 0 at once and every later node at the flush
+    that reduces it.
     """
 
-    def __init__(self, stepper: WaveStepper, dW, U, V, P, MV, observe: Observer | None):
+    def __init__(self, stepper: WaveStepper, dW, U, V, P, observe: Observer | None):
         S, N = dW.shape
         self.n = n = U.shape[0]
+        self.tau = stepper.config.tau
         self.dW = dW
         self.live = np.arange(S)
         self.rows = slice(None)
@@ -544,38 +547,49 @@ class _Ledger:
         self.series = np.empty((4, S, N + 1))  # l2sq, h1sq, dtl2sq, H per node
         self.resid = np.empty((S, N))
         self.iters = np.zeros((S, N), dtype=np.int64)
-        self.wdet = stepper.space.wdet.ravel()
+        self.mass_product = stepper.mass_product
+        self.sums = stepper.ledger_sums
         self.potential = None if stepper._drift_is_zero else stepper.drift.potential
         self.noisy = stepper._noisy
-        self.q_rows = slice(5 * n, P.shape[0] + 2 * n)  # of a stacked node
-        per_node = P.shape[0] + n * (4 if self.noisy else 3)  # doubles held per sample
+        # held per node and sample: u, D, the rows of W u below A u's and the
+        # noise load
+        per_node = P.shape[0] + n * (2 if self.noisy else 1)
         self.window = max(1, min(N, BLOCK_POINTS // (S * per_node) - 1))
-        self.held = []
+        self.held, self.held_iters = [], []
         self.n0 = 0  # the node of ``last``
-        X = _sample_major([(U, V, MV, P[n:])])
-        l2, h1, dt, H = self._norms(X)
-        self.series[:, :, 0] = l2[0], h1[0], dt[0], H[0]
-        self.last, self.H_last = X[0, :, : 5 * n], H[0]
+        MV = self.mass_product(V)
+        E = np.zeros((self.sums.shape[1], S))  # the step rows stay zero
+        sums = self.sums(self._fill(E, U, P[n:], V, MV))
+        H = self._hamiltonian(sums)
+        self.series[:3, :, 0], self.series[3, :, 0] = sums[:3], H
+        self.last, self.H_last = (V, MV, P[2 * n : 3 * n]), H
         if observe is not None:
-            observe(0, self.live, X[..., :n], X[..., n : 2 * n])
+            observe(0, self.live, U.T[None], V.T[None])
 
-    def _norms(self, X):
-        """Squared L2, H1 and d_t norms and H, shape (nodes, S), of stacked
-        nodes."""
-        U, V, MV, MU, KU = (X[..., i * self.n : (i + 1) * self.n] for i in range(5))
-        l2 = (U * MU).sum(axis=-1)
-        h1 = (U * KU).sum(axis=-1)
-        dt = (V * MV).sum(axis=-1)
-        H = 0.5 * dt + 0.5 * h1
+    def _fill(self, E, U, B, V, MV):
+        """Write u.Mu, u.Ku, v.Mv and, with a drift, V(u) at the quadrature
+        points into the first row blocks of E, where B holds M u, K u and the
+        quadrature values; returns E."""
+        n = self.n
+        np.multiply(U, B[:n], out=E[:n])
+        np.multiply(U, B[n : 2 * n], out=E[n : 2 * n])
+        np.multiply(V, MV, out=E[2 * n : 3 * n])
         if self.potential is not None:
-            H = H + (self.wdet * self.potential(X[..., self.q_rows])).sum(axis=-1)
-        return l2, h1, dt, H
+            E[3 * n : 3 * n + B.shape[0] - 2 * n] = self.potential(B[2 * n :])
+        return E
 
-    def book(self, step: int, C, V, P, MV, noise, iters) -> None:
-        """Hold the node that ``step`` reached; flush when the window is full."""
-        self.iters[self.rows, step] = iters
-        node = (C, V, MV, P[self.n :])
+    def _hamiltonian(self, sums):
+        """H = |v|_M^2 / 2 + |u|_K^2 / 2 + the quadrature of V(u), per column."""
+        H = 0.5 * sums[2] + 0.5 * sums[1]
+        if self.potential is not None:
+            H += sums[3]
+        return H
+
+    def book(self, C, D, P, noise, iters) -> None:
+        """Hold a step's node and its accepted corrections; flush when full."""
+        node = (C, D, P[self.n :])
         self.held.append(node if noise is None else node + (noise,))
+        self.held_iters.extend(iters)
         if len(self.held) >= self.window:
             self.flush()
 
@@ -584,45 +598,50 @@ class _Ledger:
         k, n = len(self.held), self.n
         if not k:
             return
-        X = _sample_major(self.held)
-        U, V = X[..., :n], X[..., n : 2 * n]
-        if self.observe is not None:
-            self.observe(self.n0 + 1, self.live, U, V)
-        l2, h1, dt, H = self._norms(X)
-        a, b = self.n0 + 1, self.n0 + k + 1
-        for i, x in enumerate((l2, h1, dt, H)):
-            self.series[i, self.rows, a:b] = x.T
-        kept = X[..., : 5 * n]
-        D = np.empty(kept.shape)  # the steps of the kept rows
-        np.subtract(kept[0], self.last, out=D[0])
-        np.subtract(kept[1:], kept[:-1], out=D[1:])
-        dU, dV, dMV, _, dKU = (D[..., i * n : (i + 1) * n] for i in range(5))
-        Hprev = np.concatenate([self.H_last[None], H[:-1]])
-        resid = H - Hprev + 0.5 * (dV * dMV).sum(axis=-1) + 0.5 * (dU * dKU).sum(axis=-1)
+        held = self.held
+        U, D, B, *G = held[0] if k == 1 else (np.concatenate(X, axis=1) for X in zip(*held))
+        S = U.shape[1] // k
+        V = D / self.tau
+        MV = self.mass_product(V)
+        E = self._fill(np.empty((self.sums.shape[1], k * S)), U, B, V, MV)
+        # the step rows: dv.dMv, du.dKu and, with noise, g.v
+        m = E.shape[0] - n * (3 if self.noisy else 2)
+        dV, dKU, dMV = E[m : m + n], E[m + n : m + 2 * n], np.empty(V.shape)
+        KU = B[n : 2 * n]
+        for d, X, x0 in zip((dV, dMV, dKU), (V, MV, KU), self.last):
+            np.subtract(X[:, :S], x0, out=d[:, :S])
+            np.subtract(X[:, S:], X[:, :-S], out=d[:, S:])
+        dV *= dMV
+        dKU *= D
         if self.noisy:
-            gain = (X[..., -n:] * V).sum(axis=-1)
-            resid -= gain * self.dW[:, a - 1 : b - 1].T
-        self.resid[self.rows, a - 1 : b - 1] = resid.T
-        self.last, self.H_last = kept[-1], H[-1]
-        self.held = []
+            np.multiply(G[0], V, out=E[m + 2 * n :])
+        sums = self.sums(E)
+        H = self._hamiltonian(sums)
+        a, b = self.n0 + 1, self.n0 + k + 1
+        self.series[:3, self.rows, a:b] = sums[:3].reshape(3, k, S).transpose(0, 2, 1)
+        self.series[3, self.rows, a:b] = H.reshape(k, S).T
+        j = len(sums) - (3 if self.noisy else 2)
+        resid = H - np.concatenate([self.H_last, H[:-S]]) + 0.5 * sums[j] + 0.5 * sums[j + 1]
+        if self.noisy:
+            resid -= sums[j + 2] * self.dW[:, a - 1 : b - 1].T.ravel()
+        self.resid[self.rows, a - 1 : b - 1] = resid.reshape(k, S).T
+        self.iters[self.rows, a - 1 : b - 1] = np.array(self.held_iters).reshape(k, S).T
+        self.last, self.H_last = (V[:, -S:], MV[:, -S:], KU[:, -S:]), H[-S:]
+        self.held, self.held_iters = [], []
         self.n0 = b - 1
+        if self.observe is not None:
+            shown = (X.reshape(n, k, S).transpose(1, 2, 0) for X in (U, V))
+            self.observe(a, self.live, *shown)
 
     def drop(self, keep: np.ndarray) -> None:
         """Flush, then keep only the samples of the live mask ``keep``."""
         self.flush()
         self.live = self.rows = self.live[keep]
         self.dW = self.dW[keep]
-        self.last, self.H_last = self.last[keep], self.H_last[keep]
+        self.last = tuple(x[:, keep] for x in self.last)
+        self.H_last = self.H_last[keep]
 
 
 def _history(rounds: list[tuple[Sequence[int], Sequence[float]]], j: int) -> list[float]:
     """Column j's residual norms, one per round it took part in."""
     return [float(v[c.index(j)]) for c, v in rounds if j in c]
-
-
-def _sample_major(nodes: list[tuple[np.ndarray, ...]]) -> np.ndarray:
-    """Nodes of blocks of S columns, with the same rows per node, as one
-    C-contiguous (nodes, S, rows per node) array."""
-    S = nodes[0][0].shape[1]
-    stacked = np.concatenate([X for node in nodes for X in node])  # one C call, unlike np.stack
-    return np.ascontiguousarray(stacked.reshape(len(nodes), -1, S).transpose(0, 2, 1))

@@ -27,6 +27,35 @@ def pointwise_load(space, fn, *states: FeFunction) -> np.ndarray:
     return space.load_product(vals.reshape(-1))
 
 
+def energy_series(stepper, dW, U, V):
+    """One sample's squared L2, H1 and d_t norms and H per node, and its
+    energy-identity residual per step, by plain sums over its node stacks.
+
+    ``U`` and ``V`` hold the sample's nodes, row n holding node n, and
+    ``dW`` its increments.  H = |v|_M^2/2 + |u|_K^2/2 + the quadrature of
+    the drift's potential; the residual of step n is H_{n+1} - H_n +
+    |v_{n+1} - v_n|_M^2/2 + |u_{n+1} - u_n|_K^2/2 - (g(u_n), v_{n+1}) dW_n.
+    """
+    space, drift = stepper.space, stepper.drift
+    M, K = space.mass.toarray(), space.stiffness.toarray()
+    l2 = np.einsum("ni,ij,nj->n", U, M, U)
+    h1 = np.einsum("ni,ij,nj->n", U, K, U)
+    dt = np.einsum("ni,ij,nj->n", V, M, V)
+    potential = [np.sum(space.wdet * drift.potential(space.values_at_qpoints(u))) for u in U]
+    H = 0.5 * dt + 0.5 * h1 + np.array(potential)
+    dU, dV = np.diff(U, axis=0), np.diff(V, axis=0)
+    noise = np.array(
+        [pointwise_load(space, stepper.diffusion.value, FeFunction(space, u)) for u in U[:-1]]
+    )
+    resid = (
+        np.diff(H)
+        + 0.5 * np.einsum("ni,ij,nj->n", dV, M, dV)
+        + 0.5 * np.einsum("ni,ij,nj->n", dU, K, dU)
+        - np.einsum("ni,ni->n", noise, V[1:]) * dW
+    )
+    return l2, h1, dt, H, resid
+
+
 def error_norms(coarse, ref, coarse_space, ref_space, tau_coarse, tau_ref):
     """Per-node (L2, H1-seminorm, d_t L2) error norms of one coupled pair.
 

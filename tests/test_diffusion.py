@@ -32,6 +32,22 @@ def test_smoothed_abs_needs_positive_epsilon():
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Diffusion.smoothed_abs(np.nan),
+        lambda: Diffusion.smoothed_abs(np.inf),
+        lambda: Diffusion.linear(np.nan),
+        lambda: Diffusion.linear(np.inf),
+        lambda: Diffusion.linear(-np.inf),
+    ],
+    ids=["eps-nan", "eps-inf", "c-nan", "c-inf", "c-minus-inf"],
+)
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize(
     "g",
     [Diffusion.zero(), Diffusion.linear(1.0), Diffusion.linear(-2.5),
      Diffusion.smoothed_abs(0.01), Diffusion.smoothed_abs(1.0)],

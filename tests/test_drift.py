@@ -147,6 +147,22 @@ def test_validate_even_degree_rejected_first():
     assert "odd" in violations[0]
 
 
+@pytest.mark.parametrize(
+    "drift, names",
+    [
+        (PolynomialDrift([np.nan, 0.0, -1.0], alpha=1.0, lam=0.5), "coefficients"),
+        (PolynomialDrift([-1.0, 0.0, -np.inf], alpha=1.0, lam=0.5), "coefficients"),
+        (PolynomialDrift([-1.0, 0.0, -1.0], alpha=np.nan, lam=0.5), "alpha"),
+        (PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=np.inf), "lambda"),
+        (PolynomialDrift([np.nan, 0.0, -1.0], alpha=np.nan, lam=0.5), "coefficients and alpha"),
+    ],
+    ids=["coeff-nan", "coeff-inf", "alpha-nan", "lambda-inf", "coeff-and-alpha"],
+)
+@pytest.mark.parametrize("scheme", [MODIFIED_CN, FULLY_IMPLICIT])
+def test_validate_non_finite_reported_before_roots(drift, names, scheme):
+    assert drift.validate(scheme) == [f"drift {names} must be finite"]
+
+
 def test_validate_convexity_for_fully_implicit():
     # f = u - u^3 has f' > 0 near zero, so the potential is not convex
     nonconvex = PolynomialDrift([1.0, 0.0, -1.0], alpha=0.0, lam=0.25)

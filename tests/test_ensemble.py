@@ -119,13 +119,13 @@ def test_failure_abort_above_threshold(monkeypatch):
         )
 
 
-def test_linear_solve_failure_is_contained_per_sample(monkeypatch):
-    # sample 1 meets a huge increment: its frozen correction is rejected and
-    # full Newton meets a Jacobian made indefinite here (LinearSolveError),
-    # while samples 0 and 2 of the same batch stay on the chord
+def _fail_linear_solves(monkeypatch, failing):
+    """Give the samples ``failing`` a huge increment at step 3, which full
+    Newton meets with a Jacobian made indefinite here; returns the paths."""
+
     def path(seed, idx, n_steps, tau):
         p = sample_path(seed, idx, n_steps, tau)
-        if idx != 1:
+        if idx not in failing:
             return p
         inc = p.increments.copy()
         inc[3] = 1e3
@@ -135,6 +135,14 @@ def test_linear_solve_failure_is_contained_per_sample(monkeypatch):
     monkeypatch.setattr(
         stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
     )
+    return path
+
+
+def test_linear_solve_failure_is_contained_per_sample(monkeypatch):
+    # sample 1 meets a huge increment: its frozen correction is rejected and
+    # full Newton meets a Jacobian made indefinite here (LinearSolveError),
+    # while samples 0 and 2 of the same batch stay on the chord
+    path = _fail_linear_solves(monkeypatch, (1,))
     space, cfg = _setup_1d()
     h1, h2 = CosineProduct(kx=1), Constant(0.0)
     monkeypatch.setattr(stochwave.ensemble, "MAX_FAILURE_FRACTION", 0.5)
@@ -149,6 +157,16 @@ def test_linear_solve_failure_is_contained_per_sample(monkeypatch):
         for k in (0, 2)
     ]
     assert np.array_equal(stats.mean_H, (kept[0].hamiltonians + kept[1].hamiltonians) / 2)
+
+
+def test_failure_error_names_every_failed_sample(monkeypatch):
+    _fail_linear_solves(monkeypatch, (1, 3))
+    with pytest.raises(EnsembleFailureError) as exc_info:
+        run_ensemble(_problem(Diffusion.linear(1.0), 6), STUDY_1D, 5, threads=1)
+    assert str(exc_info.value) == (
+        "2/5 samples failed (samples 1, 3); "
+        "first, sample 1: non-positive diagonal entry; matrix is not SPD"
+    )
 
 
 @pytest.fixture
@@ -242,3 +260,9 @@ def test_subset_fraction_monotone_in_kappa_and_time():
 def test_subset_fraction_rejects_negative_kappa():
     with pytest.raises(ValueError):
         subset_fraction(np.zeros((2, 2)), -1.0)
+
+
+def test_subset_fraction_rejects_nan_kappa():
+    # NaN compares False with everything, so a fraction below it would read 0
+    with pytest.raises(ValueError):
+        subset_fraction(np.zeros((2, 2)), np.nan)

@@ -77,6 +77,22 @@ def test_presets_validate(name):
         assert cfg.n_samples == (5000 if paper and name != "lin-det-check" else cfg.n_samples)
 
 
+@pytest.mark.parametrize(
+    "drift",
+    [
+        PolynomialDrift([np.nan, 0.0, -1.0], alpha=1.0, lam=0.5),
+        PolynomialDrift([-1.0, 0.0, -1.0], alpha=np.nan, lam=0.5),
+    ],
+    ids=["coeff-nan", "alpha-nan"],
+)
+def test_validate_config_reports_non_finite_drift(drift):
+    cfg = _tiny_rate_config()
+    cfg.drift = drift
+    assert [e for e in validate_config(cfg) if e.startswith("drift: ")] == [
+        f"drift: {drift.validate(cfg.scheme)[0]}"
+    ]
+
+
 def test_preset_paper_scale_sample_count():
     assert preset_config("test1a").n_samples == 200
     assert preset_config("test1a", paper_scale=True).n_samples == 5000

@@ -22,7 +22,7 @@ from stochwave.stepper import (
     WaveStepper,
     initial_state,
 )
-from oracles import evaluate, pointwise_load
+from oracles import energy_series, evaluate, pointwise_load
 from stepping import observed_nodes, one_step, run_states
 
 CUBIC = PolynomialDrift([-1.0, 0.0, -1.0], alpha=1.0, lam=0.5)
@@ -407,14 +407,14 @@ def test_failure_inside_a_window_leaves_the_others_intact(monkeypatch, length):
 
 @pytest.mark.parametrize("length", [1, None, 40, 47], ids=["window-1", "default", "N", "N+7"])
 def test_observer_sees_every_node_once_in_order(monkeypatch, length):
-    # sample 2 fails at step 11, inside the default window's second flush
+    # sample 2 fails at step 13, inside the default window's second flush
     space, N = _space(32), 40
     cfg = SchemeConfig(tau=0.01, n_steps=N, newton_abs_tol=1e-13)
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
     paths = [sample_path(11, k, N, 0.01) for k in range(5)]
     inc = paths[2].increments.copy()
-    inc[11] = 1e200
+    inc[13] = 1e200
     paths[2] = BrownianPath(0.01, inc, 11, 2)
 
     def record():
@@ -422,7 +422,7 @@ def test_observer_sees_every_node_once_in_order(monkeypatch, length):
         observe = lambda n0, live, U, V: calls.append((n0, live.copy(), U.copy(), V.copy()))
         with np.errstate(over="ignore", invalid="ignore"):
             traj = stepper.run(paths, init, observe=observe)
-        assert list(traj.failures) == [2] and traj.failures[2].step == 11
+        assert list(traj.failures) == [2] and traj.failures[2].step == 13
         return calls
 
     windows = _record_windows(monkeypatch)
@@ -430,18 +430,18 @@ def test_observer_sees_every_node_once_in_order(monkeypatch, length):
         _fix_window(monkeypatch, length)
     calls = record()
     if length is None:
-        assert 1 < windows[0] < 11  # the failure falls inside a later window
+        assert 1 < windows[0] < 13  # the failure falls inside a later window
     _fix_window(monkeypatch, 1)
     ref = record()
     # node 0 alone, then one call per flush, with k nodes shown after n0
     assert calls[0][0] == 0 and len(calls[0][2]) == 1
     assert [n0 for n0, *_ in calls] == list(np.cumsum([0] + [len(U) for _, _, U, _ in calls[:-1]]))
     assert sum(len(U) for _, _, U, _ in calls) == N + 1
-    # the flush before the drop shows the pre-drop live set, up to node 11
+    # the flush before the drop shows the pre-drop live set, up to node 13
     for n0, live, U, V in calls:
         last = n0 + len(U) - 1
-        assert list(live) == ([0, 1, 2, 3, 4] if last <= 11 else [0, 1, 3, 4])
-        assert n0 > 11 or last <= 11
+        assert list(live) == ([0, 1, 2, 3, 4] if last <= 13 else [0, 1, 3, 4])
+        assert n0 > 13 or last <= 13
         assert U.shape == V.shape == (len(U), live.size, space.n_dofs)
     # every node carries the bits of the one-node-window run
     assert len(ref) == N + 1
@@ -470,7 +470,8 @@ def test_windows_agree_across_a_drop_and_keep_only_live_rows(monkeypatch):
     class Checked(stochwave.stepper._Ledger):
         def drop(self, keep):
             super().drop(keep)
-            kept.append((self.n0, self.live.copy(), self.last.copy(), self.window))
+            last = tuple(x.copy() for x in self.last)
+            kept.append((self.n0, self.live.copy(), last, self.window))
 
     runs = []
     for length in (1, None, N):
@@ -481,15 +482,14 @@ def test_windows_agree_across_a_drop_and_keep_only_live_rows(monkeypatch):
             traj, nodes = observed_nodes(stepper, paths, init)
         assert list(traj.failures) == [1] and traj.failures[1].step == F
         ((n0, live, last, window),) = kept[len(runs) :]
-        # the last node's rows after the drop: u, v, M v, M u and K u of the
-        # live samples only
-        assert n0 == F and list(live) == [0, 2, 3] and last.shape == (3, 5 * n)
+        # the last node's v, M v and K u after the drop, of the live samples only
+        assert n0 == F and list(live) == [0, 2, 3]
+        assert [x.shape for x in last] == [(n, 3)] * 3
         _, U, V = nodes[F]
         cols = [0, 2, 3]
-        assert np.array_equal(last[:, :n], U[:, cols].T)
-        assert np.array_equal(last[:, n : 2 * n], V[:, cols].T)
-        assert np.array_equal(last[:, 2 * n : 3 * n], stepper.mass_product(V[:, cols]).T)
-        assert np.array_equal(last[:, 3 * n :], stepper.W(U[:, cols])[n : 3 * n].T)
+        assert np.array_equal(last[0], V[:, cols])
+        assert np.array_equal(last[1], stepper.mass_product(V[:, cols]))
+        assert np.array_equal(last[2], stepper.W(U[:, cols])[2 * n : 3 * n])
         runs.append((traj, nodes, window))
     default = runs[1][2]
     assert [w for *_, w in runs] == [1, default, N] and 1 < default < F and F % default
@@ -501,6 +501,34 @@ def test_windows_agree_across_a_drop_and_keep_only_live_rows(monkeypatch):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for name in SERIES:  # nothing of the dropped sample reaches the others
         assert np.array_equal(getattr(ref, name), getattr(clean, name)), name
+
+
+@pytest.mark.parametrize("length", [1, None, 40], ids=["window-1", "default", "N"])
+def test_ledger_matches_plain_sums_over_the_observed_nodes(monkeypatch, length):
+    # a noisy cubic run of two samples, the second dropped at step 35: the
+    # survivor's series equal plain sums over the nodes the observer showed,
+    # to 1e-12 of each norm and of max |H| for the energy residuals
+    space, N, F = _space(32), 40, 35
+    cfg = SchemeConfig(tau=0.01, n_steps=N, newton_abs_tol=1e-13)
+    stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
+    paths = [sample_path(11, k, N, 0.01) for k in range(2)]
+    inc = paths[1].increments.copy()
+    inc[F] = 1e200
+    paths[1] = BrownianPath(0.01, inc, 11, 1)
+    windows = _record_windows(monkeypatch)
+    if length is not None:
+        _fix_window(monkeypatch, length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj, nodes = observed_nodes(stepper, paths, init)
+    assert list(traj.samples) == [0] and list(traj.failures) == [1]
+    assert 1 < windows[0] < F  # the default window, set before any fixed one
+    U = np.array([u[:, list(live).index(0)] for live, u, _ in nodes])
+    V = np.array([v[:, list(live).index(0)] for live, _, v in nodes])
+    l2, h1, dt, H, resid = energy_series(stepper, paths[0].increments, U, V)
+    for got, want in zip((traj.l2sq, traj.h1sq, traj.dtl2sq, traj.hamiltonians), (l2, h1, dt, H)):
+        assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(traj.energy_residuals[0] - resid).max() <= 1e-12 * np.abs(H).max()
 
 
 def test_float_tests_on_an_exact_jacobian(monkeypatch):
@@ -541,6 +569,7 @@ class _Plain:
 
     def __init__(self, product, calls, name):
         self.matrix, self.calls, self.name = product.matrix, calls, name
+        self.shape = self.matrix.shape
 
     def __call__(self, x):
         self.calls[self.name] += 1
@@ -550,8 +579,9 @@ class _Plain:
 def _plain_products(stepper):
     """Put a counting plain-``@`` wrapper behind every product object the
     stepper holds, and behind its space's Q; returns the call counts."""
-    calls = dict.fromkeys(("W", "mass_product", "load_product", "qpoint_product"), 0)
-    for name in ("W", "mass_product", "load_product"):
+    names = ("W", "mass_product", "load_product", "ledger_sums")
+    calls = dict.fromkeys(names + ("qpoint_product",), 0)
+    for name in names:
         setattr(stepper, name, _Plain(getattr(stepper, name), calls, name))
     space = stepper.space
     space.qpoint_product = _Plain(space.qpoint_product, calls, "qpoint_product")
@@ -573,9 +603,9 @@ def _products_per_step(monkeypatch, stepper, paths, init):
         return drift_values(*args)
 
     def logged(*args):
-        P, rn = residual(*args)
+        R, rn = residual(*args)
         norms.append(rn.tolist())
-        return P, rn
+        return R, rn
 
     stepper._drift_values, stepper._residual = counted, logged
     seen = []
@@ -588,8 +618,9 @@ def _products_per_step(monkeypatch, stepper, paths, init):
     return traj, steps
 
 
-def test_linear_step_applies_the_operators_three_times(monkeypatch):
-    # predictor residual, the one exact correction's residual and M v: the
+def test_linear_step_applies_the_operators_twice(monkeypatch):
+    # the one exact correction's residual and the ledger's M v: the
+    # predictor's product is extrapolated from the last two, and the
     # residual's stacked product also yields M c, K c and the quadrature
     # values whose drift load the residual subtracts
     drift = PolynomialDrift([-1.0], alpha=0.0, lam=1.0)
@@ -599,8 +630,9 @@ def test_linear_step_applies_the_operators_three_times(monkeypatch):
     init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     traj, steps = _products_per_step(monkeypatch, stepper, _zeros_path(0.01, 3), init)
     assert list(traj.newton_iters) == [1, 1, 1]
-    assert [d["W"] + d["mass_product"] for d in steps] == [3, 3, 3]
+    assert [d["W"] + d["mass_product"] for d in steps] == [2, 2, 2]
     assert [(d["load_product"], d["qpoint_product"]) for d in steps] == [(2, 0)] * 3
+    assert [d["ledger_sums"] for d in steps] == [1, 1, 1]
 
 
 def _tolerance(cfg, r0):
@@ -608,9 +640,11 @@ def _tolerance(cfg, r0):
 
 
 def test_cubic_common_round_costs_one_stacked_and_one_load_product(monkeypatch):
-    # each residual is one stacked product, which carries the quadrature
-    # values, and one load of the drift; the polish, if due, is one stacked
-    # product alone; the step adds M v and the noise load
+    # each correction's residual is one stacked product, which carries the
+    # quadrature values, and one load of the drift; the predictor's product
+    # is extrapolated, so its residual is a load alone; the polish, if due,
+    # is one stacked product alone; the step adds the noise load, and the
+    # ledger M v and one segment sum
     space = _space(8)
     cfg = SchemeConfig(tau=0.01, n_steps=6)
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
@@ -629,9 +663,10 @@ def test_cubic_common_round_costs_one_stacked_and_one_load_product(monkeypatch):
         assert corrections >= 1 and it == corrections + polish
         polished.append(polish)
         assert d == {
-            "W": 1 + it,
+            "W": it,
             "mass_product": 1,
             "load_product": 2 + corrections,
+            "ledger_sums": 1,
             "qpoint_product": 0,
             "drift": 1 + corrections,
         }
@@ -660,7 +695,7 @@ def test_polish_only_when_due(monkeypatch, case):
     corrections = len(d["norms"]) - 1
     assert corrections == 2 and traj.newton_iters[0, 0] == corrections + takes
     # the polish is one frozen solve and one stacked product: no drift, no load
-    assert d["W"] == 1 + corrections + takes
+    assert d["W"] == corrections + takes
     assert d["drift"] == 1 + corrections and d["load_product"] == 2 + corrections
 
 
@@ -681,7 +716,7 @@ def test_iteration_cap_inside_a_parted_batch(monkeypatch):
     paths = [sample_path(0, 0, 1, 0.01), over, sample_path(3, 0, 1, 0.01)]
     _, (d,) = _products_per_step(monkeypatch, stepper, paths, init)
     norms = d["norms"]  # the predictor's and the two corrections' residuals
-    assert d["W"] == 3  # the polish still due at the cap is not taken
+    assert d["W"] == 2  # the polish still due at the cap is not taken
     batch = _assert_batch_matches_alone(stepper, paths, init)
     # the column over the tolerance is dropped with its step and history
     assert list(batch.samples) == [0, 2] and list(batch.failures) == [1]
