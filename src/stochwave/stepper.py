@@ -55,7 +55,8 @@ Rounds.  The active columns are those above the tolerance or with the
 polish due.  A round gives each of them one frozen correction, so every
 active column has taken the same number of corrections, and one count
 serves the iteration cap.  The correction trial = C - solve(R) equals
-C + solve(-R) bit for bit because the triangular solves are sign-symmetric.
+C + solve(-R) bit for bit because both solvers of `linsolve` (LAPACK's
+tridiagonal solve in 1D P1, SuperLU otherwise) are sign-symmetric.
 The round's tests compare the columns' norms as Python floats (``tolist``), so
 a block of a few columns pays no numpy call for them.  An active column's
 norm is finite (a non-finite predictor norm makes its tolerance infinite or
@@ -84,10 +85,11 @@ each flushed window whole, as views of the ledger's stacks.
 Batch independence: a sample's numbers are bit-identical whether it steps
 alone or inside any batch, so that outputs do not depend on how samples are
 split over workers.  Every operation is column-wise in exact arithmetic
-order: sparse products (the segment sums among them), SuperLU solves with
-several right-hand sides, elementwise maps and max-norms.  Neither the
-window length nor the moment of a flush enters any sum, so the numbers do
-not depend on the window either.
+order: sparse products (the segment sums among them), solves with several
+right-hand sides (tridiagonal LAPACK or SuperLU, each column alone),
+elementwise maps and max-norms.  Neither the window length nor the moment
+of a flush enters any sum, so the numbers do not depend on the window
+either.
 """
 
 from __future__ import annotations

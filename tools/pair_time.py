@@ -17,9 +17,12 @@ pairs are timed:
 - whole ``cli.main`` calls on the benchmark's three workloads, written to a
   temporary directory.
 
-For each case it prints the old and new medians and the median of the
-per-pair ratios old / new (above 1: the new tree is faster).  BLAS runs on
-one thread.
+For each case it prints each tree's median and quartiles, the median of the
+per-pair ratios old / new (above 1: the new tree is faster) and the number
+of pairs the new tree won (a tie counts for neither).  A speed claim holds
+when the new tree wins at least nine tenths of the pairs and the gap
+between the medians exceeds the old tree's interquartile range; each row
+says whether it does.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -128,17 +131,39 @@ def pairs(old, new, reps: int) -> tuple[list[float], list[float]]:
     return times[old], times[new]
 
 
+def quartiles(times: list[float]) -> tuple[float, float]:
+    """First and third quartiles (linear interpolation, as numpy's default)."""
+    if len(times) == 1:
+        return times[0], times[0]
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q1, q3
+
+
 def summary(name: str, old: list[float], new: list[float], per: int = 1) -> dict:
-    """Medians (per ``per`` units) and the median pair ratio old / new."""
+    """Each tree's median and quartiles (per ``per`` units), the median pair
+    ratio old / new, the pairs the new tree won and whether a claim holds."""
+    old_q1, old_q3 = (q / per for q in quartiles(old))
+    new_q1, new_q3 = (q / per for q in quartiles(new))
     row = {
         "case": name,
         "old": statistics.median(old) / per,
         "new": statistics.median(new) / per,
+        "old_q1": old_q1,
+        "old_q3": old_q3,
+        "new_q1": new_q1,
+        "new_q3": new_q3,
         "ratio": statistics.median(a / b for a, b in zip(old, new)),
+        "new_wins": sum(b < a for a, b in zip(old, new)),
+        "pairs": len(old),
     }
+    row["claim_holds"] = (
+        row["new_wins"] >= 0.9 * row["pairs"] and row["old"] - row["new"] > old_q3 - old_q1
+    )
     print(
-        f"{name:32s} old {row['old']:.4g} s  new {row['new']:.4g} s  "
-        f"pair ratio {row['ratio']:.3f}  ({len(old)} pairs)",
+        f"{name:32s} old {row['old']:.4g} s [{old_q1:.4g}, {old_q3:.4g}]  "
+        f"new {row['new']:.4g} s [{new_q1:.4g}, {new_q3:.4g}]  "
+        f"pair ratio {row['ratio']:.3f}  new won {row['new_wins']}/{row['pairs']}  "
+        f"claim {'holds' if row['claim_holds'] else 'fails'}",
         flush=True,
     )
     return row
