@@ -2,20 +2,13 @@
 wave equation with functional multiplicative noise."""
 
 from .mesh import Mesh, build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
-from .fem import (
-    FeFunction,
-    FeSpace,
-    assemble_mass,
-    assemble_stiffness,
-    l2_project,
-)
+from .fem import FeSpace, assemble_mass, assemble_stiffness, l2_project
 from .drift import FULLY_IMPLICIT, MODIFIED_CN, PolynomialDrift
 from .diffusion import Diffusion
 from .noise import BrownianPath, coarsen, sample_path
 from .stepper import (
     NewtonDivergedError,
     SchemeConfig,
-    State,
     Trajectory,
     WaveStepper,
     initial_state,

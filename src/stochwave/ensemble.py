@@ -253,8 +253,6 @@ class EnsembleStats:
     mean_H: np.ndarray
     mean_H2: np.ndarray
     mean_H4: np.ndarray
-    min_H: np.ndarray
-    max_H: np.ndarray
     n_samples: int
     n_failures: int
     master_seed: int
@@ -299,8 +297,6 @@ def run_ensemble(
         mean_H=tree_sum(H) / n,
         mean_H2=tree_sum(H * H) / n,
         mean_H4=tree_sum(H**4) / n,
-        min_H=H.min(axis=0),
-        max_H=H.max(axis=0),
         n_samples=n,
         n_failures=n_failed,
         master_seed=problem.master_seed,

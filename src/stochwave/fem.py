@@ -9,7 +9,6 @@ dispatch of ``@``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -24,7 +23,6 @@ from .quadrature import interval_rule, triangle_rule
 __all__ = [
     "CsrProduct",
     "FeSpace",
-    "FeFunction",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_weighted_mass",
@@ -149,7 +147,7 @@ class CsrProduct:
 
 
 # ---------------------------------------------------------------------------
-# Space and functions
+# Space
 # ---------------------------------------------------------------------------
 
 class FeSpace:
@@ -314,22 +312,6 @@ class FeSpace:
         return self.qpoint_product(coeffs).reshape(self.wdet.shape + coeffs.shape[1:])
 
 
-@dataclass
-class FeFunction:
-    """A coefficient vector in an FeSpace."""
-
-    space: FeSpace
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.space.n_dofs,):
-            raise ValueError(
-                f"coefficient length {self.coeffs.shape} does not match "
-                f"space dof count {self.space.n_dofs}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -370,9 +352,9 @@ def load_vector(space: FeSpace, field: Callable) -> np.ndarray:
 # Projection
 # ---------------------------------------------------------------------------
 
-def l2_project(space: FeSpace, field: Callable) -> FeFunction:
-    """Best L2 approximation: solve M c = (field, phi_i)."""
-    return FeFunction(space, space.mass_solve(load_vector(space, field)))
+def l2_project(space: FeSpace, field: Callable) -> np.ndarray:
+    """Coefficients c of the best L2 approximation: solve M c = (field, phi_i)."""
+    return space.mass_solve(load_vector(space, field))
 
 
 # ---------------------------------------------------------------------------

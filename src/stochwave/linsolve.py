@@ -31,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 __all__ = ["LinearSolveError", "spd_solver"]
@@ -69,6 +68,10 @@ def _tridiagonal_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _superlu_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    # imported here, so a process whose systems are all tridiagonal (1D P1)
+    # never loads SuperLU, ARPACK and PROPACK (about 2 MB of resident memory)
+    import scipy.sparse.linalg as spla
+
     try:
         lu = spla.splu(
             sp.csc_matrix(A),

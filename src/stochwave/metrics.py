@@ -305,7 +305,7 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
     With zero drift and noise, cosine initial displacement and zero initial
     velocity, the solution is `LinearWaveSolution` with the cosine's
     frequency.  Errors are quadrature norms of u_h - u on each level's own
-    space, along the one path the problem's seed names (its increments are 0).
+    space, along one path whose increments are all 0.
     """
     problems = analytic_problems(problem) + ladder_problems("spatial", study.levels, [study.tau])
     if problems:
@@ -348,9 +348,11 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
             sq[2, n0 + k - de.shape[2] : n0 + k] = quadrature(de * de)
             before = e_val[..., -1:]
 
-        path = BrownianPath(tau, np.zeros(n_steps), problem.master_seed, 0)
-        traj = stepper.run(path, initial_state(space, problem.h1, problem.h2), observe=reduce)
-        violation = max(violation, traj.max_energy_violation)
+        path = BrownianPath(tau, np.zeros(n_steps))
+        traj = stepper.run([path], initial_state(space, problem.h1, problem.h2), observe=reduce)
+        if traj.failures:
+            raise traj.failures[0]
+        violation = max(violation, traj.max_energy_violation[0])
         l2.append(np.sqrt(np.max(sq[0])))
         h1_err.append(np.sqrt(np.max(sq[1])))
         dtl2.append(np.sqrt(np.max(sq[2, 1:])))

@@ -22,8 +22,6 @@ class BrownianPath:
 
     tau: float
     increments: np.ndarray
-    master_seed: int
-    sample_index: int
 
     @property
     def n_steps(self) -> int:
@@ -41,7 +39,7 @@ def sample_path(
     ss = np.random.SeedSequence(master_seed, spawn_key=(sample_index,))
     gen = np.random.Generator(np.random.Philox(ss))
     inc = gen.normal(0.0, np.sqrt(tau), n_steps)
-    return BrownianPath(tau, inc, master_seed, sample_index)
+    return BrownianPath(tau, inc)
 
 
 def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
@@ -63,4 +61,4 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
         remaining //= 2
     if remaining > 1:
         inc = inc.reshape(-1, remaining).sum(axis=1)
-    return BrownianPath(path.tau * factor, inc, path.master_seed, path.sample_index)
+    return BrownianPath(path.tau * factor, inc)

@@ -34,22 +34,23 @@ accepted iterate with full Newton, which assembles and factors the
 analytic Jacobian on every iteration.  So every step that Newton alone solves is still solved.
 
 Batches.  `WaveStepper.run` advances S samples (Brownian paths) from one
-initial state as a single block of coefficients, shape (n_dofs, S), one
-column per sample, so each sparse product, quadrature evaluation and frozen
-solve serves the whole block at once.  The residual is one product with the
-stacked operator W = [A; M; K], A = M + tau^2 K, joined by the quadrature
-evaluation Q when the drift or the noise reads point values: one product
-per iterate yields R's linear part, M c, K c and c's quadrature values, so
-the iterate a column accepts brings all four along and no step evaluates
-Q on its own.  Each row of W is summed exactly as in its own operator, so
-these are the bits that separate products would give.  W is linear, so the
-predictor's product needs no product of its own: it is (P - Pprev) + P,
-and the right-hand side is its M rows plus tau dW times the noise load.  A
-step of a linear drift without noise makes one operator product, the
-correction's residual; the ledger adds one mass product and one segment
-sum per window.  Every product calls scipy's compiled CSR kernel directly
-(`CsrProduct`), with the arguments ``A @ X`` would pass it, so only the
-dispatch of ``@`` is saved, and every bit stays as ``@`` makes it.
+initial coefficient pair (u^0, v^0) as a single block of coefficients,
+shape (n_dofs, S), one column per sample, so each sparse product,
+quadrature evaluation and frozen solve serves the whole block at once.  The
+residual is one product with the stacked operator W = [A; M; K],
+A = M + tau^2 K, joined by the quadrature evaluation Q when the drift or
+the noise reads point values: one product per iterate yields R's linear
+part, M c, K c and c's quadrature values, so the iterate a column accepts
+brings all four along and no step evaluates Q on its own.  Each row of W is
+summed exactly as in its own operator, so these are the bits that separate
+products would give.  W is linear, so the predictor's product needs no
+product of its own: it is (P - Pprev) + P, and the right-hand side is
+its M rows plus tau dW times the noise load.  A step of a linear drift
+without noise makes one operator product, the correction's residual; the
+ledger adds one mass product and one segment sum per window.  Every product
+calls scipy's compiled CSR kernel directly (`CsrProduct`), with the
+arguments ``A @ X`` would pass it, so only the dispatch of ``@`` is saved,
+and every bit stays as ``@`` makes it.
 
 Rounds.  The active columns are those above the tolerance or with the
 polish due.  A round gives each of them one frozen correction, so every
@@ -95,7 +96,7 @@ either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,13 +104,12 @@ import scipy.sparse as sp
 
 from .diffusion import Diffusion
 from .drift import FULLY_IMPLICIT, MODIFIED_CN, SCHEMES, PolynomialDrift
-from .fem import CsrProduct, FeFunction, FeSpace, assemble_weighted_mass, l2_project
+from .fem import CsrProduct, FeSpace, assemble_weighted_mass, l2_project
 from .linsolve import LinearSolveError, spd_solver
 from .noise import BrownianPath
 
 __all__ = [
     "SchemeConfig",
-    "State",
     "Trajectory",
     "WaveStepper",
     "NewtonDivergedError",
@@ -174,47 +174,39 @@ class SchemeConfig:
     newton_abs_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.newton_abs_tol <= 0:
-            raise ValueError(f"newton_abs_tol must be positive, got {self.newton_abs_tol}")
-
-
-@dataclass
-class State:
-    """Solution pair at time node n: displacement u and difference velocity v."""
-
-    n: int
-    u: FeFunction
-    v: FeFunction
+        # a NaN tolerance would accept every predictor, since no norm exceeds it
+        if not (math.isfinite(self.newton_abs_tol) and self.newton_abs_tol > 0):
+            raise ValueError(
+                f"newton_abs_tol must be finite and positive, got {self.newton_abs_tol}"
+            )
 
 
 @dataclass
 class Trajectory:
-    """Per-node norm and energy series of sample paths, plus diagnostics.
+    """Per-node norm and energy series of a batch of sample paths, plus diagnostics.
 
-    For one path every series is 1-D.  For a batch each series has one row
-    per finished sample, in batch order; ``samples`` holds their batch
-    positions and ``failures`` maps the position of every dropped sample to
-    its error.  ``newton_iters`` holds, per step, the number of accepted
-    corrections: frozen-Jacobian (chord) and full-Newton ones alike, the
-    polish included where it was taken (see POLISH_FRACTION); rejected
-    frozen corrections are not counted.
+    Each series has one row per finished sample, in batch order; ``samples``
+    holds their batch positions and ``failures`` maps the position of every
+    dropped sample to its error.  ``newton_iters`` holds, per step, the
+    number of accepted corrections: frozen-Jacobian (chord) and full-Newton
+    ones alike, the polish included where it was taken (see
+    POLISH_FRACTION); rejected frozen corrections are not counted.
     """
 
-    times: np.ndarray
     l2sq: np.ndarray
     h1sq: np.ndarray
     dtl2sq: np.ndarray
     hamiltonians: np.ndarray
     energy_residuals: np.ndarray  # one per step
     newton_iters: np.ndarray
-    samples: np.ndarray | None = None
-    failures: dict[int, Exception] = field(default_factory=dict)
+    samples: np.ndarray
+    failures: dict[int, Exception]
 
     @property
     def max_energy_violation(self):
@@ -234,9 +226,10 @@ def column_sums(X: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1).reshape(X.shape[1:])
 
 
-def initial_state(space: FeSpace, h1: Callable, h2: Callable) -> State:
-    """Project the initial displacement and velocity onto the space."""
-    return State(0, l2_project(space, h1), l2_project(space, h2))
+def initial_state(space: FeSpace, h1: Callable, h2: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients (u^0, v^0) of the initial displacement and velocity
+    projected onto the space."""
+    return l2_project(space, h1), l2_project(space, h2)
 
 
 class WaveStepper:
@@ -432,51 +425,39 @@ class WaveStepper:
 
     def run(
         self,
-        paths: BrownianPath | Sequence[BrownianPath],
-        initial: State,
+        paths: Sequence[BrownianPath],
+        initial: tuple[np.ndarray, np.ndarray],
         observe: Observer | None = None,
     ) -> Trajectory:
-        """Advance from the initial state across one path or a batch of paths.
+        """Step the batch of paths as one block from the initial coefficients
+        (u^0, v^0).
 
-        A batch steps as one block.  With one path a failed solve raises and
-        the series are 1-D; with a sequence of paths a failed sample is
-        dropped and reported in ``Trajectory.failures``.  ``observe``, if
-        given, sees the nodes n = 0..N a window at a time (see ``Observer``).
+        A sample whose solve fails is dropped and reported in
+        ``Trajectory.failures``; the others go on.  ``observe``, if given,
+        sees the nodes n = 0..N a window at a time (see ``Observer``).
         """
         cfg = self.config
-        single = isinstance(paths, BrownianPath)
-        batch = [paths] if single else list(paths)
-        for path in batch:
+        tau = cfg.tau
+        paths = list(paths)
+        if not paths:
+            raise ValueError("run needs at least one path")
+        for path in paths:
             if path.n_steps != cfg.n_steps:
                 raise ValueError(
                     f"path has {path.n_steps} steps, config expects {cfg.n_steps}"
                 )
-            if not np.isclose(path.tau, cfg.tau, rtol=1e-12, atol=0.0):
-                raise ValueError(f"path tau {path.tau} != config tau {cfg.tau}")
-        dW = np.array([p.increments for p in batch], dtype=float).reshape(-1, cfg.n_steps)
-        traj = self._march(initial, dW, observe)
-        if not single:
-            return traj
-        if traj.failures:
-            raise traj.failures[0]
-        return Trajectory(
-            traj.times, traj.l2sq[0], traj.h1sq[0], traj.dtl2sq[0],
-            traj.hamiltonians[0], traj.energy_residuals[0], traj.newton_iters[0],
-        )
-
-    def _march(
-        self, initial: State, dW: np.ndarray, observe: Observer | None
-    ) -> Trajectory:
-        """Step S samples from one initial state over increments dW (S, N)."""
-        tau = self.config.tau
+            if not np.isclose(path.tau, tau, rtol=1e-12, atol=0.0):
+                raise ValueError(f"path tau {path.tau} != config tau {tau}")
+        dW = np.array([p.increments for p in paths], dtype=float)
         S, N = dW.shape
         bad = np.argwhere(~np.isfinite(dW))
         if bad.size:
-            raise ValueError(f"non-finite Brownian increment at step {initial.n + bad[0, 1]}")
+            raise ValueError(f"non-finite Brownian increment at step {bad[0, 1]}")
         failures: dict[int, Exception] = {}
 
-        U = np.repeat(initial.u.coeffs[:, None], S, axis=1)
-        V = np.repeat(initial.v.coeffs[:, None], S, axis=1)
+        u0, v0 = initial
+        U = np.repeat(u0[:, None], S, axis=1)
+        V = np.repeat(v0[:, None], S, axis=1)
         n = U.shape[0]
         D = tau * V  # u^0 - u^{-1}
         P, Pprev = self.W(U), self.W(U - D)  # W u^n, W u^{n-1}
@@ -493,7 +474,7 @@ class WaveStepper:
                 rhs = Pc[n : 2 * n] + noise * (tau * ledger.dW[:, step])
             else:
                 rhs = Pc[n : 2 * n].copy()  # the solve may write Pc
-            C, P1, it, errors = self._solve(initial.n + step, U + D, Pc, rhs, uq)
+            C, P1, it, errors = self._solve(step, U + D, Pc, rhs, uq)
             if errors:
                 keep = np.ones(live.size, dtype=bool)
                 for j, exc in errors.items():
@@ -515,7 +496,7 @@ class WaveStepper:
         done = np.array([k for k in range(S) if k not in failures], dtype=np.int64)
         series = ledger.series[:, done]
         return Trajectory(
-            np.arange(N + 1) * tau, *series, ledger.resid[done], ledger.iters[done],
+            *series, ledger.resid[done], ledger.iters[done],
             samples=done, failures=failures,
         )
 

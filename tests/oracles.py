@@ -4,26 +4,26 @@ of one stored coupled pair."""
 
 import numpy as np
 
-from stochwave.fem import CsrProduct, FeFunction, _basis_1d, _basis_tri, _locate, transfer_matrix
+from stochwave.fem import CsrProduct, _basis_1d, _basis_tri, _locate, transfer_matrix
 from stochwave.metrics import _error_products, _error_sq
 
 
-def evaluate(u: FeFunction, points: np.ndarray) -> np.ndarray:
-    """Evaluate a finite element function at arbitrary points of the domain."""
-    space = u.space
+def evaluate(space, u: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Evaluate the function with coefficients u at arbitrary points of the domain."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     cell, loc = _locate(space.mesh, points)
     if space.mesh.dimension == 1:
         basis = _basis_1d(space.degree, loc[:, 0])
     else:
         basis = _basis_tri(space.degree, loc[:, 0], loc[:, 1])
-    return np.einsum("pl,pl->p", u.coeffs[space.cell_dofs[cell]], basis)
+    return np.einsum("pl,pl->p", u[space.cell_dofs[cell]], basis)
 
 
-def pointwise_load(space, fn, *states: FeFunction) -> np.ndarray:
+def pointwise_load(space, fn, *states: np.ndarray) -> np.ndarray:
     """b[i] = integral of fn(state values at x) phi_i(x), by the space's
-    quadrature: fn maps the states' quadrature values to the load's."""
-    vals = fn(*(space.values_at_qpoints(s.coeffs) for s in states))
+    quadrature: fn maps the quadrature values of the states (coefficient
+    vectors) to the load's."""
+    vals = fn(*(space.values_at_qpoints(s) for s in states))
     return space.load_product(vals.reshape(-1))
 
 
@@ -45,7 +45,7 @@ def energy_series(stepper, dW, U, V):
     H = 0.5 * dt + 0.5 * h1 + np.array(potential)
     dU, dV = np.diff(U, axis=0), np.diff(V, axis=0)
     noise = np.array(
-        [pointwise_load(space, stepper.diffusion.value, FeFunction(space, u)) for u in U[:-1]]
+        [pointwise_load(space, stepper.diffusion.value, u) for u in U[:-1]]
     )
     resid = (
         np.diff(H)

@@ -5,7 +5,6 @@ from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
 from stochwave.fem import (
     CsrProduct,
-    FeFunction,
     FeSpace,
     assemble_mass,
     assemble_stiffness,
@@ -15,7 +14,7 @@ from stochwave.fem import (
 )
 from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
 from stochwave.noise import BrownianPath
-from stochwave.stepper import SchemeConfig, State, WaveStepper
+from stochwave.stepper import SchemeConfig, WaveStepper
 from oracles import evaluate, pointwise_load
 
 
@@ -132,16 +131,15 @@ def test_stiffness_energy_quadratic_p2_exact():
 def test_project_constant():
     space = FeSpace(build_interval_mesh(5), 1)
     u = l2_project(space, lambda x: np.full_like(x, 3.5))
-    assert np.abs(u.coeffs - 3.5).max() < 1e-12
+    assert np.abs(u - 3.5).max() < 1e-12
 
 
 def test_project_idempotent_on_members():
     space = FeSpace(build_interval_mesh(8), 1)
     hat = np.zeros(space.n_dofs)
     hat[3] = 1.0
-    member = FeFunction(space, hat)
-    proj = l2_project(space, lambda x: evaluate(member, x[:, None]))
-    assert np.abs(proj.coeffs - hat).max() < 1e-12
+    proj = l2_project(space, lambda x: evaluate(space, hat, x[:, None]))
+    assert np.abs(proj - hat).max() < 1e-12
 
 
 def test_project_cos_matches_dense_oracle():
@@ -150,7 +148,7 @@ def test_project_cos_matches_dense_oracle():
     u = l2_project(space, field)
     b = _dense_load_oracle(space, field)
     expected = np.linalg.solve(space.mass.toarray(), b)
-    assert np.abs(u.coeffs - expected).max() < 1e-10
+    assert np.abs(u - expected).max() < 1e-10
 
 
 def test_project_residual_orthogonality():
@@ -158,7 +156,7 @@ def test_project_residual_orthogonality():
     space = FeSpace(build_interval_mesh(16), 1, quad_degree=24)
     field = lambda x: np.cos(np.pi * x)
     u = l2_project(space, field)
-    residual = load_vector(space, field) - space.mass @ u.coeffs
+    residual = load_vector(space, field) - space.mass @ u
     assert np.abs(residual).max() < 1e-10
 
 
@@ -169,7 +167,7 @@ def test_project_does_not_expand_l2_norm():
     # ||f||^2 = 1/2 + 1/12 + 2 (g, 0.5 x) with the cross term -2/(9 pi^2)
     exact_norm = np.sqrt(0.5 + 1.0 / 12.0 - 2.0 / (9 * np.pi**2))
     # ||P_h f|| <= ||f|| up to quadrature tolerance
-    assert np.sqrt(u.coeffs @ (space.mass @ u.coeffs)) <= exact_norm + 1e-8
+    assert np.sqrt(u @ (space.mass @ u)) <= exact_norm + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,7 @@ def test_laplacian_weak_identity():
 
 def test_laplacian_eigenvalue_cos():
     space = FeSpace(build_interval_mesh(64), 1)
-    z = l2_project(space, lambda x: np.cos(np.pi * x)).coeffs
+    z = l2_project(space, lambda x: np.cos(np.pi * x))
     rayleigh = (_laplacian(space, z) @ (space.mass @ z)) / (z @ (space.mass @ z))
     assert rayleigh == pytest.approx(-np.pi**2, rel=0.05)
 
@@ -216,14 +214,14 @@ def test_laplacian_eigenvalue_cos():
 def test_pointwise_load_identity_gives_mass_action():
     rng = np.random.default_rng(5)
     space = FeSpace(build_interval_mesh(7), 1)
-    u = FeFunction(space, rng.standard_normal(space.n_dofs))
+    u = rng.standard_normal(space.n_dofs)
     b = pointwise_load(space, lambda v: v, u)
-    assert np.abs(b - space.mass @ u.coeffs).max() < 1e-13
+    assert np.abs(b - space.mass @ u).max() < 1e-13
 
 
 def test_pointwise_load_constant_one():
     space = FeSpace(build_unit_square_tri_mesh(2), 1)
-    u = FeFunction(space, np.zeros(space.n_dofs))
+    u = np.zeros(space.n_dofs)
     b = pointwise_load(space, lambda v: np.ones_like(v), u)
     assert b.sum() == pytest.approx(1.0, rel=1e-12)
 
@@ -232,8 +230,7 @@ def test_pointwise_load_cubic_vs_quadrature_oracle():
     space = FeSpace(build_interval_mesh(2), 1, quad_degree=4)
     hat = np.zeros(space.n_dofs)
     hat[1] = 1.0
-    u = FeFunction(space, hat)
-    b = pointwise_load(space, lambda v: v**3, u)
+    b = pointwise_load(space, lambda v: v**3, hat)
 
     def cubed(x):
         vals = np.where(x <= 0.5, 2 * x, 2 * (1 - x))
@@ -246,12 +243,12 @@ def test_pointwise_load_cubic_vs_quadrature_oracle():
 def test_pointwise_load_two_states():
     rng = np.random.default_rng(6)
     space = FeSpace(build_interval_mesh(5), 1, quad_degree=4)
-    u = FeFunction(space, rng.standard_normal(space.n_dofs))
-    v = FeFunction(space, rng.standard_normal(space.n_dofs))
+    u = rng.standard_normal(space.n_dofs)
+    v = rng.standard_normal(space.n_dofs)
     b = pointwise_load(space, lambda a, c: a * c, u, v)
     oracle = _dense_load_oracle(
         space,
-        lambda x: evaluate(u, x[:, None]) * evaluate(v, x[:, None]),
+        lambda x: evaluate(space, u, x[:, None]) * evaluate(space, v, x[:, None]),
     )
     assert np.abs(b - oracle).max() < 1e-13
 
@@ -282,13 +279,13 @@ def test_l2_norm_matches_mass_quadratic_form():
     # the series a run reports at node 0 are the quadratic forms of its state
     rng = np.random.default_rng(7)
     space = FeSpace(build_unit_square_tri_mesh(2), 2)
-    u, v = (FeFunction(space, rng.standard_normal(space.n_dofs)) for _ in range(2))
+    u, v = (rng.standard_normal(space.n_dofs) for _ in range(2))
     stepper = WaveStepper(space, PolynomialDrift([0.0]), Diffusion.zero(), SchemeConfig(0.01, 1))
-    traj = stepper.run(BrownianPath(0.01, np.zeros(1), 0, 0), State(0, u, v))
-    l2sq, h1sq = _sq_norms(space, u.coeffs)
-    assert traj.l2sq[0] == pytest.approx(l2sq, rel=1e-13)
-    assert traj.h1sq[0] == pytest.approx(h1sq, rel=1e-13)
-    assert traj.dtl2sq[0] == pytest.approx(_sq_norms(space, v.coeffs)[0], rel=1e-13)
+    traj = stepper.run([BrownianPath(0.01, np.zeros(1))], (u, v))
+    l2sq, h1sq = _sq_norms(space, u)
+    assert traj.l2sq[0, 0] == pytest.approx(l2sq, rel=1e-13)
+    assert traj.h1sq[0, 0] == pytest.approx(h1sq, rel=1e-13)
+    assert traj.dtl2sq[0, 0] == pytest.approx(_sq_norms(space, v)[0], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +322,14 @@ def test_transfer_random_isometry(dim, degree):
     # pointwise agreement at the fine quadrature points
     pts = fine.qpoints.reshape(-1, dim)
     got = fine.values_at_qpoints(v).ravel()
-    assert np.abs(got - evaluate(FeFunction(coarse, u), pts)).max() < 1e-12
+    assert np.abs(got - evaluate(coarse, u, pts)).max() < 1e-12
 
 
-def test_fe_function_length_check():
+def test_initial_coefficients_length_check():
     space = FeSpace(build_interval_mesh(4), 1)
+    stepper = WaveStepper(space, PolynomialDrift([0.0]), Diffusion.zero(), SchemeConfig(0.01, 1))
     with pytest.raises(ValueError):
-        FeFunction(space, np.zeros(3))
+        stepper.run([BrownianPath(0.01, np.zeros(1))], (np.zeros(3), np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------

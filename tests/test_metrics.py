@@ -6,7 +6,7 @@ import stochwave.metrics
 import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import MODIFIED_CN, PolynomialDrift
-from stochwave.fem import FeFunction, FeSpace
+from stochwave.fem import FeSpace
 from stochwave.fields import Constant, CosineProduct
 from stochwave.ensemble import EnsembleFailureError, ProblemSpec
 from stochwave.mesh import build_interval_mesh, refine_uniform
@@ -97,9 +97,7 @@ def test_error_norms_coupled_pair_quadrature_oracle():
         a = fine_mesh.vertices[fine_mesh.cells[cell, 0], 0]
         b = fine_mesh.vertices[fine_mesh.cells[cell, 1], 0]
         pts = 0.5 * (b - a) * (xs + 1) + a
-        diff = evaluate(FeFunction(coarse, tc[0][n]), pts[:, None]) - evaluate(
-            FeFunction(fine, tf[0][n]), pts[:, None]
-        )
+        diff = evaluate(coarse, tc[0][n], pts[:, None]) - evaluate(fine, tf[0][n], pts[:, None])
         acc += 0.5 * (b - a) * np.dot(ws, diff**2)
     assert np.sqrt(acc) == pytest.approx(l2[n], abs=1e-10)
 
@@ -223,7 +221,7 @@ def test_convergence_table_contains_linear_solve_failure(monkeypatch):
             return p
         inc = p.increments.copy()
         inc[3] = 1e3
-        return BrownianPath(tau, inc, seed, idx)
+        return BrownianPath(tau, inc)
 
     monkeypatch.setattr(stochwave.metrics, "sample_path", path)
     monkeypatch.setattr(

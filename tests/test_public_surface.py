@@ -1,8 +1,10 @@
 """Every name a stochwave module exports in ``__all__`` is one the program
 uses: loaded somewhere in src/stochwave outside ``__init__.py``, imported by
 the benchmark's scripts, or the console entry point.  Every public method or
-property of a class is loaded in the package or read by the benchmark.  A
-helper that only the tests call belongs under tests/ (see oracles.py)."""
+property of a class is loaded in the package or read by the benchmark, and
+so is every field of a public class (a string constant of the package,
+such as a CSV column looked up by ``getattr``, counts as a read).  A helper
+that only the tests call belongs under tests/ (see oracles.py)."""
 
 import ast
 import importlib
@@ -78,3 +80,35 @@ def test_every_public_class_member_is_used_by_the_program():
         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_") and f.name not in used
     ]
     assert not unused, f"defined but used only outside the program: {unused}"
+
+
+def _string_constants(paths) -> set[str]:
+    """Every string constant in the given sources: names that the program
+    reads through ``getattr`` (the stability CSV's column list) count."""
+    return {
+        node.value
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_every_public_class_field_is_read_by_the_program():
+    sources = [p for p in (ROOT / "src" / "stochwave").glob("*.py") if p.name != "__init__.py"]
+    # the tracer reads what a traced call returns (Trajectory.newton_iters)
+    tracer = {
+        node.attr
+        for node in ast.walk(ast.parse((BENCH / "tracer.py").read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    read = _loaded_names() | _bench_reads() | tracer | _string_constants(sources)
+    unread = [
+        f"{path.stem}.{cls.name}.{f.target.id}"
+        for path in sorted(sources)
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for f in cls.body
+        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+        and f.target.id not in read
+    ]
+    assert not unread, f"fields that neither the program nor the benchmark reads: {unread}"

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
-from stochwave.fem import FeFunction, FeSpace, assemble_weighted_mass
+from stochwave.fem import FeSpace, assemble_weighted_mass
 from stochwave.fields import Constant, CosineProduct, LinearWaveSolution, TentBump
 from stochwave.linsolve import LinearSolveError
 from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
@@ -35,7 +35,7 @@ def _space(n, drift=CUBIC, degree=1):
 
 
 def _zeros_path(tau, n):
-    return BrownianPath(tau, np.zeros(n), 0, 0)
+    return BrownianPath(tau, np.zeros(n))
 
 
 # ---------------------------------------------------------------------------
@@ -44,26 +44,25 @@ def _zeros_path(tau, n):
 
 def test_initial_state_constants():
     space = _space(8)
-    st = initial_state(space, Constant(1.0), Constant(0.0))
-    assert np.abs(st.u.coeffs - 1.0).max() < 1e-12
-    assert np.abs(st.v.coeffs).max() < 1e-12
-    assert st.n == 0
+    u, v = initial_state(space, Constant(1.0), Constant(0.0))
+    assert np.abs(u - 1.0).max() < 1e-12
+    assert np.abs(v).max() < 1e-12
 
 
 def test_initial_state_cosine():
     space = _space(16)
-    st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
+    u, _ = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     xs = np.linspace(0, 1, 50)[:, None]
-    vals = evaluate(st.u, xs)
+    vals = evaluate(space, u, xs)
     assert np.abs(vals - np.cos(np.pi * xs[:, 0])).max() < 5e-3
 
 
 def test_initial_state_tent_projected():
     # the kinked profile is projected, not interpolated: it may overshoot nodes
     space = _space(16)
-    st = initial_state(space, Constant(0.0), TentBump())
-    assert st.v.coeffs.max() > 0.9
-    l2 = np.sqrt(st.v.coeffs @ (space.mass @ st.v.coeffs))
+    _, v = initial_state(space, Constant(0.0), TentBump())
+    assert v.max() > 0.9
+    l2 = np.sqrt(v @ (space.mass @ v))
     assert l2 <= np.sqrt(1.0 / 6.0) + 1e-6  # ||tent||_L2 = sqrt(1/6)
 
 
@@ -76,8 +75,8 @@ def test_linear_residual_converges_in_one_iteration():
     cfg = SchemeConfig(tau=0.01, n_steps=1)
     stepper = WaveStepper(space, ZERO, Diffusion.zero(), cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    traj = stepper.run(_zeros_path(0.01, 1), st)
-    assert traj.newton_iters[0] == 1
+    traj = stepper.run([_zeros_path(0.01, 1)], st)
+    assert traj.newton_iters[0, 0] == 1
 
 
 def test_zero_fixed_point_with_multiplicative_noise():
@@ -86,7 +85,7 @@ def test_zero_fixed_point_with_multiplicative_noise():
     cfg = SchemeConfig(tau=0.05, n_steps=20)
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     st = initial_state(space, Constant(0.0), Constant(0.0))
-    traj = stepper.run(sample_path(99, 0, 20, 0.05), st)
+    traj = stepper.run([sample_path(99, 0, 20, 0.05)], st)
     assert traj.l2sq.max() < 1e-24
 
 
@@ -102,12 +101,11 @@ def test_single_step_matches_dense_nonlinear_oracle(scheme):
     g = Diffusion.linear(1.0)
     stepper = WaveStepper(space, drift, g, cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    new = one_step(stepper, st, dW)
+    u1, _ = one_step(stepper, st, dW)
 
     M = space.mass.toarray()
     K = space.stiffness.toarray()
-    un = st.u.coeffs
-    vn = st.v.coeffs
+    un, vn = st
     noise = M @ (g.value(un))  # g linear: g(u_h) stays in the space
 
     def drift_load(c):
@@ -141,7 +139,7 @@ def test_single_step_matches_dense_nonlinear_oracle(scheme):
 
     sol = scipy.optimize.root(residual, un + tau * vn, tol=1e-13)
     assert sol.success
-    assert np.abs(new.u.coeffs - sol.x).max() < 1e-9
+    assert np.abs(u1 - sol.x).max() < 1e-9
 
 
 def test_step_rejects_nonfinite_increment():
@@ -160,11 +158,11 @@ def test_newton_divergence_reports_step_and_history(monkeypatch):
     cfg = SchemeConfig(tau=0.5, n_steps=1, newton_abs_tol=1e-13)
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    st.u.coeffs[:] *= 3.0
-    with pytest.raises(NewtonDivergedError) as exc_info:
-        stepper.run(_zeros_path(0.5, 1), st)
-    assert exc_info.value.step == 0
-    assert len(exc_info.value.residual_history) > 1
+    st[0][:] *= 3.0
+    exc = stepper.run([_zeros_path(0.5, 1)], st).failures[0]
+    assert isinstance(exc, NewtonDivergedError)
+    assert exc.step == 0
+    assert len(exc.residual_history) > 1
 
 
 def test_nonfinite_residual_raises_at_once():
@@ -188,9 +186,9 @@ def _full_newton_step(space, drift, g, cfg, state, dW):
     tau = cfg.tau
     M, K = space.mass, space.stiffness
     A = M + tau * tau * K
-    un, vn = state.u.coeffs, state.v.coeffs
+    un, vn = state
     unq = space.values_at_qpoints(un)
-    rhs = M @ (un + tau * vn) + tau * dW * pointwise_load(space, g.value, state.u)
+    rhs = M @ (un + tau * vn) + tau * dW * pointwise_load(space, g.value, un)
     if cfg.scheme == "implicit":
         f = drift.value
         df = drift.derivative
@@ -199,7 +197,7 @@ def _full_newton_step(space, drift, g, cfg, state, dW):
         df = lambda c: drift.potential_quotient_da(c, unq)  # noqa: E731
 
     def residual(c):
-        load = pointwise_load(space, f, FeFunction(space, c))
+        load = pointwise_load(space, f, c)
         return A @ c - tau * tau * load - rhs
 
     c = un + tau * vn
@@ -238,12 +236,12 @@ def test_chord_step_matches_full_newton(monkeypatch, scheme, drift, tau, amplitu
     cfg = SchemeConfig(tau=tau, n_steps=1, scheme=scheme)
     stepper = WaveStepper(space, drift, g, cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.5))
-    st.u.coeffs[:] *= amplitude
+    st[0][:] *= amplitude
     dW = 0.3 * np.sqrt(tau)
     assemblies = _count_assemblies(monkeypatch)
-    new = one_step(stepper, st, dW)
+    u1, _ = one_step(stepper, st, dW)
     ref = _full_newton_step(space, drift, g, cfg, st, dW)
-    assert np.abs(new.u.coeffs - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.abs(u1 - ref).max() <= 1e-9 * np.abs(ref).max()
     # the Newton fallback is the only path that assembles a Jacobian
     assert bool(assemblies) == fallback
 
@@ -261,7 +259,7 @@ def _assert_batch_matches_alone(stepper, paths, init):
     for row, k in enumerate(batch.samples):
         alone, U, V = run_states(stepper, paths[k], init)
         for name in SERIES:
-            assert np.array_equal(getattr(batch, name)[row], getattr(alone, name)), name
+            assert np.array_equal(getattr(batch, name)[row], getattr(alone, name)[0]), name
         for n, (live, Ub, Vb) in enumerate(nodes):
             col = list(live).index(k)
             assert np.array_equal(Ub[:, col], U[n]) and np.array_equal(Vb[:, col], V[n])
@@ -301,7 +299,7 @@ def test_batch_with_partial_newton_fallback_equals_samples_alone(monkeypatch):
     fallback = []
     for path in paths:
         del assemblies[:]
-        stepper.run(path, init)
+        stepper.run([path], init)
         fallback.append(bool(assemblies))
     assert any(fallback) and not all(fallback)
     _assert_batch_matches_alone(stepper, paths, init)
@@ -324,11 +322,11 @@ def test_failed_sample_is_dropped_and_leaves_batch_intact(monkeypatch, error):
         monkeypatch.setattr(
             stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
         )
-    paths[2] = BrownianPath(0.02, inc, 6, 2)
+    paths[2] = BrownianPath(0.02, inc)
     with np.errstate(over="ignore", invalid="ignore"):
         batch = _assert_batch_matches_alone(stepper, paths, init)
         with pytest.raises(error):
-            stepper.run(paths[2], init)
+            run_states(stepper, paths[2], init)
     assert list(batch.samples) == [0, 1, 3, 4]
     assert list(batch.failures) == [2] and isinstance(batch.failures[2], error)
     clean = stepper.run(paths[:2] + paths[3:], init)
@@ -394,7 +392,7 @@ def test_failure_inside_a_window_leaves_the_others_intact(monkeypatch, length):
     clean = stepper.run(paths[:2] + paths[3:], init)
     inc = paths[2].increments.copy()
     inc[5] = 1e200  # fails at step 5, the second step of the second 4-step window
-    paths[2] = BrownianPath(0.02, inc, 6, 2)
+    paths[2] = BrownianPath(0.02, inc)
     if length is not None:
         _fix_window(monkeypatch, length)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,7 +413,7 @@ def test_observer_sees_every_node_once_in_order(monkeypatch, length):
     paths = [sample_path(11, k, N, 0.01) for k in range(5)]
     inc = paths[2].increments.copy()
     inc[13] = 1e200
-    paths[2] = BrownianPath(0.01, inc, 11, 2)
+    paths[2] = BrownianPath(0.01, inc)
 
     def record():
         calls = []
@@ -464,7 +462,7 @@ def test_windows_agree_across_a_drop_and_keep_only_live_rows(monkeypatch):
     clean = stepper.run(paths[:1] + paths[2:], init)
     inc = paths[1].increments.copy()
     inc[F] = 1e200
-    paths[1] = BrownianPath(0.01, inc, 11, 1)
+    paths[1] = BrownianPath(0.01, inc)
     kept = []
 
     class Checked(stochwave.stepper._Ledger):
@@ -515,7 +513,7 @@ def test_ledger_matches_plain_sums_over_the_observed_nodes(monkeypatch, length):
     paths = [sample_path(11, k, N, 0.01) for k in range(2)]
     inc = paths[1].increments.copy()
     inc[F] = 1e200
-    paths[1] = BrownianPath(0.01, inc, 11, 1)
+    paths[1] = BrownianPath(0.01, inc)
     windows = _record_windows(monkeypatch)
     if length is not None:
         _fix_window(monkeypatch, length)
@@ -544,14 +542,14 @@ def test_float_tests_on_an_exact_jacobian(monkeypatch):
     paths = [sample_path(4, k, N, tau) for k in range(4)]
     inc = paths[1].increments.copy()
     inc[0] = tau
-    paths[1] = BrownianPath(tau, inc, 4, 1)
+    paths[1] = BrownianPath(tau, inc)
     inc = paths[2].increments.copy()
     inc[3:5] = 1e200
-    paths[2] = BrownianPath(tau, inc, 4, 2)
+    paths[2] = BrownianPath(tau, inc)
     with np.errstate(over="ignore", invalid="ignore"):
         batch = _assert_batch_matches_alone(stepper, paths, init)
         with pytest.raises(NewtonDivergedError) as exc_info:
-            stepper.run(paths[2], init)
+            run_states(stepper, paths[2], init)
     assert list(batch.samples) == [0, 1, 3] and list(batch.failures) == [2]
     exc = batch.failures[2]
     assert isinstance(exc, NewtonDivergedError) and exc.step == 4
@@ -628,8 +626,8 @@ def test_linear_step_applies_the_operators_twice(monkeypatch):
     cfg = SchemeConfig(tau=0.01, n_steps=3)
     stepper = WaveStepper(space, drift, Diffusion.zero(), cfg)
     init = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    traj, steps = _products_per_step(monkeypatch, stepper, _zeros_path(0.01, 3), init)
-    assert list(traj.newton_iters) == [1, 1, 1]
+    traj, steps = _products_per_step(monkeypatch, stepper, [_zeros_path(0.01, 3)], init)
+    assert traj.newton_iters.tolist() == [[1, 1, 1]]
     assert [d["W"] + d["mass_product"] for d in steps] == [2, 2, 2]
     assert [(d["load_product"], d["qpoint_product"]) for d in steps] == [(2, 0)] * 3
     assert [d["ledger_sums"] for d in steps] == [1, 1, 1]
@@ -712,7 +710,7 @@ def test_iteration_cap_inside_a_parted_batch(monkeypatch):
     # column at about 1.7 tol, above it, so the columns part at the cap
     monkeypatch.setattr(stochwave.stepper, "NEWTON_MAX_ITER", 2)
     stepper, init = _one_step_cubic()
-    over = BrownianPath(0.01, np.array([1.0]), 0, 0)
+    over = BrownianPath(0.01, np.array([1.0]))
     paths = [sample_path(0, 0, 1, 0.01), over, sample_path(3, 0, 1, 0.01)]
     _, (d,) = _products_per_step(monkeypatch, stepper, paths, init)
     norms = d["norms"]  # the predictor's and the two corrections' residuals
@@ -725,7 +723,7 @@ def test_iteration_cap_inside_a_parted_batch(monkeypatch):
     assert exc.residual_history == history
     assert history[-1] > _tolerance(stepper.config, history[0])
     with pytest.raises(NewtonDivergedError) as alone:
-        stepper.run(over, init)
+        run_states(stepper, over, init)
     assert alone.value.step == 0 and alone.value.residual_history == history
     # a column whose only pending correction at the cap is the polish is done
     for col, due in ((0, True), (2, False)):
@@ -745,7 +743,7 @@ def test_partial_round_with_a_rejection_and_a_polish_due(monkeypatch):
     cfg = SchemeConfig(tau=0.5, n_steps=3, newton_abs_tol=1e-13)
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
-    init.u.coeffs[:] *= 0.5
+    init[0][:] *= 0.5
     paths = [sample_path(11, k, 3, 0.5) for k in (13, 14, 25)]
     traj, steps = _products_per_step(monkeypatch, stepper, paths, init)
     assert traj.newton_iters.tolist() == [[8, 7, 6], [8, 8, 5], [7, 9, 5]]
@@ -797,7 +795,7 @@ def test_linear_wave_tracks_exact_solution():
         _, U, _ = run_states(stepper, _zeros_path(tau, N), st)
         xs = np.linspace(0, 1, 101)[:, None]
         err = np.abs(
-            evaluate(FeFunction(space, U[-1]), xs) - exact.value(xs[:, 0], tau * N)
+            evaluate(space, U[-1], xs) - exact.value(xs[:, 0], tau * N)
         ).max()
         errs.append(err)
     assert errs[2] < errs[1] < errs[0]
@@ -810,15 +808,15 @@ def test_hamiltonian_nonincreasing_without_noise(scheme):
     cfg = SchemeConfig(tau=0.02, n_steps=50, scheme=scheme)
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    traj = stepper.run(_zeros_path(0.02, 50), st)
-    assert np.all(np.diff(traj.hamiltonians) <= 1e-10)
+    traj = stepper.run([_zeros_path(0.02, 50)], st)
+    assert np.all(np.diff(traj.hamiltonians[0]) <= 1e-10)
 
 
 def test_hamiltonian_zero_state():
     space = _space(8)
     st = initial_state(space, Constant(0.0), Constant(0.0))
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), SchemeConfig(tau=0.01, n_steps=3))
-    traj = stepper.run(_zeros_path(0.01, 3), st)
+    traj = stepper.run([_zeros_path(0.01, 3)], st)
     assert np.abs(traj.hamiltonians).max() == pytest.approx(0.0, abs=1e-14)
 
 
@@ -828,16 +826,16 @@ def test_hamiltonian_cosine_analytic_value():
     space = _space(64)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), SchemeConfig(tau=0.01, n_steps=1))
-    traj = stepper.run(_zeros_path(0.01, 1), st)
-    H = traj.hamiltonians[0]
+    traj = stepper.run([_zeros_path(0.01, 1)], st)
+    H = traj.hamiltonians[0, 0]
     expected = np.pi**2 / 4 + 0.25 + 3.0 / 32.0
     assert H == pytest.approx(expected, rel=0.01)
     # the stepper's H is half the reported norms plus the quadrature potential
-    u, v = st.u.coeffs, st.v.coeffs
+    u, v = st
     pot = np.sum(space.wdet * CUBIC.potential(space.values_at_qpoints(u)))
     kinetic, gradient = v @ (space.mass @ v), u @ (space.stiffness @ u)
     assert H == pytest.approx(0.5 * kinetic + 0.5 * gradient + pot, rel=1e-14)
-    assert (traj.dtl2sq[0], traj.h1sq[0]) == pytest.approx((kinetic, gradient), rel=1e-14)
+    assert (traj.dtl2sq[0, 0], traj.h1sq[0, 0]) == pytest.approx((kinetic, gradient), rel=1e-14)
 
 
 def test_hamiltonian_coercivity_lower_bound():
@@ -846,7 +844,7 @@ def test_hamiltonian_coercivity_lower_bound():
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     cfg = SchemeConfig(tau=0.01, n_steps=20, newton_abs_tol=1e-13)
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
-    traj = stepper.run(sample_path(5, 0, 20, 0.01), st)
+    traj = stepper.run([sample_path(5, 0, 20, 0.01)], st)
     assert np.all(traj.hamiltonians >= 0.5 * CUBIC.alpha * traj.l2sq)
 
 
@@ -857,8 +855,8 @@ def test_pathwise_energy_inequality_with_noise(scheme):
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
     for k in range(5):
-        traj = stepper.run(sample_path(7, k, 40, 0.01), st)
-        assert traj.max_energy_violation <= 1e-8
+        traj = stepper.run([sample_path(7, k, 40, 0.01)], st)
+        assert traj.max_energy_violation[0] <= 1e-8
 
 
 def test_modified_cn_energy_identity_tight():
@@ -867,9 +865,9 @@ def test_modified_cn_energy_identity_tight():
     cfg = SchemeConfig(tau=0.01, n_steps=30, scheme="mcn", newton_abs_tol=1e-13)
     stepper = WaveStepper(space, CUBIC, Diffusion.linear(1.0), cfg)
     st = initial_state(space, CosineProduct(kx=1), Constant(0.0))
-    traj = stepper.run(sample_path(21, 0, 30, 0.01), st)
-    scale = 1.0 + np.abs(traj.hamiltonians[:-1])
-    assert np.abs(traj.energy_residuals / scale).max() <= 1e-8
+    traj = stepper.run([sample_path(21, 0, 30, 0.01)], st)
+    scale = 1.0 + np.abs(traj.hamiltonians[0, :-1])
+    assert np.abs(traj.energy_residuals[0] / scale).max() <= 1e-8
 
 
 def test_deterministic_runs_seed_independent():
@@ -902,10 +900,10 @@ def test_mixed_primal_equivalence():
         fvals = pointwise_load(
             space,
             lambda a, b: drift.potential_quotient(a, b),
-            FeFunction(space, U[n + 1]),
-            FeFunction(space, U[n]),
+            U[n + 1],
+            U[n],
         )
-        gvals = pointwise_load(space, g.value, FeFunction(space, U[n]))
+        gvals = pointwise_load(space, g.value, U[n])
         res = (
             M @ ((U[n + 1] - 2 * U[n] + u_pp) / tau)
             + tau * (K @ U[n + 1])
@@ -921,9 +919,17 @@ def test_run_validates_path_shape():
     stepper = WaveStepper(space, CUBIC, Diffusion.zero(), cfg)
     st = initial_state(space, Constant(0.0), Constant(0.0))
     with pytest.raises(ValueError):
-        stepper.run(_zeros_path(0.01, 4), st)
+        stepper.run([_zeros_path(0.01, 4)], st)
     with pytest.raises(ValueError):
-        stepper.run(_zeros_path(0.02, 5), st)
+        stepper.run([_zeros_path(0.02, 5)], st)
+
+
+def test_run_rejects_an_empty_batch():
+    space = _space(4)
+    stepper = WaveStepper(space, CUBIC, Diffusion.zero(), SchemeConfig(tau=0.01, n_steps=5))
+    st = initial_state(space, Constant(0.0), Constant(0.0))
+    with pytest.raises(ValueError, match="at least one path"):
+        stepper.run([], st)
 
 
 def test_config_validation():
@@ -933,3 +939,13 @@ def test_config_validation():
         SchemeConfig(tau=0.1, n_steps=0)
     with pytest.raises(ValueError):
         SchemeConfig(tau=0.1, n_steps=5, scheme="leapfrog")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_config_rejects_nonfinite_tau_and_tolerance(value):
+    # a NaN tolerance would accept every predictor: max(nan, x) is nan and
+    # no residual compares above it
+    with pytest.raises(ValueError, match="tau"):
+        SchemeConfig(tau=value, n_steps=5)
+    with pytest.raises(ValueError, match="newton_abs_tol"):
+        SchemeConfig(tau=0.1, n_steps=5, newton_abs_tol=value)
