@@ -107,9 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    for study in result.studies:
-        for f in study.files:
-            print(f"wrote {result.out_dir / f}")
+    for f in result.files:
+        print(f"wrote {result.out_dir / f}")
     print(f"wrote {result.manifest_path}")
     if result.n_failures:
         print(f"note: {result.n_failures} sample(s) hit Newton failures")

@@ -168,21 +168,16 @@ class PolynomialDrift:
         return gap
 
     def validate(self, scheme: str) -> list[str]:
-        """Run the admissibility checks; return a list of violations (empty = ok)."""
-        violations: list[str] = []
+        """Run the admissibility checks for ``scheme``; return a list of
+        violations (empty = ok).  An unknown scheme is the caller's to report."""
         constants = {"coefficients": self.coeffs, "alpha": (self.alpha,), "lambda": (self.lam,)}
         bad = [name for name, values in constants.items() if not np.all(np.isfinite(values))]
         if bad:
             return [f"drift {' and '.join(bad)} must be finite"]
         if self.q % 2 == 0:
-            violations.append(
-                f"drift polynomial degree must be odd, got q={self.q}"
-            )
-            return violations
-        if scheme not in SCHEMES:
-            violations.append(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-            return violations
+            return [f"drift polynomial degree must be odd, got q={self.q}"]
 
+        violations: list[str] = []
         witness = _negative_point(self._coercivity_gap_coeffs())
         if witness is not None:
             violations.append(

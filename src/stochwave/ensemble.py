@@ -4,7 +4,8 @@ Every Monte Carlo study runs through the same pieces: a picklable
 `ProblemSpec`, which builds the study's spaces and scheme configs, step
 counts from `steps_for`, ladders checked by `ladder_problems`, and
 `map_samples`, which runs a batch function over contiguous sample blocks
-(each stepped as one batch by `WaveStepper.run`), orders the per-sample
+(each stepped as one batch by `WaveStepper.run`, and the blocks spread over
+a process pool by `parallel_map` when threads > 1), orders the per-sample
 records by index and accounts for failures.  The stability ensemble
 (`run_ensemble`) and the rate tables (`metrics`) differ only in their batch
 functions; each driver takes ``(problem, study, n_samples, threads)``.
@@ -17,6 +18,7 @@ counter-based streams.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -27,7 +29,6 @@ from .drift import PolynomialDrift
 from .fem import FeSpace
 from .mesh import build_interval_mesh, build_unit_square_tri_mesh
 from .noise import sample_path
-from .parallel import parallel_map
 from .quadrature import interval_rule, triangle_rule
 from .stepper import BLOCK_POINTS, SchemeConfig, WaveStepper, initial_state
 
@@ -179,6 +180,20 @@ class SampleRecord:
     failure: str | None = None
 
 
+def parallel_map(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """Map fn over tasks, in-process when workers <= 1.
+
+    ``fn`` and every task must pickle when workers > 1.  The pool has no more
+    workers than tasks.  Output order always matches the task order, so
+    downstream reductions are schedule-independent.
+    """
+    tasks = list(tasks)
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def map_samples(
     batch: Callable[[tuple], list[SampleRecord]],
     payload: tuple,
@@ -255,7 +270,6 @@ class EnsembleStats:
     mean_H4: np.ndarray
     n_samples: int
     n_failures: int
-    master_seed: int
     max_energy_violation: float
     # per-sample series, one row per finished sample (for subset curves)
     sample_l2sq: np.ndarray = field(repr=False)
@@ -299,7 +313,6 @@ def run_ensemble(
         mean_H4=tree_sum(H**4) / n,
         n_samples=n,
         n_failures=n_failed,
-        master_seed=problem.master_seed,
         max_energy_violation=max(r.violation for r in good),
         sample_l2sq=l2,
         sample_h1sq=h1s,

@@ -224,9 +224,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append(f"threads: must be >= 1, got {cfg.threads}")
     if cfg.n_samples < 1:
         errors.append(f"n_samples: must be >= 1, got {cfg.n_samples}")
-    else:
-        for v in cfg.drift.validate(cfg.scheme):
-            errors.append(f"drift: {v}")
+    errors.extend(f"drift: {v}" for v in cfg.drift.validate(cfg.scheme))
     if not cfg.studies:
         errors.append("studies: at least one study is required")
     for i, s in enumerate(cfg.studies):
@@ -416,18 +414,10 @@ def preset_config(name: str, paper_scale: bool = False) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StudyResult:
-    label: str
-    table: ErrorTable | None  # None for a stability series
-    files: list[str]
-
-
-@dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     out_dir: Path
     manifest_path: Path
-    studies: list[StudyResult]
+    files: list[str]  # every CSV written, in study order
     max_energy_violation: float
     n_failures: int
 
@@ -514,7 +504,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
     ]
 
     problem = cfg.problem()
-    results: list[StudyResult] = []
+    files: list[str] = []
     violation = -np.inf
     failures = 0
     for study, names in zip(cfg.studies, _csv_names(cfg), strict=True):
@@ -522,8 +512,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         run, csvs = run_study(problem, study, cfg)
         for name, (lines, columns) in zip(names, csvs, strict=True):
             write_csv(out / name, header + lines, columns)
-        table = run if isinstance(run, ErrorTable) else None
-        results.append(StudyResult(study.label, table, names))
+        files += names
         violation = max(violation, run.max_energy_violation)
         failures += run.n_failures
 
@@ -536,16 +525,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
             "scipy": __import__("scipy").__version__,
             "stochwave": _package_version(),
         },
-        "outputs": [f for r in results for f in r.files],
+        "outputs": files,
         "newton_failures": failures,
     }
     manifest_path = out / f"{cfg.name}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(
-        config=cfg,
         out_dir=out,
         manifest_path=manifest_path,
-        studies=results,
+        files=files,
         max_energy_violation=float(violation),
         n_failures=failures,
     )

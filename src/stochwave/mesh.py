@@ -27,7 +27,6 @@ class Mesh:
     dimension: int
     vertices: np.ndarray  # (n_vertices, dimension)
     cells: np.ndarray  # (n_cells, dimension + 1) int
-    h: float
     resolution: int
 
     @property
@@ -40,17 +39,17 @@ class Mesh:
 
 
 def build_interval_mesh(n_cells: int) -> Mesh:
-    """Uniform mesh of (0,1) with ``n_cells`` cells and h = 1/n_cells."""
+    """Uniform mesh of (0,1) with ``n_cells`` cells of length 1/n_cells."""
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     vertices = (np.arange(n_cells + 1, dtype=float) / n_cells)[:, None]
     cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    return Mesh(1, vertices, cells.astype(np.int64), 1.0 / n_cells, n_cells)
+    return Mesh(1, vertices, cells.astype(np.int64), n_cells)
 
 
 def build_unit_square_tri_mesh(n_per_side: int) -> Mesh:
-    """Triangulation of (0,1)^2: n_per_side^2 squares, each split by the
-    lower-left to upper-right diagonal into two triangles."""
+    """Triangulation of (0,1)^2: n_per_side^2 squares of side 1/n_per_side,
+    each split by the lower-left to upper-right diagonal into two triangles."""
     if n_per_side < 1:
         raise ValueError(f"n_per_side must be >= 1, got {n_per_side}")
     n = n_per_side
@@ -69,7 +68,7 @@ def build_unit_square_tri_mesh(n_per_side: int) -> Mesh:
             cells[k] = (v00, v10, v11)  # lower triangle
             cells[k + 1] = (v00, v11, v01)  # upper triangle
             k += 2
-    return Mesh(2, vertices, cells, np.sqrt(2.0) / n, n)
+    return Mesh(2, vertices, cells, n)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:

@@ -127,7 +127,6 @@ class ErrorTable:
     h1: np.ndarray
     dtl2: np.ndarray
     n_samples: int
-    master_seed: int
     reference: str
     max_energy_violation: float
     n_failures: int
@@ -255,6 +254,7 @@ def convergence_table(
         for j in range(3)
     )
     if mode == "spatial":
+        # the mesh size is the cell diameter: 1/l in 1D, sqrt(2)/l in 2D
         h = np.sqrt(2.0) if problem.dimension == 2 else 1.0
         params = np.array([h / l for l in levels])
         reference = (
@@ -274,7 +274,6 @@ def convergence_table(
         h1=h1_err,
         dtl2=dtl2,
         n_samples=len(good),
-        master_seed=problem.master_seed,
         reference=reference,
         max_energy_violation=float(max(r.violation for r in good)),
         n_failures=n_failed,
@@ -364,7 +363,6 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
         h1=np.array(h1_err),
         dtl2=np.array(dtl2),
         n_samples=1,
-        master_seed=problem.master_seed,
         reference=f"closed-form solution {exact!r}",
         max_energy_violation=float(violation),
         n_failures=0,

@@ -21,14 +21,10 @@ def interval_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Symmetric barycentric rules (weights normalised to sum 1; scaled by area below).
 def _sym_triangle_points(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    s15 = np.sqrt(15.0)
-    if degree <= 1:
-        bary = [(1 / 3, 1 / 3, 1 / 3)]
-        wts = [1.0]
-    elif degree == 2:
+    if degree <= 2:
         bary = [(2 / 3, 1 / 6, 1 / 6), (1 / 6, 2 / 3, 1 / 6), (1 / 6, 1 / 6, 2 / 3)]
         wts = [1 / 3] * 3
-    elif degree <= 4:
+    else:  # degree 3 and 4, the 6-point rule
         a, wa = 0.108103018168070, 0.223381589678011
         b, wb = 0.816847572980459, 0.109951743655322
         bary, wts = [], []
@@ -36,19 +32,6 @@ def _sym_triangle_points(degree: int) -> tuple[np.ndarray, np.ndarray]:
             d = (1.0 - c) / 2.0
             bary += [(c, d, d), (d, c, d), (d, d, c)]
             wts += [w] * 3
-    else:  # degree 5, the classic 7-point rule
-        a = (6.0 + s15) / 21.0
-        b = (9.0 - 2.0 * s15) / 21.0
-        c = (6.0 - s15) / 21.0
-        d = (9.0 + 2.0 * s15) / 21.0
-        wa = (155.0 + s15) / 1200.0
-        wc = (155.0 - s15) / 1200.0
-        bary = [(1 / 3, 1 / 3, 1 / 3)]
-        wts = [9.0 / 40.0]
-        bary += [(b, a, a), (a, b, a), (a, a, b)]
-        wts += [wa] * 3
-        bary += [(d, c, c), (c, d, c), (c, c, d)]
-        wts += [wc] * 3
     pts = np.array([(l1, l2) for (_, l1, l2) in bary])
     return pts, np.array(wts)
 
@@ -67,10 +50,12 @@ def _collapsed_triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
 def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on the reference triangle exact for the given total degree.
 
-    Symmetric rules are used through degree 5; higher degrees fall back to a
-    collapsed Gauss product, which is exact for any degree.
+    Symmetric 3- and 6-point rules are used through degree 4; higher degrees
+    use a collapsed Gauss product, which is exact for any degree.  A space's
+    cell rule has the degree `quadrature_degree_for` gives, which is even and
+    at least 2 for every validated drift.
     """
-    if degree <= 5:
+    if degree <= 4:
         pts, wts = _sym_triangle_points(degree)
         return pts, 0.5 * wts
     return _collapsed_triangle_rule(degree)

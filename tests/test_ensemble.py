@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import stochwave.ensemble
-import stochwave.parallel
 import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import MODIFIED_CN, PolynomialDrift
@@ -11,6 +10,7 @@ from stochwave.ensemble import (
     EnsembleFailureError,
     ProblemSpec,
     StabilityStudy,
+    parallel_map,
     run_ensemble,
     sample_blocks,
     subset_fraction,
@@ -22,7 +22,6 @@ from stochwave.linsolve import LinearSolveError
 from stochwave.mesh import build_interval_mesh
 from stochwave.metrics import quadrature_degree_for
 from stochwave.noise import BrownianPath, sample_path
-from stochwave.parallel import parallel_map
 from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
 from stepping import run_states
 
@@ -188,7 +187,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(stochwave.parallel, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(stochwave.ensemble, "ProcessPoolExecutor", InProcessPool)
     return sizes
 
 

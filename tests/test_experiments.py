@@ -6,7 +6,7 @@ import pytest
 
 from stochwave.cli import main
 from stochwave.diffusion import Diffusion
-from stochwave.drift import PolynomialDrift
+from stochwave.drift import SCHEMES, PolynomialDrift
 from stochwave.experiments import (
     AnalyticStudy,
     ExperimentConfig,
@@ -90,6 +90,23 @@ def test_validate_config_reports_non_finite_drift(drift):
     cfg.drift = drift
     assert [e for e in validate_config(cfg) if e.startswith("drift: ")] == [
         f"drift: {drift.validate(cfg.scheme)[0]}"
+    ]
+
+
+def test_drift_faults_are_reported_beside_an_invalid_sample_count():
+    cfg = _tiny_rate_config()
+    cfg.n_samples = 0
+    cfg.drift = PolynomialDrift([1.0, 1.0])
+    problems = validate_config(cfg)
+    assert "n_samples: must be >= 1, got 0" in problems
+    assert "drift: drift polynomial degree must be odd, got q=2" in problems
+
+
+def test_unknown_scheme_is_reported_once():
+    cfg = _tiny_rate_config()
+    cfg.scheme = "foo"
+    assert [p for p in validate_config(cfg) if "scheme" in p] == [
+        f"scheme: must be one of {SCHEMES}, got 'foo'"
     ]
 
 
@@ -219,6 +236,7 @@ def test_run_experiment_writes_outputs(tmp_path):
         "tiny_stability.csv",
         "tiny_stability_deterministic.csv",
     }
+    assert result.files == meta["outputs"]
 
     text = rate_csv.read_text()
     assert f"# manifest_hash: {manifest_hash(cfg)}" in text
@@ -253,8 +271,11 @@ def test_thread_count_does_not_change_outputs(tmp_path):
 
 def test_analytic_study_runs(tmp_path):
     result = run_experiment(_analytic_config(), tmp_path)
-    assert (tmp_path / "lincheck_analytic_rates.csv").exists()
-    assert result.studies[0].table.l2[1] < result.studies[0].table.l2[0]
+    assert result.files == ["lincheck_analytic_rates.csv"]
+    text = (tmp_path / result.files[0]).read_text()
+    header, *rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")]
+    l2 = [float(row[header.index("l2")]) for row in rows]
+    assert l2[1] < l2[0]
 
 
 def test_samples_header_counts_the_paths_each_csv_ran(tmp_path):

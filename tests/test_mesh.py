@@ -8,20 +8,20 @@ from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh, refi
 def test_interval_mesh_basic():
     m = build_interval_mesh(4)
     assert np.allclose(m.vertices[:, 0], [0, 0.25, 0.5, 0.75, 1.0])
-    assert m.h == 0.25
+    assert m.resolution == 4
     assert m.n_cells == 4
 
 
 def test_interval_single_cell():
     m = build_interval_mesh(1)
     assert m.n_cells == 1
-    assert m.h == 1.0
+    assert m.resolution == 1
 
 
 def test_interval_table1_finest():
     m = build_interval_mesh(64)
     assert m.n_vertices == 65
-    assert m.h == 1.0 / 64
+    assert m.resolution == 64
 
 
 def test_interval_rejects_zero():
@@ -45,7 +45,7 @@ def test_square_mesh_counts_and_area():
 def test_square_mesh_16():
     m = build_unit_square_tri_mesh(16)
     assert m.n_cells == 512
-    assert m.h == pytest.approx(np.sqrt(2) / 16)
+    assert m.resolution == 16
 
 
 def test_square_rejects_zero():
@@ -70,7 +70,7 @@ def test_refine_interval_nested_bitwise():
     coarse = build_interval_mesh(4)
     fine = refine_uniform(coarse)
     assert fine.n_cells == 8
-    assert fine.h == coarse.h / 2
+    assert fine.resolution == 2 * coarse.resolution
     coarse_set = {v.tobytes() for v in coarse.vertices}
     fine_set = {v.tobytes() for v in fine.vertices}
     assert coarse_set <= fine_set  # coarse vertices reproduced bit-identically
@@ -89,6 +89,6 @@ def test_refine_square():
 def test_refine_chain_h_halves_exactly():
     m = build_interval_mesh(4)
     f = refine_uniform(m)
-    assert f.h == 0.125
+    assert np.all(np.diff(f.vertices[:, 0]) == 0.125)
     ff = refine_uniform(f)
-    assert ff.h == 0.0625
+    assert np.all(np.diff(ff.vertices[:, 0]) == 0.0625)

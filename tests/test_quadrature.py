@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from stochwave.drift import MODIFIED_CN, PolynomialDrift
+from stochwave.ensemble import quadrature_degree_for
 from stochwave.quadrature import interval_rule, triangle_rule
 
 
@@ -18,7 +20,7 @@ def _tri_monomial_exact(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 8, 12])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 8, 12, 16, 24])
 def test_triangle_rule_exact_on_monomials(degree):
     pts, w = triangle_rule(degree)
     assert w.sum() == pytest.approx(0.5, rel=1e-13)
@@ -33,3 +35,17 @@ def test_triangle_points_inside():
         pts, w = triangle_rule(degree)
         assert np.all(pts >= -1e-14)
         assert np.all(pts.sum(axis=1) <= 1 + 1e-14)
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_validated_drifts_need_even_cell_rules(q):
+    # triangle_rule has no symmetric rule of degree 1 or 5: the cell rules
+    # of the spaces a validated config builds have even degrees >= 2r
+    drift = PolynomialDrift([0.0] * (q - 1) + [-1.0])
+    if q % 2 == 0:
+        assert drift.validate(MODIFIED_CN) == [f"drift polynomial degree must be odd, got q={q}"]
+        return
+    assert drift.validate(MODIFIED_CN) == []
+    for r in (1, 2):
+        degree = quadrature_degree_for(r, drift)
+        assert degree % 2 == 0 and degree >= 2 * r
