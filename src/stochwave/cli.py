@@ -1,8 +1,11 @@
 """Command line entry point: run presets or config files, with flag overrides.
 
-Precedence is flag > config file > preset default.  Exit status: 0 on
-success, 1 when a computation fails (e.g. too many Newton failures), 2 on
-config or validation errors.
+Precedence is flag > config file > preset default.  A ``--tau`` or
+``--h-level`` that overrides no study of the experiment is a config error.
+Exit status: 0 on success, 1 when a computation fails (e.g. too many Newton
+failures), 2 on config or validation errors.  A run whose worst per-step
+energy residual exceeds ENERGY_RESIDUAL_BOUND still exits 0, with a warning
+on stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from .experiments import (
 )
 
 __all__ = ["main", "build_parser", "apply_overrides"]
+
+# The energy contract: every step's residual of the discrete energy identity,
+# relative to 1 + |H|, stays at or below this.
+ENERGY_RESIDUAL_BOUND = 1e-8
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,6 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    """Apply the flags to the config; ValueError, naming the flag, when
+    ``--tau`` or ``--h-level`` would override no study."""
     if args.samples is not None:
         cfg.n_samples = args.samples
     if args.seed is not None:
@@ -63,17 +72,32 @@ def apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experime
         cfg.scheme = args.scheme
     if args.threads is not None:
         cfg.threads = args.threads
+    reached = set()
     for study in cfg.studies:
         if args.tau is not None:
             if isinstance(study, RateStudy) and study.mode == "spatial":
                 study.taus = [args.tau]
+                reached.add("--tau")
             elif isinstance(study, (StabilityStudy, AnalyticStudy)):
                 study.tau = args.tau
+                reached.add("--tau")
         if args.h_level is not None:
             if isinstance(study, RateStudy) and study.mode == "temporal":
                 study.levels = [args.h_level]
+                reached.add("--h-level")
             elif isinstance(study, StabilityStudy):
                 study.level = args.h_level
+                reached.add("--h-level")
+    unused = [
+        flag for flag, value in (("--tau", args.tau), ("--h-level", args.h_level))
+        if value is not None and flag not in reached
+    ]
+    if unused:
+        raise ValueError(
+            f"{' and '.join(unused)} overrides no study of {cfg.name!r}: --tau sets the "
+            "step of spatial rate, stability and analytic studies, --h-level the level "
+            "of temporal rate and stability studies"
+        )
     return cfg
 
 
@@ -93,7 +117,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cfg = apply_overrides(cfg, args)
+    try:
+        cfg = apply_overrides(cfg, args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     problems = validate_config(cfg)
     if problems:
         print("invalid configuration:", file=sys.stderr)
@@ -112,6 +140,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {result.manifest_path}")
     if result.n_failures:
         print(f"note: {result.n_failures} sample(s) hit Newton failures")
+    if result.max_energy_violation > ENERGY_RESIDUAL_BOUND:
+        print(
+            f"warning: worst energy residual {result.max_energy_violation:.3e} exceeds "
+            f"the bound {ENERGY_RESIDUAL_BOUND:g} (relative to 1 + |H|)",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -2,15 +2,17 @@
 
 Provides P1/P2 spaces, mass/stiffness/load assembly, L2 projection and the
 exact transfer matrix between nested meshes.  Neumann boundary conditions
-are natural: no dof is ever constrained.  `CsrProduct` applies a sparse
-operator to a dense block through scipy's compiled CSR kernel, without the
-dispatch of ``@``.
+are natural: no dof is ever constrained.  `DirectSum` stacks the coefficient
+vectors of several spaces into one, with block-diagonal operators, so that
+one march can step them all.  `CsrProduct` applies a sparse operator to a
+dense block through scipy's compiled CSR kernel, without the dispatch of
+``@``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,10 +24,12 @@ from .quadrature import interval_rule, triangle_rule
 
 __all__ = [
     "CsrProduct",
+    "DirectSum",
     "FeSpace",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_weighted_mass",
+    "direct_sum",
     "load_vector",
     "l2_project",
     "transfer_matrix",
@@ -251,6 +255,16 @@ class FeSpace:
         ref = np.column_stack([xi, eta])
         self.qpoints = p0[:, None, :] + np.einsum("cde,qe->cqd", jac, ref)
 
+    @property
+    def members(self) -> tuple[FeSpace]:
+        """A plain space is the direct sum of itself alone."""
+        return (self,)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Its dof offsets as the direct sum of itself alone."""
+        return np.array([0, self.n_dofs])
+
     # -- cached operators ----------------------------------------------------
 
     @cached_property
@@ -310,6 +324,48 @@ class FeSpace:
         are the same bits whatever the other columns hold.
         """
         return self.qpoint_product(coeffs).reshape(self.wdet.shape + coeffs.shape[1:])
+
+
+class DirectSum:
+    """The direct sum of finite element spaces, one coefficient vector for all.
+
+    Member i's coefficients are rows ``offsets[i]:offsets[i + 1]`` of the
+    vector, and its quadrature points follow those of the members before it.
+    The mass, stiffness, quadrature-value (Q) and load operators are
+    block-diagonal: each row holds its member's row, shifted, with its
+    entries in the same order, so every product row is summed exactly as in
+    the member's own operator.  A plain `FeSpace` is the direct sum of
+    itself alone (see `direct_sum`).
+    """
+
+    def __init__(self, members: Sequence[FeSpace]):
+        self.members = tuple(members)
+        self.offsets = np.cumsum([0] + [m.n_dofs for m in self.members])
+        self.n_dofs = int(self.offsets[-1])
+
+    def _block_diag(self, operator: Callable[[FeSpace], sp.spmatrix]) -> sp.csr_matrix:
+        return sp.block_diag([operator(m) for m in self.members], format="csr")
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        return self._block_diag(lambda m: m.mass)
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        return self._block_diag(lambda m: m.stiffness)
+
+    @cached_property
+    def qpoint_product(self) -> CsrProduct:
+        return CsrProduct(self._block_diag(lambda m: m.qpoint_product.matrix))
+
+    @cached_property
+    def load_product(self) -> CsrProduct:
+        return CsrProduct(self._block_diag(lambda m: m.load_product.matrix))
+
+
+def direct_sum(spaces: Sequence[FeSpace]) -> FeSpace | DirectSum:
+    """The direct sum of the spaces: the space itself when there is one."""
+    return spaces[0] if len(spaces) == 1 else DirectSum(spaces)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,15 @@ argument is never written.  The path depends on the matrix's nonzeros:
 
 Both solves treat each column alone with the same operations, so a block
 gives every column the bits it would get alone, and negating the right-hand
-side negates the solution bit for bit.  `spd_solver` raises
+side negates the solution bit for bit.
+
+A block-diagonal matrix (the operators of a `fem.DirectSum`) may name its
+diagonal blocks by their row offsets.  A tridiagonal one is still factored
+whole: its coupling entries between blocks are exact zeros, so every pivot
+and every solved row of a block is the one its own factor gives, and rows of
+zeros solve to exact zeros.  Any other is factored block by block and each
+factor solves its own rows, since SuperLU's ordering of the whole would mix
+the blocks' arithmetic.  `spd_solver` raises
 `LinearSolveError` for a non-finite entry, a non-positive diagonal entry or
 a matrix that is not positive definite on either path: ``dpttrf`` reports a
 non-positive pivot, and SuperLU's pivots (the diagonal of U, with the rows
@@ -27,7 +35,7 @@ symmetric; the tridiagonal path reads only its subdiagonal.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,8 +48,14 @@ class LinearSolveError(RuntimeError):
     """A symmetric positive definite factorisation failed."""
 
 
-def spd_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the SPD matrix ``A`` once and return its reusable solve callable."""
+def spd_solver(
+    A: sp.spmatrix, blocks: Sequence[int] | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the SPD matrix ``A`` once and return its reusable solve callable.
+
+    ``blocks``, if given, are the row offsets (0 first, the size last) of the
+    diagonal blocks of a block-diagonal ``A``.
+    """
     A = A.tocsr()
     if not np.isfinite(A.data).all():
         raise LinearSolveError("non-finite entry; matrix is not SPD")
@@ -50,7 +64,19 @@ def spd_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     if np.all(np.abs(A.indices - rows) <= 1):
         return _tridiagonal_solver(A)
-    return _superlu_solver(A)
+    if blocks is None or len(blocks) <= 2:
+        return _superlu_solver(A)
+    parts = [
+        (slice(a, b), _superlu_solver(A[a:b, a:b])) for a, b in zip(blocks[:-1], blocks[1:])
+    ]
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.empty(b.shape)
+        for rows, part in parts:
+            x[rows] = part(b[rows])
+        return x
+
+    return solve
 
 
 def _tridiagonal_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:

@@ -24,7 +24,7 @@ from .ensemble import (
     quadrature_degree_for,
     tree_sum,
 )
-from .fem import CsrProduct, FeSpace, transfer_matrix
+from .fem import CsrProduct, FeSpace, direct_sum, transfer_matrix
 from .fields import Constant, CosineProduct, LinearWaveSolution
 from .noise import BrownianPath, coarsen, sample_path
 from .stepper import WaveStepper, column_sums, initial_state
@@ -143,16 +143,25 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
 
     The payload is the problem and the (level, scheme config) pairs of the
     reference and the rows.  The block steps the reference first and keeps
-    the nodes some row reads; each row then steps the samples still running
-    and reduces its errors to per-node norms as it goes, so no row's states
-    are stored.
+    the nodes some row reads.  The rows that share a scheme config (a
+    spatial ladder's) then step the samples still running as one march on
+    the direct sum of their spaces, and each temporal row as a march of its
+    own; every row reduces its errors to per-node norms as it goes, so no
+    row's states are stored.
     """
     (problem, ((ref_level, ref_cfg), *rows)), indices = task
     S = len(indices)
     spaces = problem.spaces([l for l, _ in rows] + [ref_level])
     ref_space = spaces[ref_level]
     MKref, Mref = _error_products(ref_space)
-    inits = {ref_level: initial_state(ref_space, problem.h1, problem.h2)}
+    inits = {}
+
+    def initial(levels):
+        if levels not in inits:
+            space = direct_sum([spaces[l] for l in levels])
+            inits[levels] = initial_state(space, problem.h1, problem.h2)
+        return inits[levels]
+
     factors = [round(cfg.tau / ref_cfg.tau) for _, cfg in rows]
     stride = math.gcd(*factors)
     shape = (ref_cfg.n_steps // stride + 1, S, ref_space.n_dofs)
@@ -172,43 +181,53 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
     failure: dict[int, str] = {}
 
     def absorb(traj, alive):
-        done = alive[traj.samples]
-        violation[done] = np.maximum(violation[done], traj.max_energy_violation)
-        failure.update((int(alive[k]), str(exc)) for k, exc in traj.failures.items())
+        # a run of the march is one (row, sample) pair, row-major
+        np.maximum.at(violation, alive[traj.samples % alive.size], traj.max_energy_violation)
+        for run in sorted(traj.failures):  # the first row a sample fails on names it
+            failure.setdefault(int(alive[run % alive.size]), str(traj.failures[run]))
 
     ref_stepper = WaveStepper(ref_space, problem.drift, problem.diffusion, ref_cfg)
-    absorb(ref_stepper.run(ref_paths, inits[ref_level], observe=keep), np.arange(S))
-    errs = []
-    for (level, cfg), factor in zip(rows, factors):
+    absorb(ref_stepper.run(ref_paths, initial((ref_level,)), observe=keep), np.arange(S))
+    groups: dict = {}  # the rows of each scheme config, in row order
+    for i, (_, cfg) in enumerate(rows):
+        groups.setdefault(cfg, []).append(i)
+    errs = [None] * len(rows)
+    for cfg, group in groups.items():
         alive = np.array([p for p in range(S) if p not in failure], dtype=np.int64)
         if not alive.size:
             break
-        space = spaces[level]
-        if level not in inits:
-            inits[level] = initial_state(space, problem.h1, problem.h2)
-        E = None if space is ref_space else CsrProduct(transfer_matrix(space, ref_space))
-        err = np.empty((3, S, cfg.n_steps + 1))
+        levels = tuple(rows[i][0] for i in group)
+        members = [spaces[l] for l in levels]
+        space = direct_sum(members)
+        lifts = [
+            None if m is ref_space else CsrProduct(transfer_matrix(m, ref_space))
+            for m in members
+        ]
+        for i in group:
+            errs[i] = np.empty((3, S, cfg.n_steps + 1))
+        factor = factors[group[0]]
 
         def compare(n0, live, U, V):
             # one column per (node, sample) of the window, node-major
             k, s = U.shape[:2]
             pos = alive[live]
             at = np.ix_(np.arange(n0, n0 + k) * (factor // stride), pos)
-            Uc, Vc, Urc, Vrc = (X.reshape(k * s, -1).T for X in (U, V, Ur[at], Vr[at]))
-            sq = _error_sq(E, Uc, Vc, Urc, Vrc, MKref, Mref)
-            err[:, pos, n0 : n0 + k] = sq.reshape(3, k, s).transpose(0, 2, 1)
+            Urc, Vrc = (X.reshape(k * s, -1).T for X in (Ur[at], Vr[at]))
+            for i, E, a, b in zip(group, lifts, space.offsets, space.offsets[1:]):
+                Uc, Vc = (X[..., a:b].reshape(k * s, -1).T for X in (U, V))
+                sq = _error_sq(E, Uc, Vc, Urc, Vrc, MKref, Mref)
+                errs[i][:, pos, n0 : n0 + k] = sq.reshape(3, k, s).transpose(0, 2, 1)
 
         # coupling contract: every row path is the exactly-summed reference path
         paths = [coarsen(ref_paths[p], factor) if factor > 1 else ref_paths[p] for p in alive]
         assert all(math.isclose(p.tau, cfg.tau, rel_tol=1e-12) for p in paths)
         stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
-        absorb(stepper.run(paths, inits[level], observe=compare), alive)
-        errs.append(err)
-
+        absorb(stepper.run(paths, initial(levels), observe=compare), alive)
+    # a row is left unstepped only when every sample has failed
     return [
         SampleRecord(
             idx,
-            tuple((e[0, pos], e[1, pos], e[2, pos, 1:]) for e in errs),
+            tuple((e[0, pos], e[1, pos], e[2, pos, 1:]) for e in errs if e is not None),
             float(violation[pos]),
             failure.get(pos),
         )
@@ -314,54 +333,56 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
     cfg = problem.scheme_config(tau, study.T)
     n_steps = cfg.n_steps
     spaces = problem.spaces(levels)
-    l2 = []
-    h1_err = []
-    dtl2 = []
-    violation = -np.inf
-    for level in levels:
-        space = spaces[level]
-        stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
-        xq = space.qpoints[..., 0, None]  # (nc, nq, 1)
-        w = space.wdet
-        sq = np.empty((3, n_steps + 1))  # squared L2, H1 and d_t errors per node
-        before = None  # the error values of the node before the window
+    members = [spaces[l] for l in levels]
+    space = direct_sum(members)
+    # every level's cells, with their dofs shifted to the level's rows, and
+    # quadrature points and weights, one row per point in the order of the
+    # direct sum's Q
+    cell_dofs = np.concatenate([m.cell_dofs + a for m, a in zip(members, space.offsets)])
+    grad_phys = np.concatenate([m.grad_phys[..., 0] for m in members])
+    xq = np.concatenate([m.qpoints[..., 0].ravel() for m in members])[:, None]
+    w = np.concatenate([m.wdet.ravel() for m in members])[:, None]
+    points = np.cumsum([0] + [m.wdet.size for m in members])
+    worst = np.zeros((3, len(levels)))  # per level, the largest squared L2, H1, d_t errors
+    before = None  # the error values of the node before the window
 
-        def quadrature(vals: np.ndarray) -> np.ndarray:
-            """Per node, the weighted sum of its (nc, nq) values; the same bits
-            whatever nodes share the window (see `column_sums`)."""
-            return column_sums((vals * w[..., None]).reshape(w.size, -1))
+    def quadrature(vals: np.ndarray) -> np.ndarray:
+        """Per level and node, the weighted sum of its points' values: each
+        sum over a contiguous row of that level's points, so the bits do not
+        depend on the other levels or nodes (see `column_sums`)."""
+        rows = np.ascontiguousarray((vals * w).T)
+        return np.array([rows[:, a:b].sum(axis=1) for a, b in zip(points[:-1], points[1:])])
 
-        def reduce(n0, live, Un, Vn):
-            nonlocal before
-            k = Un.shape[0]
-            U = Un[:, 0].T  # one column per node
-            times = np.arange(n0, n0 + k) * tau
-            e_val = space.values_at_qpoints(U) - exact.value(xq, times)
-            grad = np.einsum("cln,clq->cqn", U[space.cell_dofs], space.grad_phys[..., 0])
-            e_grad = grad - exact.dx(xq, times)
-            sq[0, n0 : n0 + k] = quadrature(e_val * e_val)
-            sq[1, n0 : n0 + k] = quadrature(e_grad * e_grad)
-            if before is not None:
-                e_val = np.concatenate([before, e_val], axis=2)
-            de = np.diff(e_val, axis=2) / tau
-            sq[2, n0 + k - de.shape[2] : n0 + k] = quadrature(de * de)
-            before = e_val[..., -1:]
+    def reduce(n0, live, Un, Vn):
+        nonlocal before
+        k = Un.shape[0]
+        U = Un[:, 0].T  # one column per node
+        times = np.arange(n0, n0 + k) * tau
+        e_val = space.qpoint_product(U) - exact.value(xq, times)
+        grad = np.einsum("cln,clq->cqn", U[cell_dofs], grad_phys).reshape(-1, k)
+        e_grad = grad - exact.dx(xq, times)
+        joined = e_val if before is None else np.concatenate([before, e_val], axis=1)
+        de = np.diff(joined, axis=1) / tau
+        before = e_val[:, -1:]
+        for row, e in zip(worst, (e_val, e_grad, de)):
+            if e.shape[1]:  # node 0 alone has no step
+                np.maximum(row, quadrature(e * e).max(axis=1), out=row)
 
-        path = BrownianPath(tau, np.zeros(n_steps))
-        traj = stepper.run([path], initial_state(space, problem.h1, problem.h2), observe=reduce)
-        if traj.failures:
-            raise traj.failures[0]
-        violation = max(violation, traj.max_energy_violation[0])
-        l2.append(np.sqrt(np.max(sq[0])))
-        h1_err.append(np.sqrt(np.max(sq[1])))
-        dtl2.append(np.sqrt(np.max(sq[2, 1:])))
+    # all levels march as one column: a run per level, one path of zero increments
+    stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
+    path = BrownianPath(tau, np.zeros(n_steps))
+    traj = stepper.run([path], initial_state(space, problem.h1, problem.h2), observe=reduce)
+    if traj.failures:
+        raise traj.failures[min(traj.failures)]
+    l2, h1_err, dtl2 = np.sqrt(worst)
+    violation = np.max(traj.max_energy_violation)
 
     return ErrorTable(
         mode="spatial",
         params=np.array([1.0 / l for l in levels]),
-        l2=np.array(l2),
-        h1=np.array(h1_err),
-        dtl2=np.array(dtl2),
+        l2=l2,
+        h1=h1_err,
+        dtl2=dtl2,
         n_samples=1,
         reference=f"closed-form solution {exact!r}",
         max_energy_violation=float(violation),

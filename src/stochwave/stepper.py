@@ -52,24 +52,44 @@ calls scipy's compiled CSR kernel directly (`CsrProduct`), with the
 arguments ``A @ X`` would pass it, so only the dispatch of ``@`` is saved,
 and every bit stays as ``@`` makes it.
 
-Rounds.  The active columns are those above the tolerance or with the
-polish due.  A round gives each of them one frozen correction, so every
-active column has taken the same number of corrections, and one count
-serves the iteration cap.  The correction trial = C - solve(R) equals
+Runs.  The space may be a `fem.DirectSum` of member spaces that share the
+scheme config and the paths, such as the meshes of a spatial ladder; a
+plain space is the direct sum of itself alone.  Its block has
+sum(n_dofs) rows, and each (member, sample) pair is a *run*, numbered
+member-major: member m's sample s is run m S + s.  Every test above is a
+run's own: its max-norm (over its member's rows), tolerance, contraction
+test, polish, full-Newton fallback, iteration count and energy ledger.
+Every operator is block-diagonal, so a product, the drift and the ledger's
+segment sums give each run the bits of its member's own march.  A round
+corrects the columns that hold an active run; the other runs of those
+columns get rows of zeros in the residual, so the shared frozen solve gives
+them exactly zero corrections (see `linsolve.spd_solver` for the
+block-diagonal factor), and their rows are not written back.  A run that
+falls back to full Newton takes it on its member's own stepper.  A failed
+run ends its column: the column is dropped, and the column's other runs
+are reported with its error.  With one member, runs are samples and all of
+this is the batch march below.  The one exception to bit-identical runs is
+a tridiagonal direct sum in which a correction overflows: 0 times inf in
+the shared solve puts a NaN into the neighbouring member's rows.
+
+Rounds.  The active runs are those above the tolerance or with the polish
+due.  A round gives each of them one frozen correction, so every active run
+has taken the same number of corrections, and one count serves the
+iteration cap.  The correction trial = C - solve(R) equals
 C + solve(-R) bit for bit because both solvers of `linsolve` (LAPACK's
 tridiagonal solve in 1D P1, SuperLU otherwise) are sign-symmetric.
-The round's tests compare the columns' norms as Python floats (``tolist``), so
-a block of a few columns pays no numpy call for them.  An active column's
-norm is finite (a non-finite predictor norm makes its tolerance infinite or
-fails the comparison), so a correction that passes the contraction test is
-finite too.  A column that takes its polish is done, whatever its residual;
-a round in which every active column polishes computes none.  When every
-active column accepts, the trial replaces them whole; otherwise only the
-accepted columns are written back, and a column whose correction is
-rejected finishes the step alone with full Newton.  A column that diverges,
-meets a non-finite residual or a LinearSolveError is dropped from the block
-and reported with its residual history, which is rebuilt from the rounds'
-records only then; the others go on.  The quadrature values of the accepted
+The round's tests compare the runs' norms as Python floats (``tolist``), so
+a block of a few runs pays no numpy call for them.  An active run's norm is
+finite (a non-finite predictor norm makes its tolerance infinite or fails
+the comparison), so a correction that passes the contraction test is finite
+too.  A run that takes its polish is done, whatever its residual; a round
+in which every active run polishes computes none.  When every run of the
+round's columns is active and accepts, the trial replaces the columns
+whole; otherwise only the accepted runs are written back, and a run whose
+correction is rejected finishes the step alone with full Newton.  A run
+that diverges, meets a non-finite residual or a LinearSolveError is dropped
+from the block with its column and reported with its residual history,
+which is rebuilt from the rounds' records only then; the others go on.  The quadrature values of the accepted
 iterate are carried forward as the next step's u^n values.
 
 Energy bookkeeping.  The time loop only solves.  A `_Ledger` books each
@@ -85,7 +105,8 @@ each flushed window whole, as views of the ledger's stacks.
 
 Batch independence: a sample's numbers are bit-identical whether it steps
 alone or inside any batch, so that outputs do not depend on how samples are
-split over workers.  Every operation is column-wise in exact arithmetic
+split over workers; a run's likewise whether its member steps alone or in
+any direct sum.  Every operation is column-wise in exact arithmetic
 order: sparse products (the segment sums among them), solves with several
 right-hand sides (tridiagonal LAPACK or SuperLU, each column alone),
 elementwise maps and max-norms.  Neither the window length nor the moment
@@ -104,7 +125,7 @@ import scipy.sparse as sp
 
 from .diffusion import Diffusion
 from .drift import FULLY_IMPLICIT, MODIFIED_CN, SCHEMES, PolynomialDrift
-from .fem import CsrProduct, FeSpace, assemble_weighted_mass, l2_project
+from .fem import CsrProduct, DirectSum, FeSpace, assemble_weighted_mass, l2_project
 from .linsolve import LinearSolveError, spd_solver
 from .noise import BrownianPath
 
@@ -191,9 +212,10 @@ class SchemeConfig:
 class Trajectory:
     """Per-node norm and energy series of a batch of sample paths, plus diagnostics.
 
-    Each series has one row per finished sample, in batch order; ``samples``
-    holds their batch positions and ``failures`` maps the position of every
-    dropped sample to its error.  ``newton_iters`` holds, per step, the
+    Each series has one row per finished run, in run order: member m's
+    sample s is run m S + s for S paths (on a plain space, runs are
+    samples).  ``samples`` holds the finished runs' numbers and ``failures``
+    maps every dropped run to its error.  ``newton_iters`` holds, per step, the
     number of accepted corrections: frozen-Jacobian (chord) and full-Newton
     ones alike, the polish included where it was taken (see
     POLISH_FRACTION); rejected frozen corrections are not counted.
@@ -210,7 +232,7 @@ class Trajectory:
 
     @property
     def max_energy_violation(self):
-        """max_n r_n / (1 + |H_n|) per sample: stays <= ~1e-8 for an admissible scheme."""
+        """max_n r_n / (1 + |H_n|) per run: stays <= ~1e-8 for an admissible scheme."""
         scale = 1.0 + np.abs(self.hamiltonians[..., :-1])
         return np.max(self.energy_residuals / scale, axis=-1)
 
@@ -226,18 +248,27 @@ def column_sums(X: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1).reshape(X.shape[1:])
 
 
-def initial_state(space: FeSpace, h1: Callable, h2: Callable) -> tuple[np.ndarray, np.ndarray]:
+def initial_state(
+    space: FeSpace | DirectSum, h1: Callable, h2: Callable
+) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients (u^0, v^0) of the initial displacement and velocity
-    projected onto the space."""
-    return l2_project(space, h1), l2_project(space, h2)
+    projected onto the space, or onto each member of a direct sum."""
+    if len(space.members) == 1:
+        return l2_project(space, h1), l2_project(space, h2)
+    pairs = [initial_state(m, h1, h2) for m in space.members]
+    return np.concatenate([u for u, _ in pairs]), np.concatenate([v for _, v in pairs])
 
 
 class WaveStepper:
-    """Advances the scheme on a fixed space; immutable after construction."""
+    """Advances the scheme on a fixed space or direct sum of spaces.
+
+    Immutable after construction, but for the member steppers that a direct
+    sum builds the first time one of its runs falls back to full Newton.
+    """
 
     def __init__(
         self,
-        space: FeSpace,
+        space: FeSpace | DirectSum,
         drift: PolynomialDrift,
         diffusion: Diffusion,
         config: SchemeConfig,
@@ -260,14 +291,50 @@ class WaveStepper:
         self.W = CsrProduct(sp.vstack(blocks, format="csr"))
         self.mass_product = CsrProduct(M)
         self.load_product = space.load_product
+        members = space.members
+        self._members = k = len(members)
         # the ledger's column sums of u.Mu, u.Ku, v.Mv, (w V(u_q),) dv.dMv,
-        # du.dKu (and g.v), one row per block of its products
-        ones = np.ones((1, space.n_dofs))
-        blocks = [ones] * 3 + ([] if self._drift_is_zero else [space.wdet.reshape(1, -1)])
+        # du.dKu (and g.v), one row per block of its products and per member
+        if k == 1:
+            offsets = None
+            ones, weights = np.ones((1, space.n_dofs)), space.wdet.reshape(1, -1)
+            self._starts = None
+            self._rows = [(slice(None), slice(None), slice(None))]
+        else:
+            offsets = space.offsets
+            ones = sp.block_diag([np.ones((1, m.n_dofs)) for m in members])
+            weights = sp.block_diag([m.wdet.reshape(1, -1) for m in members])
+            self._starts = offsets[:-1]
+            self._rows = self._member_rows(offsets, [m.wdet.size for m in members])
+        blocks = [ones] * 3 + ([] if self._drift_is_zero else [weights])
         self.ledger_sums = CsrProduct(sp.block_diag(blocks + [ones] * (2 + self._noisy), "csr"))
         w0 = self._jacobian_weight(np.zeros(1), np.zeros(1))[0]
-        self._frozen_solve = spd_solver(self.A - self._tau2 * w0 * M)
+        self._frozen_solve = spd_solver(self.A - self._tau2 * w0 * M, offsets)
         self._frozen_is_exact = drift.is_linear
+        self._parts: dict[int, WaveStepper] = {}
+
+    def _member_rows(self, offsets, points) -> list[tuple]:
+        """Per member, its rows of a coefficient block (a slice), of the
+        products W c (an index array: its rows of A c, M c, K c and Q c) and
+        of the quadrature values among them (a slice)."""
+        n = offsets[-1]
+        q = np.cumsum([0] + points)
+        rows = []
+        for a, b, qa, qb in zip(offsets[:-1], offsets[1:], q[:-1], q[1:]):
+            w = [np.arange(a, b) + i * n for i in range(3)]
+            if self._needs_q:
+                w.append(np.arange(qa, qb) + 3 * n)
+            rows.append((slice(a, b), np.concatenate(w), slice(qa, qb)))
+        return rows
+
+    def _part(self, m: int) -> WaveStepper:
+        """The stepper of member m alone, which steps its runs' full Newton."""
+        if self._members == 1:
+            return self
+        if m not in self._parts:
+            member = self.space.members[m]
+            self._parts[m] = WaveStepper(member, self.drift, self.diffusion, self.config)
+        return self._parts[m]
 
     # -- pointwise drift terms at quadrature points ---------------------------
 
@@ -284,11 +351,12 @@ class WaveStepper:
     def _residual(
         self, P: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """R(C) of the iterate C whose product W C is P, and each column's max |R|.
+        """R(C) of the iterate C whose product W C is P, and each run's max |R|.
 
         Rows 3 n_dofs on of P hold C's quadrature values, one row per point,
         when the drift or the noise needs them; ``unq`` holds u^n's likewise.
-        P is not written.  A column's norm is NaN if its residual holds a NaN.
+        P is not written.  The norms are run-major: member m's norm of column
+        s is entry m * S + s.  A run's norm is NaN if its residual holds a NaN.
         """
         n = rhs.shape[0]
         if self._drift_is_zero:
@@ -296,47 +364,65 @@ class WaveStepper:
         else:
             R = P[:n] - self._tau2 * self.load_product(self._drift_values(P[3 * n :], unq))
             R -= rhs
-        return R, np.maximum.reduce(np.abs(R), axis=0)
+        if self._starts is None:
+            return R, np.maximum.reduce(np.abs(R), axis=0)
+        return R, np.maximum.reduceat(np.abs(R), self._starts, axis=0).ravel()
 
     # -- one step of a block ----------------------------------------------------
 
     def _solve(
         self, step: int, C: np.ndarray, P: np.ndarray, rhs: np.ndarray, unq: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, list[int], dict[int, Exception]]:
-        """Solve R(c) = 0 for every column of the predictor block C, whose
+        """Solve R(c) = 0 for every run of the predictor block C, whose
         product W C is P; C and P may be written.
 
         Returns the solutions, their products W c, the accepted corrections
-        per column and the errors of the columns that failed.
+        per run and the errors of the runs that failed, runs numbered
+        member-major (member m's column s is run m * S + s).
         """
         S = C.shape[1]
+        k = self._members
         R, rn = self._residual(P, rhs, unq)
-        r = rn.tolist()  # each column's last accepted residual norm
+        r = rn.tolist()  # each run's last accepted residual norm
         tol = [max(self.config.newton_abs_tol, NEWTON_REL_TOL * x) for x in r]
-        act = [j for j in range(S) if r[j] > tol[j]]  # the active columns, all finite
+        act = [j for j in range(k * S) if r[j] > tol[j]]  # the active runs, all finite
         errors: dict[int, Exception] = {}
-        if len(act) < S:  # the others meet the tolerance or are not finite
+        if len(act) < k * S:  # the others meet the tolerance or are not finite
             errors = {
                 j: NewtonDivergedError(step, [x]) for j, x in enumerate(r) if not math.isfinite(x)
             }
-        rounds = [(range(S), rn)]  # each round's columns and residual norms
-        iters = [0] * S
-        polish = [False] * S  # polish[j]: column j's extra frozen correction is due
-        due = 0  # polishes due among the active columns
-        taken = 0  # corrections taken by every active column
+        rounds = [(range(k * S), rn)]  # each round's runs and residual norms
+        iters = [0] * (k * S)
+        polish = [False] * (k * S)  # polish[j]: run j's extra frozen correction is due
+        due = 0  # polishes due among the active runs
+        taken = 0  # corrections taken by every active run
         while act:
-            if taken >= NEWTON_MAX_ITER:  # a column whose polish is due meets tol
+            if taken >= NEWTON_MAX_ITER:  # a run whose polish is due meets tol
                 for j in act:
                     if polish[j]:
                         iters[j] = taken
                     else:
                         errors[j] = NewtonDivergedError(step, _history(rounds, j))
                 break
-            full = len(act) == S
-            if full:
-                trial = C - self._frozen_solve(R)
+            # the round's columns: every run of a column shares its correction
+            if k == 1:
+                cols = act
+            elif len(act) == k * S:
+                cols = range(S)
             else:
-                trial = C[:, act] - self._frozen_solve(R[:, act])
+                cols = sorted({j % S for j in act})
+            full = len(cols) == S
+            Rc = R if full else R[:, cols]
+            # the other runs of those columns are done: rows of zeros give
+            # them exactly zero corrections, and their rows are not written back
+            idle = k > 1 and len(act) < k * len(cols)
+            if idle:
+                going_on = set(act)
+                for i, c in enumerate(cols):
+                    for m in range(k):
+                        if m * S + c not in going_on:
+                            Rc[self._rows[m][0], i] = 0.0
+            trial = (C if full else C[:, cols]) - self._frozen_solve(Rc)
             taken += 1
             Pt = self.W(trial)
             if due == len(act):  # all polish, and nothing reads the polish's residual
@@ -345,9 +431,12 @@ class WaveStepper:
                 if full:
                     Rt, rt = self._residual(Pt, rhs, unq)
                 else:
-                    Rt, rt = self._residual(Pt, rhs[:, act], None if unq is None else unq[:, act])
-                new = rt.tolist()
-            going, ok, rejected = [], [], []  # columns; positions in act
+                    Rt, rt = self._residual(Pt, rhs[:, cols], None if unq is None else unq[:, cols])
+                new = rt.tolist()  # member-major over the round's columns
+                if idle:  # keep the active runs' norms, in act's order
+                    place = {c: i for i, c in enumerate(cols)}
+                    new = [new[j // S * len(cols) + place[j % S]] for j in act]
+            going, ok, rejected = [], [], []  # runs; positions in act
             due = 0
             for i, j in enumerate(act):
                 if polish[j]:  # done, whatever its residual
@@ -366,29 +455,49 @@ class WaveStepper:
                         iters[j] = taken
                 else:
                     rejected.append(i)
-            # only the columns going on read R again, and a polish round has none
-            if rejected:
-                cols = [act[i] for i in ok]
-                C[:, cols], P[:, cols], R[:, cols] = trial[:, ok], Pt[:, ok], Rt[:, ok]
+            # only the runs going on read R again, and a polish round has none
+            if rejected or idle:
+                for i in ok:
+                    m, c = divmod(act[i], S)
+                    rows, wrows, _ = self._rows[m]
+                    p = c if full else cols.index(c)
+                    C[rows, c], P[wrows, c] = trial[rows, p], Pt[wrows, p]
+                    if Rt is not None:
+                        R[rows, c] = Rt[rows, p]
             elif full:
                 C, P, R = trial, Pt, Rt
             else:
-                C[:, act], P[:, act] = trial, Pt
+                C[:, cols], P[:, cols] = trial, Pt
                 if Rt is not None:
-                    R[:, act] = Rt
+                    R[:, cols] = Rt
             for i in rejected:  # continues alone with full Newton
                 j = act[i]
-                s = slice(j, j + 1)
                 try:
-                    iters[j] = taken - 1 + self._newton(
-                        step, C[:, s], P[:, s], R[:, s], tol[j], taken - 1, _history(rounds, j),
-                        rhs[:, s], None if unq is None else unq[:, s],
+                    iters[j] = taken - 1 + self._newton_run(
+                        step, j, C, P, R, rhs, unq, tol[j], taken - 1, _history(rounds, j)
                     )
                 except (NewtonDivergedError, LinearSolveError) as exc:
                     errors[j] = exc
             rounds.append((act, new))
             act = going
         return C, P, iters, errors
+
+    def _newton_run(
+        self, step: int, j: int, C: np.ndarray, P: np.ndarray, R: np.ndarray,
+        rhs: np.ndarray, unq: np.ndarray | None, tol: float, iters: int, history: list[float],
+    ) -> int:
+        """Full Newton on run j from its last accepted iterate, by the stepper
+        of its member alone; writes the run's rows of C, P = W C and R(C)."""
+        m, c = divmod(j, C.shape[1])
+        rows, wrows, qrows = self._rows[m]
+        s = slice(c, c + 1)
+        p = P[wrows, s]
+        taken = self._part(m)._newton(
+            step, C[rows, s], p, R[rows, s], tol, iters, history,
+            rhs[rows, s], None if unq is None else unq[qrows, s],
+        )
+        P[wrows, s] = p
+        return taken
 
     def _newton(
         self, step: int, c: np.ndarray, p: np.ndarray, r: np.ndarray, tol: float, iters: int,
@@ -430,9 +539,9 @@ class WaveStepper:
         observe: Observer | None = None,
     ) -> Trajectory:
         """Step the batch of paths as one block from the initial coefficients
-        (u^0, v^0).
+        (u^0, v^0), of all members for a direct sum (see `initial_state`).
 
-        A sample whose solve fails is dropped and reported in
+        A run whose solve fails is dropped with its column and reported in
         ``Trajectory.failures``; the others go on.  ``observe``, if given,
         sees the nodes n = 0..N a window at a time (see ``Observer``).
         """
@@ -454,6 +563,7 @@ class WaveStepper:
         if bad.size:
             raise ValueError(f"non-finite Brownian increment at step {bad[0, 1]}")
         failures: dict[int, Exception] = {}
+        k = self._members
 
         u0, v0 = initial
         U = np.repeat(u0[:, None], S, axis=1)
@@ -477,14 +587,19 @@ class WaveStepper:
             C, P1, it, errors = self._solve(step, U + D, Pc, rhs, uq)
             if errors:
                 keep = np.ones(live.size, dtype=bool)
-                for j, exc in errors.items():
-                    failures[int(live[j])] = exc
-                    keep[j] = False
+                for j in sorted(errors):  # the first failed run of each column ends it
+                    c = j % live.size
+                    if keep[c]:
+                        keep[c] = False
+                        for m in range(k):
+                            run = m * live.size + c
+                            failures[m * S + int(live[c])] = errors.get(run, errors[j])
                 ledger.drop(keep)
                 live = ledger.live
                 if not live.size:
                     break
-                it, C, P1 = np.asarray(it)[keep], C[:, keep], P1[:, keep]
+                it = np.asarray(it).reshape(k, -1)[:, keep].ravel()
+                C, P1 = C[:, keep], P1[:, keep]
                 U, P = U[:, keep], P[:, keep]
                 if self._noisy:
                     noise = noise[:, keep]
@@ -493,12 +608,13 @@ class WaveStepper:
             U, Pprev, P = C, P, P1
 
         ledger.flush()
-        done = np.array([k for k in range(S) if k not in failures], dtype=np.int64)
-        series = ledger.series[:, done]
-        return Trajectory(
-            *series, ledger.resid[done], ledger.iters[done],
-            samples=done, failures=failures,
-        )
+        runs = k * S
+        done = np.array([j for j in range(runs) if j not in failures], dtype=np.int64)
+        series = ledger.series.reshape(4, runs, N + 1)
+        resid, iters = ledger.resid.reshape(runs, N), ledger.iters.reshape(runs, N)
+        if failures:  # otherwise every row is kept, and nothing is copied
+            series, resid, iters = series[:, done], resid[done], iters[done]
+        return Trajectory(*series, resid, iters, samples=done, failures=failures)
 
 
 class _Ledger:
@@ -510,26 +626,27 @@ class _Ledger:
     the step.  Nothing writes them after their step, so booking copies
     nothing.  A flush joins each kind into a node-major stack, column i S + s
     holding node i of sample s, and sums every product block of its columns
-    with one product by ``WaveStepper.ledger_sums``.  Of the last node it
-    keeps v, M v and K u (``last``) and H (``H_last``) for the next flush to
-    difference against.  The series rows are batch positions; ``live``
-    lists those still running, ``rows`` indexes their series rows (all of
-    them until a sample is dropped) and ``dW`` holds their increments.  The
-    observer, if any, sees node 0 at once and every later node at the flush
-    that reduces it.
+    with one product by ``WaveStepper.ledger_sums``, one row per member of a
+    direct sum.  Of the last node it keeps v, M v and K u (``last``) and H
+    (``H_last``) for the next flush to difference against.  The series are
+    indexed (member, batch position); ``live`` lists the positions still
+    running, ``rows`` indexes their series (all of them until a sample is
+    dropped) and ``dW`` holds their increments.  The observer, if any, sees
+    node 0 at once and every later node at the flush that reduces it.
     """
 
     def __init__(self, stepper: WaveStepper, dW, U, V, P, observe: Observer | None):
         S, N = dW.shape
         self.n = n = U.shape[0]
+        self.members = k = stepper._members
         self.tau = stepper.config.tau
         self.dW = dW
         self.live = np.arange(S)
         self.rows = slice(None)
         self.observe = observe
-        self.series = np.empty((4, S, N + 1))  # l2sq, h1sq, dtl2sq, H per node
-        self.resid = np.empty((S, N))
-        self.iters = np.zeros((S, N), dtype=np.int64)
+        self.series = np.empty((4, k, S, N + 1))  # l2sq, h1sq, dtl2sq, H per node
+        self.resid = np.empty((k, S, N))
+        self.iters = np.zeros((k, S, N), dtype=np.int64)
         self.mass_product = stepper.mass_product
         self.sums = stepper.ledger_sums
         self.potential = None if stepper._drift_is_zero else stepper.drift.potential
@@ -542,9 +659,9 @@ class _Ledger:
         self.n0 = 0  # the node of ``last``
         MV = self.mass_product(V)
         E = np.zeros((self.sums.shape[1], S))  # the step rows stay zero
-        sums = self.sums(self._fill(E, U, P[n:], V, MV))
+        sums = self.sums(self._fill(E, U, P[n:], V, MV)).reshape(-1, k, S)
         H = self._hamiltonian(sums)
-        self.series[:3, :, 0], self.series[3, :, 0] = sums[:3], H
+        self.series[:3, :, :, 0], self.series[3, :, :, 0] = sums[:3], H
         self.last, self.H_last = (V, MV, P[2 * n : 3 * n]), H
         if observe is not None:
             observe(0, self.live, U.T[None], V.T[None])
@@ -569,7 +686,7 @@ class _Ledger:
         return H
 
     def book(self, C, D, P, noise, iters) -> None:
-        """Hold a step's node and its accepted corrections; flush when full."""
+        """Hold a step's node and its runs' accepted corrections; flush when full."""
         node = (C, D, P[self.n :])
         self.held.append(node if noise is None else node + (noise,))
         self.held_iters.extend(iters)
@@ -598,18 +715,21 @@ class _Ledger:
         dKU *= D
         if self.noisy:
             np.multiply(G[0], V, out=E[m + 2 * n :])
-        sums = self.sums(E)
+        # per kind of sum, member, node and sample
+        sums = self.sums(E).reshape(-1, self.members, k, S)
         H = self._hamiltonian(sums)
         a, b = self.n0 + 1, self.n0 + k + 1
-        self.series[:3, self.rows, a:b] = sums[:3].reshape(3, k, S).transpose(0, 2, 1)
-        self.series[3, self.rows, a:b] = H.reshape(k, S).T
+        self.series[:3, :, self.rows, a:b] = sums[:3].transpose(0, 1, 3, 2)
+        self.series[3][:, self.rows, a:b] = H.transpose(0, 2, 1)
         j = len(sums) - (3 if self.noisy else 2)
-        resid = H - np.concatenate([self.H_last, H[:-S]]) + 0.5 * sums[j] + 0.5 * sums[j + 1]
+        H_prev = np.concatenate([self.H_last[:, None], H[:, :-1]], axis=1)
+        resid = H - H_prev + 0.5 * sums[j] + 0.5 * sums[j + 1]
         if self.noisy:
-            resid -= sums[j + 2] * self.dW[:, a - 1 : b - 1].T.ravel()
-        self.resid[self.rows, a - 1 : b - 1] = resid.reshape(k, S).T
-        self.iters[self.rows, a - 1 : b - 1] = np.array(self.held_iters).reshape(k, S).T
-        self.last, self.H_last = (V[:, -S:], MV[:, -S:], KU[:, -S:]), H[-S:]
+            resid -= sums[j + 2] * self.dW[:, a - 1 : b - 1].T
+        self.resid[:, self.rows, a - 1 : b - 1] = resid.transpose(0, 2, 1)
+        iters = np.array(self.held_iters).reshape(k, self.members, S)
+        self.iters[:, self.rows, a - 1 : b - 1] = iters.transpose(1, 2, 0)
+        self.last, self.H_last = (V[:, -S:], MV[:, -S:], KU[:, -S:]), H[:, -1]
         self.held, self.held_iters = [], []
         self.n0 = b - 1
         if self.observe is not None:
@@ -622,7 +742,7 @@ class _Ledger:
         self.live = self.rows = self.live[keep]
         self.dW = self.dW[keep]
         self.last = tuple(x[:, keep] for x in self.last)
-        self.H_last = self.H_last[keep]
+        self.H_last = self.H_last[:, keep]
 
 
 def _history(rounds: list[tuple[Sequence[int], Sequence[float]]], j: int) -> list[float]:

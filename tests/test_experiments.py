@@ -324,6 +324,51 @@ def test_cli_tau_override(tmp_path):
     assert meta["config"]["studies"][0]["tau"] == 0.01
 
 
+@pytest.mark.parametrize(
+    "studies, flags, named",
+    [
+        ("analytic", ["--h-level", "4"], "--h-level"),
+        ("spatial", ["--h-level", "4"], "--h-level"),
+        ("temporal", ["--tau", "0.01"], "--tau"),
+        ("temporal", ["--tau", "0.01", "--h-level", "4"], "--tau"),
+        ("spatial", ["--tau", "0.01", "--h-level", "4"], "--h-level"),
+    ],
+)
+def test_cli_override_that_reaches_no_study_exits_2(tmp_path, capsys, studies, flags, named):
+    if studies == "analytic":
+        cfg = _analytic_config()
+    else:
+        cfg = _with_study(
+            RateStudy(mode="spatial", levels=[4, 8], taus=[0.01], T=0.05)
+            if studies == "spatial"
+            else RateStudy(mode="temporal", levels=[4], taus=[0.02, 0.01], T=0.04)
+        )
+    cfg_file = tmp_path / "exp.json"
+    cfg_file.write_text(json.dumps(config_to_dict(cfg)))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"{named} overrides no study" in err
+    assert not out.exists()  # nothing is run or written
+
+
+def test_cli_h_level_on_the_analytic_preset_exits_2(tmp_path, capsys):
+    assert main(["--preset", "lin-det-check", "--h-level", "4", "--out", str(tmp_path)]) == 2
+    assert "--h-level overrides no study of 'lin-det-check'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_warns_when_the_energy_contract_is_broken(tmp_path, capsys):
+    # at tau = 5e-5 the preset's chord tolerance leaves a worst residual of
+    # about 3.5e-8; at its own tau = 1e-4 it reads about 3.2e-9
+    assert main(["--preset", "lin-det-check", "--tau", "5e-5", "--out", str(tmp_path)]) == 0
+    warning = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+    assert len(warning) == 1 and "worst energy residual 3.5" in warning[0]
+    assert "1e-08" in warning[0]
+    assert main(["--preset", "lin-det-check", "--out", str(tmp_path)]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_cli_invalid_drift_exits_2(tmp_path, capsys):
     cfg = _tiny_rate_config()
     cfg.drift = PolynomialDrift([-1.0, -1.0], alpha=1.0, lam=0.5)  # even degree

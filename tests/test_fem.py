@@ -5,9 +5,11 @@ from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
 from stochwave.fem import (
     CsrProduct,
+    DirectSum,
     FeSpace,
     assemble_mass,
     assemble_stiffness,
+    direct_sum,
     l2_project,
     load_vector,
     transfer_matrix,
@@ -286,6 +288,37 @@ def test_l2_norm_matches_mass_quadratic_form():
     assert traj.l2sq[0, 0] == pytest.approx(l2sq, rel=1e-13)
     assert traj.h1sq[0, 0] == pytest.approx(h1sq, rel=1e-13)
     assert traj.dtl2sq[0, 0] == pytest.approx(_sq_norms(space, v)[0], rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Direct sums
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
+def test_direct_sum_operators_apply_each_members_own(dim, degree):
+    build = build_interval_mesh if dim == 1 else build_unit_square_tri_mesh
+    members = [FeSpace(build(l), degree, 2 * degree + 2) for l in (2, 4, 8)]
+    space = DirectSum(members)
+    assert space.members == tuple(members)
+    assert list(space.offsets) == list(np.cumsum([0] + [m.n_dofs for m in members]))
+    assert space.n_dofs == sum(m.n_dofs for m in members)
+    X = np.random.default_rng(5).standard_normal((space.n_dofs, 3))
+    Y = np.random.default_rng(6).standard_normal((space.load_product.shape[1], 3))
+    q = np.cumsum([0] + [m.wdet.size for m in members])
+    for m, a, b, qa, qb in zip(members, space.offsets, space.offsets[1:], q, q[1:]):
+        # every row is its member's row, summed in the same order
+        assert np.array_equal((space.mass @ X)[a:b], m.mass @ X[a:b])
+        assert np.array_equal((space.stiffness @ X)[a:b], m.stiffness @ X[a:b])
+        assert np.array_equal(space.qpoint_product(X)[qa:qb], m.qpoint_product(X[a:b]))
+        assert np.array_equal(space.load_product(Y)[a:b], m.load_product(Y[qa:qb]))
+
+
+def test_a_plain_space_is_the_direct_sum_of_itself():
+    space = FeSpace(build_interval_mesh(4), 1)
+    assert space.members == (space,)
+    assert list(space.offsets) == [0, space.n_dofs]
+    assert direct_sum([space]) is space
+    assert isinstance(direct_sum([space, space]), DirectSum)
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,23 @@ def test_indefinite_matrix_raises_on_each_path(path, matrix, monkeypatch):
 def test_non_finite_matrix_raises(matrix):
     with pytest.raises(LinearSolveError, match="non-finite"):
         spd_solver(sp.csr_matrix(np.array(matrix)))
+
+
+@pytest.mark.parametrize("case", list(SPACES))
+def test_block_diagonal_solve_equals_each_blocks_own(case, monkeypatch):
+    # a direct sum's operator, its blocks named by their offsets: each block's
+    # rows get the bits of the block's own factor, and rows of zeros solve to
+    # exact zeros whatever the other blocks hold
+    make, path = SPACES[case]
+    blocks = [make(), make(), make()]
+    mats = [s.mass + 0.01 * (i + 1) * s.stiffness for i, s in enumerate(blocks)]
+    offsets = np.cumsum([0] + [A.shape[0] for A in mats])
+    _only_path(monkeypatch, path)
+    solve = spd_solver(sp.block_diag(mats, format="csr"), offsets)
+    R = np.random.default_rng(3).standard_normal((offsets[-1], 4))
+    R[offsets[1] : offsets[2], 1] = 0.0
+    X = solve(R)
+    for A, a, b in zip(mats, offsets[:-1], offsets[1:]):
+        assert np.array_equal(X[a:b], spd_solver(A)(R[a:b]))
+    assert np.array_equal(X[offsets[1] : offsets[2], 1], np.zeros(offsets[2] - offsets[1]))
+    assert not np.signbit(X[offsets[1] : offsets[2], 1]).any()

@@ -1,5 +1,5 @@
 """Smoke test of tools/pair_time.py: two trees loaded side by side, one pair
-of a small stepping case."""
+of a small stepping case and of a short analytic table."""
 
 import importlib.util
 import sys
@@ -35,6 +35,21 @@ def test_one_pair_of_a_small_case(pair_time, capsys):
     assert row["pairs"] == 1 and row["new_wins"] == (row["new"] < row["old"])
     assert row["claim_holds"] == (row["new"] < row["old"])
     assert "smoke /step" in capsys.readouterr().out
+
+
+def test_one_pair_of_a_short_analytic_table(pair_time, capsys):
+    old = pair_time.load_tree(ROOT / "src", "stochwave_pair_old")
+    new = pair_time.load_tree(ROOT / "src", "stochwave_pair_new")
+    run, steps = pair_time.analytic_run(new, T=0.005)
+    assert steps == 4 * 50  # the preset's four levels, 50 steps of 1e-4
+    table = run()
+    assert table.mode == "spatial" and table.l2.shape == (4,)
+    row = pair_time.time_analytic(old, new, reps=1, T=0.005)
+    assert row["case"] == "analytic lin-det-check /step" and row["pairs"] == 1
+    assert row["old"] > 0 and row["new"] > 0 and row["old"] < 1e-3  # per sample-step
+    assert "analytic lin-det-check /step" in capsys.readouterr().out
+    _, full_steps = pair_time.analytic_run(new)
+    assert full_steps == 4 * 5000  # the ladder the benchmark's lin-det workload steps
 
 
 def test_a_tree_without_the_package_is_refused(pair_time, tmp_path):

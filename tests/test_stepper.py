@@ -3,10 +3,11 @@ import pytest
 import scipy.optimize
 import scipy.sparse.linalg as spla
 
+import stochwave.linsolve
 import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
-from stochwave.fem import FeSpace, assemble_weighted_mass
+from stochwave.fem import DirectSum, FeSpace, assemble_weighted_mass
 from stochwave.fields import Constant, CosineProduct, LinearWaveSolution, TentBump
 from stochwave.linsolve import LinearSolveError
 from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh
@@ -332,6 +333,155 @@ def test_failed_sample_is_dropped_and_leaves_batch_intact(monkeypatch, error):
     clean = stepper.run(paths[:2] + paths[3:], init)
     for name in SERIES:
         assert np.array_equal(getattr(batch, name), getattr(clean, name)), name
+
+
+# ---------------------------------------------------------------------------
+# Runs: each (member, sample) pair of a direct-sum march is its own march
+# ---------------------------------------------------------------------------
+
+def _assert_runs_match_own_marches(members, drift, g, cfg, paths, h1, h2=Constant(0.5)):
+    """Every finished run of the march on the direct sum of the members equals
+    its member's own march of the same paths, bit for bit, in its series and
+    in every node the observer shows; returns the march."""
+    space, S = DirectSum(members), len(paths)
+    march, nodes = observed_nodes(
+        WaveStepper(space, drift, g, cfg), paths, initial_state(space, h1, h2)
+    )
+    runs = len(members) * S
+    assert march.newton_iters.shape == (runs - len(march.failures), cfg.n_steps)
+    assert sorted(march.samples.tolist() + list(march.failures)) == list(range(runs))
+    for m, member in enumerate(members):
+        alone, alone_nodes = observed_nodes(
+            WaveStepper(member, drift, g, cfg), paths, initial_state(member, h1, h2)
+        )
+        a, b = space.offsets[m], space.offsets[m + 1]
+        for row, j in enumerate(march.samples):
+            if j // S != m:
+                continue
+            (at,) = np.flatnonzero(alone.samples == j % S)
+            for name in SERIES:
+                assert np.array_equal(getattr(march, name)[row], getattr(alone, name)[at]), name
+            for (live, U, V), (alone_live, Ua, Va) in zip(nodes, alone_nodes):
+                col, alone_col = list(live).index(j % S), list(alone_live).index(j % S)
+                assert np.array_equal(U[a:b, col], Ua[:, alone_col])
+                assert np.array_equal(V[a:b, col], Va[:, alone_col])
+    return march
+
+
+def test_runs_of_a_direct_sum_equal_their_own_marches():
+    # level 8, step 0: path 0 (seed 3) meets the tolerance below the polish
+    # threshold after two corrections, path 1 (seed 0) above it and takes
+    # the polish (see POLISH_CASES), so the block holds runs that skip and
+    # runs that take it
+    members = [_space(l) for l in (4, 8, 16, 32)]
+    cfg = SchemeConfig(tau=0.01, n_steps=12)
+    paths = [sample_path(3, 0, 12, 0.01), sample_path(0, 0, 12, 0.01), sample_path(11, 2, 12, 0.01)]
+    march = _assert_runs_match_own_marches(
+        members, CUBIC, Diffusion.linear(1.0), cfg, paths, CosineProduct(kx=1)
+    )
+    assert march.samples.tolist() == list(range(12)) and not march.failures
+    assert march.newton_iters.shape == (12, 12)  # one row per run, member-major
+    assert march.newton_iters[3:5, 0].tolist() == [2, 3]  # level 8: skipped, taken
+
+
+def _one_fallback_case():
+    # degree-11 drift at tau = 0.2 on levels 4 and 8: of the 12 runs only
+    # level 4's run of sample 4 rejects a frozen correction, at one step
+    members = [_space(l, DEG11) for l in (4, 8)]
+    cfg = SchemeConfig(tau=0.2, n_steps=4, newton_abs_tol=1e-13)
+    paths = [sample_path(11, k, 4, 0.2) for k in range(6)]
+    return members, cfg, paths
+
+
+def test_a_chord_rejection_runs_full_newton_on_its_run_only(monkeypatch):
+    members, cfg, paths = _one_fallback_case()
+    assembled = []
+
+    def counted(space, weights):
+        assembled.append(space.n_dofs)
+        return assemble_weighted_mass(space, weights)
+
+    monkeypatch.setattr(stochwave.stepper, "assemble_weighted_mass", counted)
+    fallback = []
+    for member in members:
+        stepper = WaveStepper(member, DEG11, Diffusion.linear(1.0), cfg)
+        init = initial_state(member, CosineProduct(kx=1), Constant(0.5))
+        for path in paths:
+            del assembled[:]
+            stepper.run([path], init)
+            fallback.append(len(assembled))
+    assert [j for j, n in enumerate(fallback) if n] == [4]  # level 4, sample 4
+    del assembled[:]
+    march = _assert_runs_match_own_marches(
+        members, DEG11, Diffusion.linear(1.0), cfg, paths, CosineProduct(kx=1)
+    )
+    # the march's full Newton is the level-4 run's, on its own space, as is
+    # that of the level-4 march alone that follows it
+    assert assembled == [members[0].n_dofs] * (2 * fallback[4])
+    assert not march.failures
+
+
+def test_a_failed_run_drops_its_column_and_leaves_the_others_intact(monkeypatch):
+    # full Newton meets a Jacobian made indefinite here, so the one run that
+    # falls back fails: its column ends, the level-8 run of sample 4 with it
+    members, cfg, paths = _one_fallback_case()
+    monkeypatch.setattr(
+        stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
+    )
+    march = _assert_runs_match_own_marches(
+        members, DEG11, Diffusion.linear(1.0), cfg, paths, CosineProduct(kx=1)
+    )
+    assert list(march.failures) == [4, 10]
+    assert isinstance(march.failures[4], LinearSolveError)
+    assert march.failures[10] is march.failures[4]
+    clean = WaveStepper(DirectSum(members), DEG11, Diffusion.linear(1.0), cfg).run(
+        paths[:4] + paths[5:], initial_state(DirectSum(members), CosineProduct(kx=1), Constant(0.5))
+    )
+    for name in SERIES:
+        assert np.array_equal(getattr(march, name), getattr(clean, name)), name
+
+
+def test_a_failed_sample_drops_its_column_from_every_member():
+    members = [_space(l) for l in (4, 8, 16)]
+    cfg = SchemeConfig(tau=0.02, n_steps=10, newton_abs_tol=1e-13)
+    paths = [sample_path(6, k, 10, 0.02) for k in range(4)]
+    inc = paths[2].increments.copy()
+    inc[3] = 1e200  # the cubic drift overflows on every level
+    paths[2] = BrownianPath(0.02, inc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        march = _assert_runs_match_own_marches(
+            members, CUBIC, Diffusion.linear(1.0), cfg, paths, CosineProduct(kx=1), Constant(0.0)
+        )
+    assert sorted(march.failures) == [2, 6, 10]
+    assert all(isinstance(e, NewtonDivergedError) and e.step == 3 for e in march.failures.values())
+    assert march.samples.tolist() == [0, 1, 3, 4, 5, 7, 8, 9, 11]
+
+
+@pytest.mark.parametrize("case", ["1d-p2", "2d-p1"])
+def test_runs_of_a_non_tridiagonal_direct_sum_equal_their_own_marches(monkeypatch, case):
+    # SuperLU's ordering of the whole block-diagonal Jacobian would mix the
+    # members' arithmetic: each member's own factor solves its rows
+    if case == "1d-p2":
+        members = [_space(l, degree=2) for l in (4, 8, 16)]
+        h1 = CosineProduct(kx=1)
+    else:
+        q = quadrature_degree_for(1, CUBIC)
+        members = [FeSpace(build_unit_square_tri_mesh(l), 1, q) for l in (2, 4, 8)]
+        h1 = CosineProduct(kx=1, ky=2)
+    factored = []
+    superlu = stochwave.linsolve._superlu_solver
+
+    def counted(A):
+        factored.append(A.shape[0])
+        return superlu(A)
+
+    monkeypatch.setattr(stochwave.linsolve, "_superlu_solver", counted)
+    cfg = SchemeConfig(tau=0.01, n_steps=8, newton_abs_tol=1e-13)
+    paths = [sample_path(11, k, 8, 0.01) for k in range(3)]
+    march = _assert_runs_match_own_marches(members, CUBIC, Diffusion.linear(1.0), cfg, paths, h1)
+    assert march.newton_iters.shape == (9, 8) and not march.failures
+    sizes = [m.n_dofs for m in members]
+    assert factored[: len(sizes)] == sizes  # the march's frozen Jacobian, block by block
 
 
 def _fix_window(monkeypatch, length):

@@ -14,6 +14,9 @@ pairs are timed:
 - ``WaveStepper.run`` on fixed stepping cases (the space, the stepper, the
   paths and the initial state are built before the clock starts), reported
   per sample-step;
+- ``metrics.analytic_error_table`` on the ``lin-det-check`` preset's ladder,
+  reported per sample-step: the stepping of that table with its spaces and
+  error norms, but without the CSV and manifest writes of the CLI;
 - whole ``cli.main`` calls on the benchmark's three workloads, written to a
   temporary directory.
 
@@ -83,9 +86,11 @@ def load_tree(src: str | Path, name: str):
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
     )
     module = importlib.util.module_from_spec(spec)
+    for stale in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[stale]  # a tree loaded before under this name
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("cli", "experiments", "noise", "stepper"):
+    for sub in ("cli", "experiments", "metrics", "noise", "stepper"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -105,6 +110,18 @@ def stepping_run(tree, case: Case):
     ]
     init = tree.stepper.initial_state(space, problem.h1, problem.h2)
     return lambda: stepper.run(paths, init)
+
+
+def analytic_run(tree, T: float | None = None):
+    """A no-argument callable that makes the ``lin-det-check`` preset's
+    analytic table once (up to time ``T`` if given), and its sample-steps."""
+    cfg = tree.experiments.preset_config("lin-det-check")
+    (study,) = cfg.studies
+    if T is not None:
+        study.T = T
+    problem = cfg.problem()
+    steps = len(study.levels) * round(study.T / study.tau)
+    return (lambda: tree.metrics.analytic_error_table(problem, study)), steps
 
 
 def cli_run(tree, args: list[str], out: Path):
@@ -178,6 +195,13 @@ def time_cases(old_tree, new_tree, cases, reps: int) -> list[dict]:
     return rows
 
 
+def time_analytic(old_tree, new_tree, reps: int, T: float | None = None) -> dict:
+    """Pairs of the ``lin-det-check`` analytic table, reported per sample-step."""
+    (old, steps), (new, _) = analytic_run(old_tree, T), analytic_run(new_tree, T)
+    t_old, t_new = pairs(old, new, reps)
+    return summary("analytic lin-det-check /step", t_old, t_new, steps)
+
+
 def time_workloads(old_tree, new_tree, workloads, reps: int) -> list[dict]:
     """Pairs of whole CLI calls per workload."""
     rows = []
@@ -203,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     old_tree = load_tree(args.old_src, "stochwave_old")
     new_tree = load_tree(args.new_src, "stochwave_new")
     time_cases(old_tree, new_tree, CASES, args.reps)
+    time_analytic(old_tree, new_tree, args.reps)
     time_workloads(old_tree, new_tree, WORKLOADS, args.reps)
     return 0
 
