@@ -5,7 +5,7 @@ Precedence is flag > config file > preset default.  A ``--tau`` or
 Exit status: 0 on success, 1 when a computation fails (e.g. too many Newton
 failures), 2 on config or validation errors.  A run whose worst per-step
 energy residual exceeds ENERGY_RESIDUAL_BOUND still exits 0, with a warning
-on stderr.
+on stderr that names the CSVs of the study where it occurred.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"note: {result.n_failures} sample(s) hit Newton failures")
     if result.max_energy_violation > ENERGY_RESIDUAL_BOUND:
         print(
-            f"warning: worst energy residual {result.max_energy_violation:.3e} exceeds "
+            f"warning: worst energy residual {result.max_energy_violation:.3e} "
+            f"(in {', '.join(result.worst_files)}) exceeds "
             f"the bound {ENERGY_RESIDUAL_BOUND:g} (relative to 1 + |H|)",
             file=sys.stderr,
         )

@@ -419,6 +419,7 @@ class ExperimentResult:
     manifest_path: Path
     files: list[str]  # every CSV written, in study order
     max_energy_violation: float
+    worst_files: list[str]  # the CSVs of the study with that worst residual
     n_failures: int
 
 
@@ -506,6 +507,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
     problem = cfg.problem()
     files: list[str] = []
     violation = -np.inf
+    worst: list[str] = []
     failures = 0
     for study, names in zip(cfg.studies, _csv_names(cfg), strict=True):
         run_study = _stability_csvs if isinstance(study, StabilityStudy) else _rate_csvs
@@ -513,7 +515,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         for name, (lines, columns) in zip(names, csvs, strict=True):
             write_csv(out / name, header + lines, columns)
         files += names
-        violation = max(violation, run.max_energy_violation)
+        if run.max_energy_violation > violation:
+            violation, worst = run.max_energy_violation, names
         failures += run.n_failures
 
     manifest = {
@@ -535,6 +538,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         manifest_path=manifest_path,
         files=files,
         max_energy_violation=float(violation),
+        worst_files=worst,
         n_failures=failures,
     )
 

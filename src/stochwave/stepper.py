@@ -52,25 +52,25 @@ calls scipy's compiled CSR kernel directly (`CsrProduct`), with the
 arguments ``A @ X`` would pass it, so only the dispatch of ``@`` is saved,
 and every bit stays as ``@`` makes it.
 
-Runs.  The space may be a `fem.DirectSum` of member spaces that share the
-scheme config and the paths, such as the meshes of a spatial ladder; a
-plain space is the direct sum of itself alone.  Its block has
-sum(n_dofs) rows, and each (member, sample) pair is a *run*, numbered
-member-major: member m's sample s is run m S + s.  Every test above is a
-run's own: its max-norm (over its member's rows), tolerance, contraction
-test, polish, full-Newton fallback, iteration count and energy ledger.
-Every operator is block-diagonal, so a product, the drift and the ledger's
+Runs.  The space is a direct sum of member spaces that share the scheme
+config and the paths: a `fem.DirectSum`, such as the meshes of a spatial
+ladder, or a plain space, the direct sum of itself alone, which steps by
+the same code.  The block has sum(n_dofs) rows, and each (member, sample)
+pair is a *run*, numbered member-major: member m's sample s is run m S + s.
+Every test above, and every record of the march, is a run's own: its
+max-norm (over its member's rows), tolerance, contraction test, polish,
+full-Newton fallback, iteration count, failure and energy ledger.  Every
+operator is block-diagonal, so a product, the drift and the ledger's
 segment sums give each run the bits of its member's own march.  A round
 corrects the columns that hold an active run; the other runs of those
 columns get rows of zeros in the residual, so the shared frozen solve gives
 them exactly zero corrections (see `linsolve.spd_solver` for the
 block-diagonal factor), and their rows are not written back.  A run that
-falls back to full Newton takes it on its member's own stepper.  A failed
-run ends its column: the column is dropped, and the column's other runs
-are reported with its error.  With one member, runs are samples and all of
-this is the batch march below.  The one exception to bit-identical runs is
-a tridiagonal direct sum in which a correction overflows: 0 times inf in
-the shared solve puts a NaN into the neighbouring member's rows.
+falls back to full Newton takes it on the stepper of its member (this one,
+when the space is the member).  A failed run ends its column: the column is
+dropped, and the column's other runs are reported with its error.  The one
+exception to bit-identical runs is a tridiagonal direct sum in which a
+correction overflows: 0 times inf puts a NaN into a neighbouring member.
 
 Rounds.  The active runs are those above the tolerance or with the polish
 due.  A round gives each of them one frozen correction, so every active run
@@ -215,7 +215,7 @@ class Trajectory:
     Each series has one row per finished run, in run order: member m's
     sample s is run m S + s for S paths (on a plain space, runs are
     samples).  ``samples`` holds the finished runs' numbers and ``failures``
-    maps every dropped run to its error.  ``newton_iters`` holds, per step, the
+    maps every dropped run to its error, in the order they were dropped.  ``newton_iters`` holds, per step, the
     number of accepted corrections: frozen-Jacobian (chord) and full-Newton
     ones alike, the polish included where it was taken (see
     POLISH_FRACTION); rejected frozen corrections are not counted.
@@ -252,11 +252,9 @@ def initial_state(
     space: FeSpace | DirectSum, h1: Callable, h2: Callable
 ) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients (u^0, v^0) of the initial displacement and velocity
-    projected onto the space, or onto each member of a direct sum."""
-    if len(space.members) == 1:
-        return l2_project(space, h1), l2_project(space, h2)
-    pairs = [initial_state(m, h1, h2) for m in space.members]
-    return np.concatenate([u for u, _ in pairs]), np.concatenate([v for _, v in pairs])
+    projected onto each member of the space (see `fem.DirectSum`)."""
+    members = space.members
+    return tuple(np.concatenate([l2_project(m, h) for m in members]) for h in (h1, h2))
 
 
 class WaveStepper:
@@ -292,47 +290,44 @@ class WaveStepper:
         self.mass_product = CsrProduct(M)
         self.load_product = space.load_product
         members = space.members
-        self._members = k = len(members)
+        self._members = len(members)
+        offsets = space.offsets
+        points = np.cumsum([0] + [m.wdet.size for m in members])
+        self._starts = offsets[:-1]
+        # per member: its rows of a coefficient block, of the products W c
+        # (its rows of A c, M c, K c and Q c) and of the quadrature values
+        spans = [(offsets, i * space.n_dofs) for i in range(3)]
+        spans += [(points, 3 * space.n_dofs)] if self._needs_q else []
+        self._rows = [
+            (
+                slice(offsets[m], offsets[m + 1]),
+                np.concatenate([np.arange(b[m], b[m + 1]) + shift for b, shift in spans]),
+                slice(points[m], points[m + 1]),
+            )
+            for m in range(len(members))
+        ]
         # the ledger's column sums of u.Mu, u.Ku, v.Mv, (w V(u_q),) dv.dMv,
-        # du.dKu (and g.v), one row per block of its products and per member
-        if k == 1:
-            offsets = None
-            ones, weights = np.ones((1, space.n_dofs)), space.wdet.reshape(1, -1)
-            self._starts = None
-            self._rows = [(slice(None), slice(None), slice(None))]
-        else:
-            offsets = space.offsets
-            ones = sp.block_diag([np.ones((1, m.n_dofs)) for m in members])
-            weights = sp.block_diag([m.wdet.reshape(1, -1) for m in members])
-            self._starts = offsets[:-1]
-            self._rows = self._member_rows(offsets, [m.wdet.size for m in members])
-        blocks = [ones] * 3 + ([] if self._drift_is_zero else [weights])
-        self.ledger_sums = CsrProduct(sp.block_diag(blocks + [ones] * (2 + self._noisy), "csr"))
+        # du.dKu (and g.v): row r, one per block of its products and member,
+        # sums the member's rows of the block, entries bounds[r]:bounds[r + 1]
+        ones = (np.diff(offsets), np.ones(space.n_dofs))
+        weights = (np.diff(points), np.concatenate([m.wdet.ravel() for m in members]))
+        blocks = [ones] * 3 + ([] if self._drift_is_zero else [weights]) + [ones] * (2 + self._noisy)
+        bounds = np.cumsum([0, *np.concatenate([size for size, _ in blocks])])
+        data = np.concatenate([values for _, values in blocks])
+        sums = sp.csr_matrix((data, np.arange(data.size), bounds), (bounds.size - 1, data.size))
+        self.ledger_sums = CsrProduct(sums)
         w0 = self._jacobian_weight(np.zeros(1), np.zeros(1))[0]
         self._frozen_solve = spd_solver(self.A - self._tau2 * w0 * M, offsets)
         self._frozen_is_exact = drift.is_linear
         self._parts: dict[int, WaveStepper] = {}
 
-    def _member_rows(self, offsets, points) -> list[tuple]:
-        """Per member, its rows of a coefficient block (a slice), of the
-        products W c (an index array: its rows of A c, M c, K c and Q c) and
-        of the quadrature values among them (a slice)."""
-        n = offsets[-1]
-        q = np.cumsum([0] + points)
-        rows = []
-        for a, b, qa, qb in zip(offsets[:-1], offsets[1:], q[:-1], q[1:]):
-            w = [np.arange(a, b) + i * n for i in range(3)]
-            if self._needs_q:
-                w.append(np.arange(qa, qb) + 3 * n)
-            rows.append((slice(a, b), np.concatenate(w), slice(qa, qb)))
-        return rows
-
     def _part(self, m: int) -> WaveStepper:
-        """The stepper of member m alone, which steps its runs' full Newton."""
-        if self._members == 1:
+        """The stepper of member m alone, which steps its runs' full Newton:
+        this one when its space is the member."""
+        member = self.space.members[m]
+        if member is self.space:
             return self
         if m not in self._parts:
-            member = self.space.members[m]
             self._parts[m] = WaveStepper(member, self.drift, self.diffusion, self.config)
         return self._parts[m]
 
@@ -364,8 +359,6 @@ class WaveStepper:
         else:
             R = P[:n] - self._tau2 * self.load_product(self._drift_values(P[3 * n :], unq))
             R -= rhs
-        if self._starts is None:
-            return R, np.maximum.reduce(np.abs(R), axis=0)
         return R, np.maximum.reduceat(np.abs(R), self._starts, axis=0).ravel()
 
     # -- one step of a block ----------------------------------------------------
@@ -405,17 +398,12 @@ class WaveStepper:
                         errors[j] = NewtonDivergedError(step, _history(rounds, j))
                 break
             # the round's columns: every run of a column shares its correction
-            if k == 1:
-                cols = act
-            elif len(act) == k * S:
-                cols = range(S)
-            else:
-                cols = sorted({j % S for j in act})
+            cols = range(S) if len(act) == k * S else sorted({j % S for j in act})
             full = len(cols) == S
             Rc = R if full else R[:, cols]
             # the other runs of those columns are done: rows of zeros give
             # them exactly zero corrections, and their rows are not written back
-            idle = k > 1 and len(act) < k * len(cols)
+            idle = len(act) < k * len(cols)
             if idle:
                 going_on = set(act)
                 for i, c in enumerate(cols):
@@ -581,37 +569,36 @@ class WaveStepper:
             Pc += P
             if self._noisy:
                 noise = self.load_product(self.diffusion.value(uq))
-                rhs = Pc[n : 2 * n] + noise * (tau * ledger.dW[:, step])
+                # member 0's runs hold the increments, one per column
+                rhs = Pc[n : 2 * n] + noise * (tau * ledger.dW[: live.size, step])
             else:
                 rhs = Pc[n : 2 * n].copy()  # the solve may write Pc
             C, P1, it, errors = self._solve(step, U + D, Pc, rhs, uq)
             if errors:
-                keep = np.ones(live.size, dtype=bool)
-                for j in sorted(errors):  # the first failed run of each column ends it
-                    c = j % live.size
-                    if keep[c]:
-                        keep[c] = False
-                        for m in range(k):
-                            run = m * live.size + c
-                            failures[m * S + int(live[c])] = errors.get(run, errors[j])
+                ends = {}  # the first failed run of each column ends it
+                for j in sorted(errors):
+                    ends.setdefault(j % live.size, errors[j])
+                cols = np.ones(live.size, dtype=bool)
+                cols[list(ends)] = False
+                keep = np.tile(cols, k)  # the runs that go on
+                for j in np.flatnonzero(~keep):
+                    failures[int(ledger.runs[j])] = errors.get(j, ends[j % live.size])
                 ledger.drop(keep)
                 live = ledger.live
                 if not live.size:
                     break
-                it = np.asarray(it).reshape(k, -1)[:, keep].ravel()
-                C, P1 = C[:, keep], P1[:, keep]
-                U, P = U[:, keep], P[:, keep]
+                it = np.asarray(it)[keep]
+                C, P1 = C[:, cols], P1[:, cols]
+                U, P = U[:, cols], P[:, cols]
                 if self._noisy:
-                    noise = noise[:, keep]
+                    noise = noise[:, cols]
             D = C - U
             ledger.book(C, D, P1, noise, it)
             U, Pprev, P = C, P, P1
 
         ledger.flush()
-        runs = k * S
-        done = np.array([j for j in range(runs) if j not in failures], dtype=np.int64)
-        series = ledger.series.reshape(4, runs, N + 1)
-        resid, iters = ledger.resid.reshape(runs, N), ledger.iters.reshape(runs, N)
+        done = ledger.runs
+        series, resid, iters = ledger.series, ledger.resid, ledger.iters
         if failures:  # otherwise every row is kept, and nothing is copied
             series, resid, iters = series[:, done], resid[done], iters[done]
         return Trajectory(*series, resid, iters, samples=done, failures=failures)
@@ -626,13 +613,15 @@ class _Ledger:
     the step.  Nothing writes them after their step, so booking copies
     nothing.  A flush joins each kind into a node-major stack, column i S + s
     holding node i of sample s, and sums every product block of its columns
-    with one product by ``WaveStepper.ledger_sums``, one row per member of a
-    direct sum.  Of the last node it keeps v, M v and K u (``last``) and H
-    (``H_last``) for the next flush to difference against.  The series are
-    indexed (member, batch position); ``live`` lists the positions still
-    running, ``rows`` indexes their series (all of them until a sample is
-    dropped) and ``dW`` holds their increments.  The observer, if any, sees
-    node 0 at once and every later node at the flush that reduces it.
+    with one product by ``WaveStepper.ledger_sums``, one row per member.  Of
+    the last node it keeps v, M v and K u (``last``) and H (``H_last``) for
+    the next flush to difference against.  The series, the residuals, the
+    iteration counts, ``H_last`` and the increments ``dW`` are indexed by
+    run, as in `Trajectory`; ``runs`` lists the runs still going on, ``rows``
+    indexes their series (all of them until a column is dropped) and
+    ``live`` lists the batch positions of the columns that hold them.  The
+    observer, if any, sees node 0 at once and every later node at the flush
+    that reduces it.
     """
 
     def __init__(self, stepper: WaveStepper, dW, U, V, P, observe: Observer | None):
@@ -640,13 +629,14 @@ class _Ledger:
         self.n = n = U.shape[0]
         self.members = k = stepper._members
         self.tau = stepper.config.tau
-        self.dW = dW
+        self.dW = np.tile(dW, (k, 1))
+        self.runs = np.arange(k * S)
         self.live = np.arange(S)
         self.rows = slice(None)
         self.observe = observe
-        self.series = np.empty((4, k, S, N + 1))  # l2sq, h1sq, dtl2sq, H per node
-        self.resid = np.empty((k, S, N))
-        self.iters = np.zeros((k, S, N), dtype=np.int64)
+        self.series = np.empty((4, k * S, N + 1))  # l2sq, h1sq, dtl2sq, H per node
+        self.resid = np.empty((k * S, N))
+        self.iters = np.zeros((k * S, N), dtype=np.int64)
         self.mass_product = stepper.mass_product
         self.sums = stepper.ledger_sums
         self.potential = None if stepper._drift_is_zero else stepper.drift.potential
@@ -659,9 +649,9 @@ class _Ledger:
         self.n0 = 0  # the node of ``last``
         MV = self.mass_product(V)
         E = np.zeros((self.sums.shape[1], S))  # the step rows stay zero
-        sums = self.sums(self._fill(E, U, P[n:], V, MV)).reshape(-1, k, S)
+        sums = self.sums(self._fill(E, U, P[n:], V, MV)).reshape(-1, k * S)
         H = self._hamiltonian(sums)
-        self.series[:3, :, :, 0], self.series[3, :, :, 0] = sums[:3], H
+        self.series[:3, :, 0], self.series[3, :, 0] = sums[:3], H
         self.last, self.H_last = (V, MV, P[2 * n : 3 * n]), H
         if observe is not None:
             observe(0, self.live, U.T[None], V.T[None])
@@ -715,20 +705,20 @@ class _Ledger:
         dKU *= D
         if self.noisy:
             np.multiply(G[0], V, out=E[m + 2 * n :])
-        # per kind of sum, member, node and sample
-        sums = self.sums(E).reshape(-1, self.members, k, S)
+        # per kind of sum, run and node
+        sums = self.sums(E).reshape(-1, self.members, k, S).transpose(0, 1, 3, 2)
+        sums = sums.reshape(len(sums), -1, k)
         H = self._hamiltonian(sums)
         a, b = self.n0 + 1, self.n0 + k + 1
-        self.series[:3, :, self.rows, a:b] = sums[:3].transpose(0, 1, 3, 2)
-        self.series[3][:, self.rows, a:b] = H.transpose(0, 2, 1)
+        self.series[:3, self.rows, a:b] = sums[:3]
+        self.series[3][self.rows, a:b] = H
         j = len(sums) - (3 if self.noisy else 2)
         H_prev = np.concatenate([self.H_last[:, None], H[:, :-1]], axis=1)
         resid = H - H_prev + 0.5 * sums[j] + 0.5 * sums[j + 1]
         if self.noisy:
-            resid -= sums[j + 2] * self.dW[:, a - 1 : b - 1].T
-        self.resid[:, self.rows, a - 1 : b - 1] = resid.transpose(0, 2, 1)
-        iters = np.array(self.held_iters).reshape(k, self.members, S)
-        self.iters[:, self.rows, a - 1 : b - 1] = iters.transpose(1, 2, 0)
+            resid -= sums[j + 2] * self.dW[:, a - 1 : b - 1]
+        self.resid[self.rows, a - 1 : b - 1] = resid
+        self.iters[self.rows, a - 1 : b - 1] = np.array(self.held_iters).reshape(k, -1).T
         self.last, self.H_last = (V[:, -S:], MV[:, -S:], KU[:, -S:]), H[:, -1]
         self.held, self.held_iters = [], []
         self.n0 = b - 1
@@ -737,12 +727,15 @@ class _Ledger:
             self.observe(a, self.live, *shown)
 
     def drop(self, keep: np.ndarray) -> None:
-        """Flush, then keep only the samples of the live mask ``keep``."""
+        """Flush, then keep only the runs of the run mask ``keep``, which
+        holds or ends each column's runs together."""
         self.flush()
-        self.live = self.rows = self.live[keep]
+        cols = keep[: self.live.size]  # member 0's runs, one per column
+        self.live = self.live[cols]
+        self.runs = self.rows = self.runs[keep]
         self.dW = self.dW[keep]
-        self.last = tuple(x[:, keep] for x in self.last)
-        self.H_last = self.H_last[:, keep]
+        self.last = tuple(x[:, cols] for x in self.last)
+        self.H_last = self.H_last[keep]
 
 
 def _history(rounds: list[tuple[Sequence[int], Sequence[float]]], j: int) -> list[float]:

@@ -365,6 +365,7 @@ def test_cli_warns_when_the_energy_contract_is_broken(tmp_path, capsys):
     warning = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
     assert len(warning) == 1 and "worst energy residual 3.5" in warning[0]
     assert "1e-08" in warning[0]
+    assert "(in lin-det-check_analytic_rates.csv)" in warning[0]  # the worst study's CSV
     assert main(["--preset", "lin-det-check", "--out", str(tmp_path)]) == 0
     assert "warning" not in capsys.readouterr().err
 

@@ -1,6 +1,8 @@
 """Smoke test of tools/pair_time.py: two trees loaded side by side, one pair
-of a small stepping case and of a short analytic table."""
+of a small stepping case, of a short ladder march and of a short analytic
+table."""
 
+import dataclasses
 import importlib.util
 import sys
 import time
@@ -25,7 +27,7 @@ def test_one_pair_of_a_small_case(pair_time, capsys):
     old = pair_time.load_tree(ROOT / "src", "stochwave_pair_old")
     new = pair_time.load_tree(ROOT / "src", "stochwave_pair_new")
     assert old.stepper.WaveStepper is not new.stepper.WaveStepper  # two separate trees
-    case = pair_time.Case("smoke", "lin-det-check", 8, 1, 1e-4, 50)
+    case = pair_time.Case("smoke", "lin-det-check", (8,), 1, 1e-4, 50)
     (row,) = pair_time.time_cases(old, new, [case], reps=1)
     assert time.perf_counter() - start < 2.0
     assert row["case"] == "smoke /step" and row["old"] > 0 and row["new"] > 0
@@ -35,6 +37,21 @@ def test_one_pair_of_a_small_case(pair_time, capsys):
     assert row["pairs"] == 1 and row["new_wins"] == (row["new"] < row["old"])
     assert row["claim_holds"] == (row["new"] < row["old"])
     assert "smoke /step" in capsys.readouterr().out
+
+
+def test_one_pair_of_a_short_ladder_march(pair_time, capsys):
+    (ladder,) = [case for case in pair_time.CASES if len(case.levels) > 1]
+    assert (ladder.preset, ladder.levels) == ("test1a", (4, 8, 16, 32, 64))
+    assert (ladder.samples, ladder.tau, ladder.steps) == (4, 1e-3, 500)
+    old = pair_time.load_tree(ROOT / "src", "stochwave_pair_old")
+    new = pair_time.load_tree(ROOT / "src", "stochwave_pair_new")
+    short = dataclasses.replace(ladder, name="ladder smoke", steps=5)
+    traj = pair_time.stepping_run(new, short)()
+    assert traj.samples.tolist() == list(range(5 * 4))  # one run per level and sample
+    (row,) = pair_time.time_cases(old, new, [short], reps=1)
+    assert row["case"] == "ladder smoke /step" and row["pairs"] == 1
+    assert row["old"] > 0 and row["new"] > 0
+    assert "ladder smoke /step" in capsys.readouterr().out
 
 
 def test_one_pair_of_a_short_analytic_table(pair_time, capsys):

@@ -384,6 +384,59 @@ def test_runs_of_a_direct_sum_equal_their_own_marches():
     assert march.newton_iters[3:5, 0].tolist() == [2, 3]  # level 8: skipped, taken
 
 
+def _one_member_case(case):
+    """A space, drift, config, initial fields and paths of one of the cases
+    that a one-member direct sum must step as its member steps."""
+    if case == "mcn-cubic-1d":
+        paths = [sample_path(11, k, 10, 0.01) for k in range(3)]
+        cfg = SchemeConfig(tau=0.01, n_steps=10, newton_abs_tol=1e-13)
+        return _space(32), CUBIC, cfg, CosineProduct(kx=1), Constant(0.5), paths
+    if case == "p1-2d":
+        space = FeSpace(build_unit_square_tri_mesh(8), 1, quadrature_degree_for(1, CUBIC))
+        paths = [sample_path(11, k, 10, 0.01) for k in range(2)]
+        cfg = SchemeConfig(tau=0.01, n_steps=10, newton_abs_tol=1e-13)
+        return space, CUBIC, cfg, CosineProduct(kx=1, ky=2), Constant(0.5), paths
+    if case == "newton-fallback":  # as in the partial fallback test above
+        paths = [sample_path(11, k, 4, 0.2) for k in range(6)]
+        cfg = SchemeConfig(tau=0.2, n_steps=4, newton_abs_tol=1e-13)
+        return _space(16, DEG11), DEG11, cfg, CosineProduct(kx=1), Constant(0.5), paths
+    # a forced failure, as in the dropped-sample test above
+    paths = [sample_path(6, k, 10, 0.02) for k in range(5)]
+    inc = paths[2].increments.copy()
+    inc[3] = 1e200  # the cubic drift overflows
+    paths[2] = BrownianPath(0.02, inc)
+    cfg = SchemeConfig(tau=0.02, n_steps=10, newton_abs_tol=1e-13)
+    return _space(8), CUBIC, cfg, CosineProduct(kx=1), Constant(0.0), paths
+
+
+@pytest.mark.parametrize("case", ["mcn-cubic-1d", "p1-2d", "newton-fallback", "failure"])
+def test_a_one_member_direct_sum_steps_as_its_member(monkeypatch, case):
+    space, drift, cfg, h1, h2, paths = _one_member_case(case)
+    assembled = []
+
+    def counted(on, weights):
+        assembled.append(on)
+        return assemble_weighted_mass(on, weights)
+
+    monkeypatch.setattr(stochwave.stepper, "assemble_weighted_mass", counted)
+    marches = []
+    for on in (space, DirectSum([space])):
+        init = initial_state(on, h1, h2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            marches.append(WaveStepper(on, drift, Diffusion.linear(1.0), cfg).run(paths, init))
+    alone, summed = marches
+    for name in SERIES:
+        assert np.array_equal(getattr(summed, name), getattr(alone, name)), name
+    assert np.array_equal(summed.samples, alone.samples)
+    assert list(summed.failures) == list(alone.failures)
+    for j, exc in alone.failures.items():
+        assert type(summed.failures[j]) is type(exc) and str(summed.failures[j]) == str(exc)
+    # full Newton assembles on the member space, as often in both marches
+    assert all(on is space for on in assembled) and len(assembled) % 2 == 0
+    assert assembled or case != "newton-fallback"
+    assert (list(alone.failures) == [2]) == (case == "failure")
+
+
 def _one_fallback_case():
     # degree-11 drift at tau = 0.2 on levels 4 and 8: of the 12 runs only
     # level 4's run of sample 4 rejects a frozen correction, at one step

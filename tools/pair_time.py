@@ -13,7 +13,8 @@ pairs are timed:
 
 - ``WaveStepper.run`` on fixed stepping cases (the space, the stepper, the
   paths and the initial state are built before the clock starts), reported
-  per sample-step;
+  per sample-step; a case of several levels steps their direct sum, so a
+  sample-step there steps every level of the ladder;
 - ``metrics.analytic_error_table`` on the ``lin-det-check`` preset's ladder,
   reported per sample-step: the stepping of that table with its spaces and
   error norms, but without the CSV and manifest writes of the CLI;
@@ -50,12 +51,13 @@ from pathlib import Path  # noqa: E402
 
 @dataclass(frozen=True)
 class Case:
-    """One stepping block: ``samples`` paths of a preset's problem on the mesh
-    at ``level``, ``steps`` steps of size ``tau``."""
+    """One stepping block: ``samples`` paths of a preset's problem on the
+    direct sum of the meshes at ``levels`` (one level: that mesh's space),
+    ``steps`` steps of size ``tau``."""
 
     name: str
     preset: str
-    level: int
+    levels: tuple[int, ...]
     samples: int
     tau: float
     steps: int
@@ -63,10 +65,12 @@ class Case:
 
 
 CASES = [
-    Case("lin-det L64 S1", "lin-det-check", 64, 1, 1e-4, 5000),
-    Case("test1a ref L128 S2", "test1a", 128, 2, 0.1 / 128, 512),
-    Case("test3a L16 S4", "test3a", 16, 4, 0.01, 100),
-    Case("test2 ref L512 S8 (400 steps)", "test2", 512, 8, 0.1 / 512, 400, paper_scale=True),
+    Case("lin-det L64 S1", "lin-det-check", (64,), 1, 1e-4, 5000),
+    Case("test1a ref L128 S2", "test1a", (128,), 2, 0.1 / 128, 512),
+    Case("test3a L16 S4", "test3a", (16,), 4, 0.01, 100),
+    Case("test2 ref L512 S8 (400 steps)", "test2", (512,), 8, 0.1 / 512, 400, paper_scale=True),
+    # test1a's spatial ladder, whose runs of four samples share columns
+    Case("test1a ladder L4-64 S4", "test1a", (4, 8, 16, 32, 64), 4, 1e-3, 500),
 ]
 
 # The benchmark's workloads (bench/run.py), as CLI arguments.
@@ -90,7 +94,7 @@ def load_tree(src: str | Path, name: str):
         del sys.modules[stale]  # a tree loaded before under this name
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("cli", "experiments", "metrics", "noise", "stepper"):
+    for sub in ("cli", "experiments", "fem", "metrics", "noise", "stepper"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -98,7 +102,8 @@ def load_tree(src: str | Path, name: str):
 def stepping_run(tree, case: Case):
     """A no-argument callable that runs the case's block once."""
     problem = tree.experiments.preset_config(case.preset, case.paper_scale).problem()
-    space = problem.spaces([case.level])[case.level]
+    spaces = problem.spaces(case.levels)
+    space = tree.fem.direct_sum([spaces[level] for level in case.levels])
     cfg = tree.stepper.SchemeConfig(
         tau=case.tau, n_steps=case.steps, scheme=problem.scheme,
         newton_abs_tol=problem.newton_abs_tol,
