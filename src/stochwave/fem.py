@@ -2,9 +2,10 @@
 
 Provides P1/P2 spaces, mass/stiffness/load assembly, L2 projection and the
 exact transfer matrix between nested meshes.  Neumann boundary conditions
-are natural: no dof is ever constrained.  `DirectSum` stacks the coefficient
-vectors of several spaces into one, with block-diagonal operators, so that
-one march can step them all.  `CsrProduct` applies a sparse operator to a
+are natural: no dof is ever constrained.  `DirectSum` is the space on the
+stacked cells of several spaces, so that one march can step them all: its
+coefficient vector stacks theirs, and the one assembly of `FeSpace` gives
+it block-diagonal operators.  `CsrProduct` applies a sparse operator to a
 dense block through scipy's compiled CSR kernel, without the dispatch of
 ``@``.
 """
@@ -177,6 +178,7 @@ class FeSpace:
             self._init_interval()
         else:
             self._init_triangles()
+        self.offsets = np.array([0, self.n_dofs])  # as the direct sum of itself alone
 
     # -- construction -------------------------------------------------------
 
@@ -257,13 +259,13 @@ class FeSpace:
 
     @property
     def members(self) -> tuple[FeSpace]:
-        """A plain space is the direct sum of itself alone."""
-        return (self,)
+        """A plain space is the direct sum of itself alone.
 
-    @property
-    def offsets(self) -> np.ndarray:
-        """Its dof offsets as the direct sum of itself alone."""
-        return np.array([0, self.n_dofs])
+        A property, not an attribute: a space holding ``(self,)`` would be a
+        reference cycle, which keeps its arrays and factors alive until the
+        cyclic collector runs.
+        """
+        return (self,)
 
     # -- cached operators ----------------------------------------------------
 
@@ -291,7 +293,7 @@ class FeSpace:
 
     @cached_property
     def mass_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        return spd_solver(self.mass)
+        return spd_solver(self.mass, self.offsets)
 
     @cached_property
     def qpoint_product(self) -> CsrProduct:
@@ -326,44 +328,44 @@ class FeSpace:
         return self.qpoint_product(coeffs).reshape(self.wdet.shape + coeffs.shape[1:])
 
 
-class DirectSum:
+class DirectSum(FeSpace):
     """The direct sum of finite element spaces, one coefficient vector for all.
 
-    Member i's coefficients are rows ``offsets[i]:offsets[i + 1]`` of the
-    vector, and its quadrature points follow those of the members before it.
-    The mass, stiffness, quadrature-value (Q) and load operators are
-    block-diagonal: each row holds its member's row, shifted, with its
-    entries in the same order, so every product row is summed exactly as in
-    the member's own operator.  A plain `FeSpace` is the direct sum of
-    itself alone (see `direct_sum`).
+    A space whose cells are its members' cells, stacked in member order, with
+    member i's dofs shifted to rows ``offsets[i]:offsets[i + 1]``; its
+    quadrature points follow those of the members before it.  Every operator
+    comes from `FeSpace`'s own assembly and is block-diagonal by construction:
+    each row holds its member's row, shifted, summed in the same order, so
+    every product row has the bits of the member's own operator, and its mass
+    matrix is factored block by block (see `linsolve.spd_solver`).  The
+    members share a dimension, a degree and a cell rule.  A sum has no single
+    mesh, so `transfer_matrix` takes plain spaces.  A plain `FeSpace` is the
+    direct sum of itself alone (see `direct_sum`).
     """
+
+    members: tuple[FeSpace, ...] = ()  # set per instance, over FeSpace's property
 
     def __init__(self, members: Sequence[FeSpace]):
         self.members = tuple(members)
+        if not self.members:
+            raise ValueError("a direct sum needs at least one member")
+        first = self.members[0]
+        kinds = {(m.qpoints.shape[-1], m.degree, m.quad_degree) for m in self.members}
+        if len(kinds) > 1:
+            raise ValueError(
+                f"members differ in dimension, degree or cell rule: {sorted(kinds)}"
+            )
+        self.degree, self.quad_degree, self.phi = first.degree, first.quad_degree, first.phi
         self.offsets = np.cumsum([0] + [m.n_dofs for m in self.members])
         self.n_dofs = int(self.offsets[-1])
-
-    def _block_diag(self, operator: Callable[[FeSpace], sp.spmatrix]) -> sp.csr_matrix:
-        return sp.block_diag([operator(m) for m in self.members], format="csr")
-
-    @cached_property
-    def mass(self) -> sp.csr_matrix:
-        return self._block_diag(lambda m: m.mass)
-
-    @cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        return self._block_diag(lambda m: m.stiffness)
-
-    @cached_property
-    def qpoint_product(self) -> CsrProduct:
-        return CsrProduct(self._block_diag(lambda m: m.qpoint_product.matrix))
-
-    @cached_property
-    def load_product(self) -> CsrProduct:
-        return CsrProduct(self._block_diag(lambda m: m.load_product.matrix))
+        self.cell_dofs = np.concatenate(
+            [m.cell_dofs + a for m, a in zip(self.members, self.offsets)]
+        )
+        for name in ("wdet", "grad_phys", "qpoints", "dof_coords"):
+            setattr(self, name, np.concatenate([getattr(m, name) for m in self.members]))
 
 
-def direct_sum(spaces: Sequence[FeSpace]) -> FeSpace | DirectSum:
+def direct_sum(spaces: Sequence[FeSpace]) -> FeSpace:
     """The direct sum of the spaces: the space itself when there is one."""
     return spaces[0] if len(spaces) == 1 else DirectSum(spaces)
 
@@ -400,7 +402,7 @@ def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
 
 def load_vector(space: FeSpace, field: Callable) -> np.ndarray:
     """b[i] = integral of field(x) phi_i(x) for a pointwise coordinate field."""
-    pts = space.qpoints.reshape(-1, space.mesh.dimension)
+    pts = space.qpoints.reshape(-1, space.qpoints.shape[-1])
     return space.load_product(_eval_field(field, pts))
 
 

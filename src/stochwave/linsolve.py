@@ -19,8 +19,10 @@ Both solves treat each column alone with the same operations, so a block
 gives every column the bits it would get alone, and negating the right-hand
 side negates the solution bit for bit.
 
-A block-diagonal matrix (the operators of a `fem.DirectSum`) may name its
-diagonal blocks by their row offsets.  A tridiagonal one is still factored
+A block-diagonal matrix may name its diagonal blocks by their row offsets.
+Every operator of a `fem.DirectSum` is one, since the sum assembles on its
+members' stacked cells, and the sum's mass solve and the stepper's frozen
+Jacobian pass the sum's ``offsets``.  A tridiagonal one is still factored
 whole: its coupling entries between blocks are exact zeros, so every pivot
 and every solved row of a block is the one its own factor gives, and rows of
 zeros solve to exact zeros.  Any other is factored block by block and each

@@ -333,16 +333,11 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
     cfg = problem.scheme_config(tau, study.T)
     n_steps = cfg.n_steps
     spaces = problem.spaces(levels)
-    members = [spaces[l] for l in levels]
-    space = direct_sum(members)
-    # every level's cells, with their dofs shifted to the level's rows, and
-    # quadrature points and weights, one row per point in the order of the
-    # direct sum's Q
-    cell_dofs = np.concatenate([m.cell_dofs + a for m, a in zip(members, space.offsets)])
-    grad_phys = np.concatenate([m.grad_phys[..., 0] for m in members])
-    xq = np.concatenate([m.qpoints[..., 0].ravel() for m in members])[:, None]
-    w = np.concatenate([m.wdet.ravel() for m in members])[:, None]
-    points = np.cumsum([0] + [m.wdet.size for m in members])
+    space = direct_sum([spaces[l] for l in levels])
+    grad_phys = space.grad_phys[..., 0]
+    # the quadrature points and weights, one row per point in the order of Q
+    xq, w = space.qpoints.reshape(-1, 1), space.wdet.reshape(-1, 1)
+    points = np.cumsum([0] + [m.wdet.size for m in space.members])
     worst = np.zeros((3, len(levels)))  # per level, the largest squared L2, H1, d_t errors
     before = None  # the error values of the node before the window
 
@@ -359,7 +354,7 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
         U = Un[:, 0].T  # one column per node
         times = np.arange(n0, n0 + k) * tau
         e_val = space.qpoint_product(U) - exact.value(xq, times)
-        grad = np.einsum("cln,clq->cqn", U[cell_dofs], grad_phys).reshape(-1, k)
+        grad = np.einsum("cln,clq->cqn", U[space.cell_dofs], grad_phys).reshape(-1, k)
         e_grad = grad - exact.dx(xq, times)
         joined = e_val if before is None else np.concatenate([before, e_val], axis=1)
         de = np.diff(joined, axis=1) / tau

@@ -55,13 +55,17 @@ and every bit stays as ``@`` makes it.
 Runs.  The space is a direct sum of member spaces that share the scheme
 config and the paths: a `fem.DirectSum`, such as the meshes of a spatial
 ladder, or a plain space, the direct sum of itself alone, which steps by
-the same code.  The block has sum(n_dofs) rows, and each (member, sample)
+the same code.  A direct sum is itself a `fem.FeSpace`, on its members'
+cells stacked in member order, so the stepper reads its operators, its
+quadrature weights and its initial projection from the space alone.  The
+block has sum(n_dofs) rows, and each (member, sample)
 pair is a *run*, numbered member-major: member m's sample s is run m S + s.
 Every test above, and every record of the march, is a run's own: its
 max-norm (over its member's rows), tolerance, contraction test, polish,
 full-Newton fallback, iteration count, failure and energy ledger.  Every
-operator is block-diagonal, so a product, the drift and the ledger's
-segment sums give each run the bits of its member's own march.  A round
+operator assembled on the stacked cells is block-diagonal, so a product,
+the drift and the ledger's segment sums give each run the bits of its
+member's own march.  A round
 corrects the columns that hold an active run; the other runs of those
 columns get rows of zeros in the residual, so the shared frozen solve gives
 them exactly zero corrections (see `linsolve.spd_solver` for the
@@ -125,7 +129,7 @@ import scipy.sparse as sp
 
 from .diffusion import Diffusion
 from .drift import FULLY_IMPLICIT, MODIFIED_CN, SCHEMES, PolynomialDrift
-from .fem import CsrProduct, DirectSum, FeSpace, assemble_weighted_mass, l2_project
+from .fem import CsrProduct, FeSpace, assemble_weighted_mass, l2_project
 from .linsolve import LinearSolveError, spd_solver
 from .noise import BrownianPath
 
@@ -248,13 +252,11 @@ def column_sums(X: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1).reshape(X.shape[1:])
 
 
-def initial_state(
-    space: FeSpace | DirectSum, h1: Callable, h2: Callable
-) -> tuple[np.ndarray, np.ndarray]:
+def initial_state(space: FeSpace, h1: Callable, h2: Callable) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients (u^0, v^0) of the initial displacement and velocity
-    projected onto each member of the space (see `fem.DirectSum`)."""
-    members = space.members
-    return tuple(np.concatenate([l2_project(m, h) for m in members]) for h in (h1, h2))
+    projected onto the space: of a direct sum, onto each member (its mass
+    matrix is block-diagonal, see `fem.DirectSum`)."""
+    return l2_project(space, h1), l2_project(space, h2)
 
 
 class WaveStepper:
@@ -266,7 +268,7 @@ class WaveStepper:
 
     def __init__(
         self,
-        space: FeSpace | DirectSum,
+        space: FeSpace,
         drift: PolynomialDrift,
         diffusion: Diffusion,
         config: SchemeConfig,
@@ -310,7 +312,7 @@ class WaveStepper:
         # du.dKu (and g.v): row r, one per block of its products and member,
         # sums the member's rows of the block, entries bounds[r]:bounds[r + 1]
         ones = (np.diff(offsets), np.ones(space.n_dofs))
-        weights = (np.diff(points), np.concatenate([m.wdet.ravel() for m in members]))
+        weights = (np.diff(points), space.wdet.ravel())
         blocks = [ones] * 3 + ([] if self._drift_is_zero else [weights]) + [ones] * (2 + self._noisy)
         bounds = np.cumsum([0, *np.concatenate([size for size, _ in blocks])])
         data = np.concatenate([values for _, values in blocks])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stochwave.diffusion import Diffusion
 from stochwave.drift import PolynomialDrift
@@ -9,14 +10,16 @@ from stochwave.fem import (
     FeSpace,
     assemble_mass,
     assemble_stiffness,
+    assemble_weighted_mass,
     direct_sum,
     l2_project,
     load_vector,
     transfer_matrix,
 )
+from stochwave.fields import CosineProduct, TentBump
 from stochwave.mesh import build_interval_mesh, build_unit_square_tri_mesh, refine_uniform
 from stochwave.noise import BrownianPath
-from stochwave.stepper import SchemeConfig, WaveStepper
+from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
 from oracles import evaluate, pointwise_load
 
 
@@ -294,14 +297,30 @@ def test_l2_norm_matches_mass_quadratic_form():
 # Direct sums
 # ---------------------------------------------------------------------------
 
+def _assert_same_csr(A, B):
+    A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.data, B.data)
+
+
 @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
 def test_direct_sum_operators_apply_each_members_own(dim, degree):
     build = build_interval_mesh if dim == 1 else build_unit_square_tri_mesh
     members = [FeSpace(build(l), degree, 2 * degree + 2) for l in (2, 4, 8)]
     space = DirectSum(members)
+    assert isinstance(space, FeSpace)
     assert space.members == tuple(members)
     assert list(space.offsets) == list(np.cumsum([0] + [m.n_dofs for m in members]))
     assert space.n_dofs == sum(m.n_dofs for m in members)
+    # the operators of the stacked cells are the block-diagonal ones, entry for entry
+    for operator in (
+        lambda m: m.mass,
+        lambda m: m.stiffness,
+        lambda m: m.qpoint_product.matrix,
+        lambda m: m.load_product.matrix,
+    ):
+        _assert_same_csr(operator(space), sp.block_diag([operator(m) for m in members]))
     X = np.random.default_rng(5).standard_normal((space.n_dofs, 3))
     Y = np.random.default_rng(6).standard_normal((space.load_product.shape[1], 3))
     q = np.cumsum([0] + [m.wdet.size for m in members])
@@ -311,6 +330,33 @@ def test_direct_sum_operators_apply_each_members_own(dim, degree):
         assert np.array_equal((space.stiffness @ X)[a:b], m.stiffness @ X[a:b])
         assert np.array_equal(space.qpoint_product(X)[qa:qb], m.qpoint_product(X[a:b]))
         assert np.array_equal(space.load_product(Y)[a:b], m.load_product(Y[qa:qb]))
+    weights = np.random.default_rng(8).uniform(0.5, 2.0, space.wdet.shape)
+    cells = np.cumsum([0] + [m.wdet.shape[0] for m in members])
+    _assert_same_csr(
+        assemble_weighted_mass(space, weights),
+        sp.block_diag(
+            [assemble_weighted_mass(m, weights[a:b]) for m, a, b in zip(members, cells, cells[1:])]
+        ),
+    )
+    # the sum's mass solve is block by block, so each member's projection
+    # keeps the bits of its own (SuperLU orders a whole 2D sum otherwise)
+    h1, h2 = CosineProduct(kx=1, ky=2), TentBump()
+    u0, v0 = initial_state(space, h1, h2)
+    for got, h in ((u0, h1), (v0, h2)):
+        assert np.array_equal(got, np.concatenate([l2_project(m, h) for m in members]))
+
+
+def test_a_direct_sum_of_unlike_members_is_refused():
+    p1 = FeSpace(build_interval_mesh(4), 1)
+    for other in (
+        FeSpace(build_interval_mesh(4), 2),  # another degree
+        FeSpace(build_interval_mesh(8), 1, 6),  # another cell rule
+        FeSpace(build_unit_square_tri_mesh(2), 1),  # another dimension
+    ):
+        with pytest.raises(ValueError, match="members differ"):
+            DirectSum([p1, other])
+    with pytest.raises(ValueError, match="at least one member"):
+        DirectSum([])
 
 
 def test_a_plain_space_is_the_direct_sum_of_itself():

@@ -1,9 +1,10 @@
 """Smoke test of tools/pair_time.py: two trees loaded side by side, one pair
 of a small stepping case, of a short ladder march and of a short analytic
-table."""
+table, each row timed in a process of its own."""
 
 import dataclasses
 import importlib.util
+import os
 import sys
 import time
 from pathlib import Path
@@ -37,6 +38,16 @@ def test_one_pair_of_a_small_case(pair_time, capsys):
     assert row["pairs"] == 1 and row["new_wins"] == (row["new"] < row["old"])
     assert row["claim_holds"] == (row["new"] < row["old"])
     assert "smoke /step" in capsys.readouterr().out
+
+
+def test_a_row_is_timed_in_a_process_of_its_own(pair_time):
+    old = pair_time.load_tree(ROOT / "src", "stochwave_pair_old")
+    new = pair_time.load_tree(ROOT / "src", "stochwave_pair_new")
+    case = pair_time.Case("apart", "lin-det-check", (8,), 1, 1e-4, 50)
+    times = pair_time.run_apart(old, new, "case", dataclasses.asdict(case), reps=2)
+    assert times["pid"] != os.getpid()
+    assert len(times["old"]) == len(times["new"]) == 2
+    assert min(times["old"] + times["new"]) > 0
 
 
 def test_one_pair_of_a_short_ladder_march(pair_time, capsys):

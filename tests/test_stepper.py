@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -492,6 +495,27 @@ def test_a_failed_run_drops_its_column_and_leaves_the_others_intact(monkeypatch)
     )
     for name in SERIES:
         assert np.array_equal(getattr(march, name), getattr(clean, name)), name
+
+
+def test_spaces_and_steppers_are_freed_by_reference_counting():
+    # nothing holds a space or a stepper in a reference cycle, which would
+    # keep its arrays and factors alive until the cyclic collector runs: a
+    # plain space must not hold itself as its one member, for instance
+    members, cfg, paths = _one_fallback_case()
+    init = (CosineProduct(kx=1), Constant(0.5))
+    refs = []
+    gc.disable()
+    try:
+        for space in (members[0], DirectSum(members)):
+            stepper = WaveStepper(space, DEG11, Diffusion.linear(1.0), cfg)
+            stepper.run(paths, initial_state(space, *init))
+            refs += [weakref.ref(space), weakref.ref(stepper)]
+        assert stepper._parts  # the sum's fallback built its member's stepper
+        refs.append(weakref.ref(stepper._parts[0]))
+        del members, space, stepper
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_a_failed_sample_drops_its_column_from_every_member():

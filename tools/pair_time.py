@@ -1,15 +1,16 @@
-"""Time two source trees of stochwave against each other in one process.
+"""Time two source trees of stochwave against each other in interleaved pairs.
 
 Usage, from the root of a source checkout:
 
     python3 tools/pair_time.py OLD_SRC NEW_SRC [--reps N]
 
 OLD_SRC and NEW_SRC are directories that each hold a ``stochwave`` package
-(for instance a checkout's ``src``).  Each tree is imported under its own
-module name, so both live in this process and take turns: every pair runs
-the old and the new tree once each, and the order flips from one pair to
-the next, so a drift of the host's speed hits both alike.  Two kinds of
-pairs are timed:
+(for instance a checkout's ``src``).  Each row is timed in a fresh Python
+process, so no row inherits the heap or the caches of the rows before it.
+That process imports each tree under its own module name, so both live in
+it and take turns: every pair runs the old and the new tree once each, and
+the order flips from one pair to the next, so a drift of the host's speed
+hits both alike.  The rows are:
 
 - ``WaveStepper.run`` on fixed stepping cases (the space, the stepper, the
   paths and the initial state are built before the clock starts), reported
@@ -41,11 +42,13 @@ import contextlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
-from dataclasses import dataclass  # noqa: E402
+from dataclasses import asdict, dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 
@@ -153,6 +156,50 @@ def pairs(old, new, reps: int) -> tuple[list[float], list[float]]:
     return times[old], times[new]
 
 
+# The fresh process of one row: it loads this file by its path (argv[1]),
+# reads the row's job on stdin and prints its times as the last line.
+_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("pair_time", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+sys.modules["pair_time"] = tool  # its dataclass looks its module up
+spec.loader.exec_module(tool)
+print(json.dumps(tool.run_job(json.load(sys.stdin))))
+"""
+
+
+def run_apart(old_tree, new_tree, kind: str, arg, reps: int) -> dict:
+    """The pairs of one row, timed in a fresh Python process that loads both
+    trees anew (see `run_job`): ``{"old": [...], "new": [...], "pid": ...}``."""
+    trees = [str(Path(tree.__file__).parents[1]) for tree in (old_tree, new_tree)]
+    job = {"trees": trees, "kind": kind, "arg": arg, "reps": reps}
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, __file__],
+        input=json.dumps(job), capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"the {kind} row {arg} failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def run_job(job: dict) -> dict:
+    """Time one row's pairs in this process: a stepping ``case``, the
+    ``analytic`` table (up to time ``arg``) or the ``cli`` arguments ``arg``."""
+    old_tree = load_tree(job["trees"][0], "stochwave_old")
+    new_tree = load_tree(job["trees"][1], "stochwave_new")
+    kind, arg, reps = job["kind"], job["arg"], job["reps"]
+    if kind == "case":
+        case = Case(**{**arg, "levels": tuple(arg["levels"])})
+        t_old, t_new = pairs(stepping_run(old_tree, case), stepping_run(new_tree, case), reps)
+    elif kind == "analytic":
+        t_old, t_new = pairs(analytic_run(old_tree, arg)[0], analytic_run(new_tree, arg)[0], reps)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            old = cli_run(old_tree, arg, Path(tmp, "old"))
+            t_old, t_new = pairs(old, cli_run(new_tree, arg, Path(tmp, "new")), reps)
+    return {"old": t_old, "new": t_new, "pid": os.getpid()}
+
+
 def quartiles(times: list[float]) -> tuple[float, float]:
     """First and third quartiles (linear interpolation, as numpy's default)."""
     if len(times) == 1:
@@ -195,29 +242,24 @@ def time_cases(old_tree, new_tree, cases, reps: int) -> list[dict]:
     """Pairs of ``WaveStepper.run`` per case, reported per sample-step."""
     rows = []
     for case in cases:
-        t_old, t_new = pairs(stepping_run(old_tree, case), stepping_run(new_tree, case), reps)
-        rows.append(summary(case.name + " /step", t_old, t_new, case.samples * case.steps))
+        t = run_apart(old_tree, new_tree, "case", asdict(case), reps)
+        rows.append(summary(case.name + " /step", t["old"], t["new"], case.samples * case.steps))
     return rows
 
 
 def time_analytic(old_tree, new_tree, reps: int, T: float | None = None) -> dict:
     """Pairs of the ``lin-det-check`` analytic table, reported per sample-step."""
-    (old, steps), (new, _) = analytic_run(old_tree, T), analytic_run(new_tree, T)
-    t_old, t_new = pairs(old, new, reps)
-    return summary("analytic lin-det-check /step", t_old, t_new, steps)
+    _, steps = analytic_run(new_tree, T)
+    t = run_apart(old_tree, new_tree, "analytic", T, reps)
+    return summary("analytic lin-det-check /step", t["old"], t["new"], steps)
 
 
 def time_workloads(old_tree, new_tree, workloads, reps: int) -> list[dict]:
     """Pairs of whole CLI calls per workload."""
     rows = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, args in workloads.items():
-            t_old, t_new = pairs(
-                cli_run(old_tree, args, Path(tmp, "old")),
-                cli_run(new_tree, args, Path(tmp, "new")),
-                reps,
-            )
-            rows.append(summary("cli " + name, t_old, t_new))
+    for name, args in workloads.items():
+        t = run_apart(old_tree, new_tree, "cli", args, reps)
+        rows.append(summary("cli " + name, t["old"], t["new"]))
     return rows
 
 
