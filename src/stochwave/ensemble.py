@@ -1,14 +1,16 @@
 """Monte Carlo engine: one problem spec, sample blocks and bit-stable statistics.
 
 Every Monte Carlo study runs through the same pieces: a picklable
-`ProblemSpec`, which builds the study's spaces and scheme configs, step
+`ProblemSpec`, which builds the study's spaces and scheme configs and steps
+every march (`ProblemSpec.march`: a `WaveStepper` on a space or direct sum,
+run from the problem's initial data projected onto that same space), step
 counts from `steps_for`, ladders checked by `ladder_problems`, and
 `map_samples`, which runs a batch function over contiguous sample blocks
-(each stepped as one batch by `WaveStepper.run`, and the blocks spread over
-a process pool by `parallel_map` when threads > 1), orders the per-sample
-records by index and accounts for failures.  The stability ensemble
-(`run_ensemble`) and the rate tables (`metrics`) differ only in their batch
-functions; each driver takes ``(problem, study, n_samples, threads)``.
+(spread over a process pool by `parallel_map` when threads > 1), orders the
+per-sample records by index and accounts for failures.  The stability
+ensemble (`run_ensemble`), the rate tables and the analytic table
+(`metrics`) differ only in what they march and how they reduce it; each
+Monte Carlo driver takes ``(problem, study, n_samples, threads)``.
 Per-sample series are reduced in a fixed pairwise tree keyed by sample
 index; since a sample's numbers do not depend on its batch, the aggregate is
 identical for any worker count.  Sample paths come from per-index
@@ -28,9 +30,11 @@ from .diffusion import Diffusion
 from .drift import PolynomialDrift
 from .fem import FeSpace
 from .mesh import build_interval_mesh, build_unit_square_tri_mesh
-from .noise import sample_path
+from .noise import BrownianPath, sample_path
 from .quadrature import interval_rule, triangle_rule
-from .stepper import BLOCK_POINTS, SchemeConfig, WaveStepper, initial_state
+from .stepper import (
+    BLOCK_POINTS, Observer, SchemeConfig, Trajectory, WaveStepper, initial_state,
+)
 
 __all__ = [
     "ProblemSpec",
@@ -111,7 +115,8 @@ class ProblemSpec:
     """The problem every study of an experiment solves; must pickle.
 
     A study adds its mesh levels and time steps: `spaces` builds the former,
-    `scheme_config` turns a step size and a final time into a `SchemeConfig`.
+    `scheme_config` turns a step size and a final time into a `SchemeConfig`,
+    and `march` steps paths on a space under such a config.
     """
 
     dimension: int
@@ -144,6 +149,15 @@ class ProblemSpec:
         """
         build = build_interval_mesh if self.dimension == 1 else build_unit_square_tri_mesh
         return {l: FeSpace(build(l), self.degree, self.quad_degree) for l in sorted(set(levels))}
+
+    def march(
+        self, space: FeSpace, cfg: SchemeConfig, paths: Sequence[BrownianPath],
+        observe: Observer | None = None,
+    ) -> Trajectory:
+        """Step the paths as one batch on the space, or direct sum of spaces,
+        from h1 and h2 projected onto it (see `WaveStepper.run`)."""
+        stepper = WaveStepper(space, self.drift, self.diffusion, cfg)
+        return stepper.run(paths, initial_state(space, self.h1, self.h2), observe)
 
     def points_per_sample(self, level: int) -> int:
         """Quadrature points of one sample's field on the mesh at this level."""
@@ -229,9 +243,8 @@ def _run_batch(task: tuple[tuple[ProblemSpec, StabilityStudy], range]) -> list[S
     (problem, study), indices = task
     space = problem.spaces([study.level])[study.level]
     cfg = problem.scheme_config(study.tau, study.T)
-    stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
     paths = [sample_path(problem.master_seed, idx, cfg.n_steps, cfg.tau) for idx in indices]
-    traj = stepper.run(paths, initial_state(space, problem.h1, problem.h2))
+    traj = problem.march(space, cfg, paths)
     out = [SampleRecord(indices[pos], failure=str(exc)) for pos, exc in traj.failures.items()]
     violations = traj.max_energy_violation
     for row, pos in enumerate(traj.samples):

@@ -178,7 +178,10 @@ class FeSpace:
             self._init_interval()
         else:
             self._init_triangles()
-        self.offsets = np.array([0, self.n_dofs])  # as the direct sum of itself alone
+        # as the direct sum of itself alone: its dofs, and its quadrature
+        # points in cell-major order
+        self.offsets = np.array([0, self.n_dofs])
+        self.point_offsets = np.array([0, self.wdet.size])
 
     # -- construction -------------------------------------------------------
 
@@ -332,15 +335,16 @@ class DirectSum(FeSpace):
     """The direct sum of finite element spaces, one coefficient vector for all.
 
     A space whose cells are its members' cells, stacked in member order, with
-    member i's dofs shifted to rows ``offsets[i]:offsets[i + 1]``; its
-    quadrature points follow those of the members before it.  Every operator
-    comes from `FeSpace`'s own assembly and is block-diagonal by construction:
+    member i's dofs shifted to rows ``offsets[i]:offsets[i + 1]`` and its
+    quadrature points, in the order of Q, at rows
+    ``point_offsets[i]:point_offsets[i + 1]``.  Every operator comes from
+    `FeSpace`'s own assembly and is block-diagonal by construction:
     each row holds its member's row, shifted, summed in the same order, so
     every product row has the bits of the member's own operator, and its mass
     matrix is factored block by block (see `linsolve.spd_solver`).  The
     members share a dimension, a degree and a cell rule.  A sum has no single
-    mesh, so `transfer_matrix` takes plain spaces.  A plain `FeSpace` is the
-    direct sum of itself alone (see `direct_sum`).
+    mesh and no dof coordinates, so `transfer_matrix` takes plain spaces.  A
+    plain `FeSpace` is the direct sum of itself alone (see `direct_sum`).
     """
 
     members: tuple[FeSpace, ...] = ()  # set per instance, over FeSpace's property
@@ -358,10 +362,11 @@ class DirectSum(FeSpace):
         self.degree, self.quad_degree, self.phi = first.degree, first.quad_degree, first.phi
         self.offsets = np.cumsum([0] + [m.n_dofs for m in self.members])
         self.n_dofs = int(self.offsets[-1])
+        self.point_offsets = np.cumsum([0] + [m.wdet.size for m in self.members])
         self.cell_dofs = np.concatenate(
             [m.cell_dofs + a for m, a in zip(self.members, self.offsets)]
         )
-        for name in ("wdet", "grad_phys", "qpoints", "dof_coords"):
+        for name in ("wdet", "grad_phys", "qpoints"):
             setattr(self, name, np.concatenate([getattr(m, name) for m in self.members]))
 
 

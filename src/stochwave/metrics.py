@@ -27,7 +27,7 @@ from .ensemble import (
 from .fem import CsrProduct, FeSpace, direct_sum, transfer_matrix
 from .fields import Constant, CosineProduct, LinearWaveSolution
 from .noise import BrownianPath, coarsen, sample_path
-from .stepper import WaveStepper, column_sums, initial_state
+from .stepper import column_sums
 
 __all__ = [
     "RateStudy",
@@ -154,14 +154,6 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
     spaces = problem.spaces([l for l, _ in rows] + [ref_level])
     ref_space = spaces[ref_level]
     MKref, Mref = _error_products(ref_space)
-    inits = {}
-
-    def initial(levels):
-        if levels not in inits:
-            space = direct_sum([spaces[l] for l in levels])
-            inits[levels] = initial_state(space, problem.h1, problem.h2)
-        return inits[levels]
-
     factors = [round(cfg.tau / ref_cfg.tau) for _, cfg in rows]
     stride = math.gcd(*factors)
     shape = (ref_cfg.n_steps // stride + 1, S, ref_space.n_dofs)
@@ -186,8 +178,7 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
         for run in sorted(traj.failures):  # the first row a sample fails on names it
             failure.setdefault(int(alive[run % alive.size]), str(traj.failures[run]))
 
-    ref_stepper = WaveStepper(ref_space, problem.drift, problem.diffusion, ref_cfg)
-    absorb(ref_stepper.run(ref_paths, initial((ref_level,)), observe=keep), np.arange(S))
+    absorb(problem.march(ref_space, ref_cfg, ref_paths, keep), np.arange(S))
     groups: dict = {}  # the rows of each scheme config, in row order
     for i, (_, cfg) in enumerate(rows):
         groups.setdefault(cfg, []).append(i)
@@ -196,8 +187,7 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
         alive = np.array([p for p in range(S) if p not in failure], dtype=np.int64)
         if not alive.size:
             break
-        levels = tuple(rows[i][0] for i in group)
-        members = [spaces[l] for l in levels]
+        members = [spaces[rows[i][0]] for i in group]
         space = direct_sum(members)
         lifts = [
             None if m is ref_space else CsrProduct(transfer_matrix(m, ref_space))
@@ -218,11 +208,9 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
                 sq = _error_sq(E, Uc, Vc, Urc, Vrc, MKref, Mref)
                 errs[i][:, pos, n0 : n0 + k] = sq.reshape(3, k, s).transpose(0, 2, 1)
 
-        # coupling contract: every row path is the exactly-summed reference path
+        # every row path is the exactly-summed reference path
         paths = [coarsen(ref_paths[p], factor) if factor > 1 else ref_paths[p] for p in alive]
-        assert all(math.isclose(p.tau, cfg.tau, rel_tol=1e-12) for p in paths)
-        stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
-        absorb(stepper.run(paths, initial(levels), observe=compare), alive)
+        absorb(problem.march(space, cfg, paths, compare), alive)
     # a row is left unstepped only when every sample has failed
     return [
         SampleRecord(
@@ -257,10 +245,21 @@ def convergence_table(
     if mode == "spatial":
         row_keys = [(l, taus[0]) for l in levels]
         ref_level, ref_tau = levels[-1] * 2**extra, taus[0]
+        # the mesh size is the cell diameter: 1/l in 1D, sqrt(2)/l in 2D
+        h = np.sqrt(2.0) if problem.dimension == 2 else 1.0
+        params = np.array([h / l for l in levels])
+        reference = (
+            f"same-path run at level {ref_level} "
+            f"({extra} extra refinement(s)), tau={ref_tau:g}"
+        )
     else:
         row_keys = [(levels[0], t) for t in taus]
         ref_level, ref_tau = levels[0], taus[-1] / 2**extra
-
+        params = np.array(taus)
+        reference = (
+            f"same-path run at tau={ref_tau:g} "
+            f"({extra} extra halving(s)), level {ref_level}"
+        )
     runs = tuple(
         (l, problem.scheme_config(t, study.T)) for l, t in [(ref_level, ref_tau), *row_keys]
     )
@@ -272,20 +271,6 @@ def convergence_table(
         np.array([sup_rms(np.stack([r.series[k][j] for r in good])) for k in range(len(row_keys))])
         for j in range(3)
     )
-    if mode == "spatial":
-        # the mesh size is the cell diameter: 1/l in 1D, sqrt(2)/l in 2D
-        h = np.sqrt(2.0) if problem.dimension == 2 else 1.0
-        params = np.array([h / l for l in levels])
-        reference = (
-            f"same-path run at level {ref_level} "
-            f"({extra} extra refinement(s)), tau={ref_tau:g}"
-        )
-    else:
-        params = np.array(taus)
-        reference = (
-            f"same-path run at tau={ref_tau:g} "
-            f"({extra} extra halving(s)), level {ref_level}"
-        )
     return ErrorTable(
         mode=mode,
         params=params,
@@ -331,13 +316,12 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
     exact = LinearWaveSolution(k=problem.h1.kx)
     levels, tau = study.levels, study.tau
     cfg = problem.scheme_config(tau, study.T)
-    n_steps = cfg.n_steps
     spaces = problem.spaces(levels)
     space = direct_sum([spaces[l] for l in levels])
     grad_phys = space.grad_phys[..., 0]
     # the quadrature points and weights, one row per point in the order of Q
     xq, w = space.qpoints.reshape(-1, 1), space.wdet.reshape(-1, 1)
-    points = np.cumsum([0] + [m.wdet.size for m in space.members])
+    points = space.point_offsets
     worst = np.zeros((3, len(levels)))  # per level, the largest squared L2, H1, d_t errors
     before = None  # the error values of the node before the window
 
@@ -364,9 +348,7 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
                 np.maximum(row, quadrature(e * e).max(axis=1), out=row)
 
     # all levels march as one column: a run per level, one path of zero increments
-    stepper = WaveStepper(space, problem.drift, problem.diffusion, cfg)
-    path = BrownianPath(tau, np.zeros(n_steps))
-    traj = stepper.run([path], initial_state(space, problem.h1, problem.h2), observe=reduce)
+    traj = problem.march(space, cfg, [BrownianPath(tau, np.zeros(cfg.n_steps))], reduce)
     if traj.failures:
         raise traj.failures[min(traj.failures)]
     l2, h1_err, dtl2 = np.sqrt(worst)

@@ -54,27 +54,30 @@ and every bit stays as ``@`` makes it.
 
 Runs.  The space is a direct sum of member spaces that share the scheme
 config and the paths: a `fem.DirectSum`, such as the meshes of a spatial
-ladder, or a plain space, the direct sum of itself alone, which steps by
-the same code.  A direct sum is itself a `fem.FeSpace`, on its members'
-cells stacked in member order, so the stepper reads its operators, its
-quadrature weights and its initial projection from the space alone.  The
-block has sum(n_dofs) rows, and each (member, sample)
-pair is a *run*, numbered member-major: member m's sample s is run m S + s.
-Every test above, and every record of the march, is a run's own: its
-max-norm (over its member's rows), tolerance, contraction test, polish,
-full-Newton fallback, iteration count, failure and energy ledger.  Every
-operator assembled on the stacked cells is block-diagonal, so a product,
-the drift and the ledger's segment sums give each run the bits of its
-member's own march.  A round
-corrects the columns that hold an active run; the other runs of those
-columns get rows of zeros in the residual, so the shared frozen solve gives
-them exactly zero corrections (see `linsolve.spd_solver` for the
-block-diagonal factor), and their rows are not written back.  A run that
-falls back to full Newton takes it on the stepper of its member (this one,
-when the space is the member).  A failed run ends its column: the column is
-dropped, and the column's other runs are reported with its error.  The one
-exception to bit-identical runs is a tridiagonal direct sum in which a
-correction overflows: 0 times inf puts a NaN into a neighbouring member.
+ladder, or a plain space, the direct sum of itself alone, which steps by the
+same code.  A direct sum is itself a `fem.FeSpace`, on its members' cells
+stacked in member order, so the stepper reads its operators, its quadrature
+weights, their split by member (``point_offsets``) and its initial
+projection from the space alone.  The block has sum(n_dofs) rows, and each
+(member, sample) pair is a *run*, numbered member-major: member m's sample s
+is run m S + s.  Every test above, and every record of the march, is a run's
+own: its max-norm (over its member's rows), tolerance, contraction test,
+polish, full-Newton fallback, iteration count, failure and energy ledger.
+Every operator assembled on the stacked cells is block-diagonal, so a
+product, the drift and the ledger's segment sums give each run the bits of
+its member's own march.  A round corrects the columns that hold an active
+run; the other runs of those columns get rows of zeros in the residual, so
+the shared frozen solve gives them exactly zero corrections (see
+`linsolve.spd_solver` for the block-diagonal factor), and their rows are not
+written back.  A run that falls back to full Newton takes it on this
+stepper's own operators: its Jacobian is assembled on its member alone and
+factored with the member's block of A (with a zero drift the frozen factor
+is exact, and the residual's other rows are zeroed as in a round), each
+iterate's product and residual cover its whole column, and only its rows are
+written back.  A failed run ends its column: the column is dropped, and the
+column's other runs are reported with its error.  The one exception to
+bit-identical runs is a tridiagonal direct sum in which a correction
+overflows: 0 times inf puts a NaN into a neighbouring member.
 
 Rounds.  The active runs are those above the tolerance or with the polish
 due.  A round gives each of them one frozen correction, so every active run
@@ -262,8 +265,8 @@ def initial_state(space: FeSpace, h1: Callable, h2: Callable) -> tuple[np.ndarra
 class WaveStepper:
     """Advances the scheme on a fixed space or direct sum of spaces.
 
-    Immutable after construction, but for the member steppers that a direct
-    sum builds the first time one of its runs falls back to full Newton.
+    Immutable after construction: a march, full Newton included, builds no
+    operator but the Jacobian of a run that falls back to it.
     """
 
     def __init__(
@@ -291,10 +294,8 @@ class WaveStepper:
         self.W = CsrProduct(sp.vstack(blocks, format="csr"))
         self.mass_product = CsrProduct(M)
         self.load_product = space.load_product
-        members = space.members
-        self._members = len(members)
-        offsets = space.offsets
-        points = np.cumsum([0] + [m.wdet.size for m in members])
+        offsets, points = space.offsets, space.point_offsets
+        self._members = len(offsets) - 1
         self._starts = offsets[:-1]
         # per member: its rows of a coefficient block, of the products W c
         # (its rows of A c, M c, K c and Q c) and of the quadrature values
@@ -306,7 +307,7 @@ class WaveStepper:
                 np.concatenate([np.arange(b[m], b[m + 1]) + shift for b, shift in spans]),
                 slice(points[m], points[m + 1]),
             )
-            for m in range(len(members))
+            for m in range(self._members)
         ]
         # the ledger's column sums of u.Mu, u.Ku, v.Mv, (w V(u_q),) dv.dMv,
         # du.dKu (and g.v): row r, one per block of its products and member,
@@ -321,17 +322,6 @@ class WaveStepper:
         w0 = self._jacobian_weight(np.zeros(1), np.zeros(1))[0]
         self._frozen_solve = spd_solver(self.A - self._tau2 * w0 * M, offsets)
         self._frozen_is_exact = drift.is_linear
-        self._parts: dict[int, WaveStepper] = {}
-
-    def _part(self, m: int) -> WaveStepper:
-        """The stepper of member m alone, which steps its runs' full Newton:
-        this one when its space is the member."""
-        member = self.space.members[m]
-        if member is self.space:
-            return self
-        if m not in self._parts:
-            self._parts[m] = WaveStepper(member, self.drift, self.diffusion, self.config)
-        return self._parts[m]
 
     # -- pointwise drift terms at quadrature points ---------------------------
 
@@ -463,7 +453,7 @@ class WaveStepper:
             for i in rejected:  # continues alone with full Newton
                 j = act[i]
                 try:
-                    iters[j] = taken - 1 + self._newton_run(
+                    iters[j] = taken - 1 + self._newton(
                         step, j, C, P, R, rhs, unq, tol[j], taken - 1, _history(rounds, j)
                     )
                 except (NewtonDivergedError, LinearSolveError) as exc:
@@ -472,52 +462,44 @@ class WaveStepper:
             act = going
         return C, P, iters, errors
 
-    def _newton_run(
+    def _newton(
         self, step: int, j: int, C: np.ndarray, P: np.ndarray, R: np.ndarray,
         rhs: np.ndarray, unq: np.ndarray | None, tol: float, iters: int, history: list[float],
     ) -> int:
-        """Full Newton on run j from its last accepted iterate, by the stepper
-        of its member alone; writes the run's rows of C, P = W C and R(C)."""
+        """Full Newton on run j from its last accepted iterate.
+
+        Corrects only the run's rows of its column, with the Jacobian of its
+        member, assembled on the member alone.  Each iterate's product W x
+        and residual are formed on the whole column, whose other rows keep
+        their values; only the run's rows of C, P = W C and R(C) are written
+        back.  Returns the number of corrections taken.
+        """
         m, c = divmod(j, C.shape[1])
         rows, wrows, qrows = self._rows[m]
+        member, A = self.space.members[m], self.A[rows, rows]
+        n = C.shape[0]
         s = slice(c, c + 1)
-        p = P[wrows, s]
-        taken = self._part(m)._newton(
-            step, C[rows, s], p, R[rows, s], tol, iters, history,
-            rhs[rows, s], None if unq is None else unq[qrows, s],
-        )
-        P[wrows, s] = p
-        return taken
-
-    def _newton(
-        self, step: int, c: np.ndarray, p: np.ndarray, r: np.ndarray, tol: float, iters: int,
-        history: list[float], rhs: np.ndarray, unq: np.ndarray | None,
-    ) -> int:
-        """Full Newton on one column from its last accepted iterate.
-
-        Updates the (n_dofs, 1) view c, the (rows of W, 1) view p of W c and
-        the (n_dofs, 1) view r of R(c) in place; returns the number of
-        corrections taken.
-        """
-        n = c.shape[0]
+        x, p, r = C[:, s].copy(), P[:, s], R[:, s]
+        b, uq = rhs[:, s], None if unq is None else unq[:, s]
         taken = 0
         while history[-1] > tol:
             if iters + taken >= NEWTON_MAX_ITER:
                 raise NewtonDivergedError(step, history)
             if self._drift_is_zero:  # J0 is the exact Jacobian
-                solve = self._frozen_solve
+                run_r = np.zeros_like(r)  # zero rows solve to zero corrections
+                run_r[rows] = r[rows]
+                x = x - self._frozen_solve(run_r)
             else:
-                w = self._jacobian_weight(p[3 * n :, 0], unq[:, 0])
-                weighted = assemble_weighted_mass(self.space, w.reshape(self.space.wdet.shape))
-                solve = spd_solver(self.A - self._tau2 * weighted)
-            trial = c - solve(r)
-            p_new = self.W(trial)
-            r_new, rn = self._residual(p_new, rhs, unq)
-            history.append(float(rn[0]))
+                w = self._jacobian_weight(p[3 * n :][qrows, 0], uq[qrows, 0])
+                weighted = assemble_weighted_mass(member, w.reshape(member.wdet.shape))
+                x[rows] -= spd_solver(A - self._tau2 * weighted)(r[rows])
+            p = self.W(x)
+            r, rn = self._residual(p, b, uq)
+            history.append(float(rn[m]))
             if not math.isfinite(history[-1]):
                 raise NewtonDivergedError(step, history)
-            c[...], p[...], r[...] = trial, p_new, r_new
             taken += 1
+        C[rows, c], P[wrows, c], R[rows, c] = x[rows, 0], p[wrows, 0], r[rows, 0]
         return taken
 
     # -- stepping ----------------------------------------------------------------

@@ -323,7 +323,11 @@ def test_direct_sum_operators_apply_each_members_own(dim, degree):
         _assert_same_csr(operator(space), sp.block_diag([operator(m) for m in members]))
     X = np.random.default_rng(5).standard_normal((space.n_dofs, 3))
     Y = np.random.default_rng(6).standard_normal((space.load_product.shape[1], 3))
-    q = np.cumsum([0] + [m.wdet.size for m in members])
+    # point_offsets split the quadrature points by member
+    q = space.point_offsets
+    split = np.split(space.wdet.ravel(), q[1:-1])
+    assert q[0] == 0 and q[-1] == space.wdet.size and len(split) == len(members)
+    assert all(np.array_equal(w, m.wdet.ravel()) for w, m in zip(split, members))
     for m, a, b, qa, qb in zip(members, space.offsets, space.offsets[1:], q, q[1:]):
         # every row is its member's row, summed in the same order
         assert np.array_equal((space.mass @ X)[a:b], m.mass @ X[a:b])
@@ -363,6 +367,7 @@ def test_a_plain_space_is_the_direct_sum_of_itself():
     space = FeSpace(build_interval_mesh(4), 1)
     assert space.members == (space,)
     assert list(space.offsets) == [0, space.n_dofs]
+    assert list(space.point_offsets) == [0, space.wdet.size]
     assert direct_sum([space]) is space
     assert isinstance(direct_sum([space, space]), DirectSum)
 

@@ -6,9 +6,10 @@ import stochwave.metrics
 import stochwave.stepper
 from stochwave.diffusion import Diffusion
 from stochwave.drift import MODIFIED_CN, PolynomialDrift
-from stochwave.fem import FeSpace
+from stochwave.fem import DirectSum, FeSpace
 from stochwave.fields import Constant, CosineProduct
 from stochwave.ensemble import EnsembleFailureError, ProblemSpec
+from stochwave.experiments import preset_config
 from stochwave.mesh import build_interval_mesh, refine_uniform
 from stochwave.metrics import (
     AnalyticStudy,
@@ -139,6 +140,33 @@ def test_rate_rows_match_error_norms_of_stored_states(mode):
         assert table.l2[k] == np.max(l2)
         assert table.h1[k] == np.max(h1_err)
         assert table.dtl2[k] == np.max(dt)
+
+
+def test_a_rate_block_builds_one_space_and_stepper_per_march(monkeypatch):
+    # test1a's ladders, two samples: the spatial rows share one direct sum,
+    # which is both projected onto and stepped; a temporal table marches its
+    # reference and each of its six rows on the one plain space
+    built = {"sums": 0, "steppers": 0}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def counted(self, *args):
+            built[key] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    counting(DirectSum, "sums")
+    counting(WaveStepper, "steppers")
+    cfg = preset_config("test1a")
+    spatial, temporal = cfg.studies
+    want = {"spatial": {"sums": 1, "steppers": 2}, "temporal": {"sums": 0, "steppers": 7}}
+    for study in (spatial, temporal):
+        built.update(sums=0, steppers=0)
+        table = convergence_table(cfg.problem(), study, n_samples=2, threads=1)
+        assert table.n_samples == 2
+        assert built == want[study.mode]
 
 
 def test_path_coupling_is_exact():

@@ -477,6 +477,50 @@ def test_a_chord_rejection_runs_full_newton_on_its_run_only(monkeypatch):
     assert not march.failures
 
 
+def test_a_direct_sum_march_builds_no_stepper_while_it_runs(monkeypatch):
+    # the run that falls back to full Newton takes it on the march's own
+    # operators, so no stepper of its member is built
+    members, cfg, paths = _one_fallback_case()
+    space = DirectSum(members)
+    stepper = WaveStepper(space, DEG11, Diffusion.linear(1.0), cfg)
+    init = initial_state(space, CosineProduct(kx=1), Constant(0.5))
+    assemblies = _count_assemblies(monkeypatch)
+    built = []
+    build = WaveStepper.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        build(self, *args)
+
+    monkeypatch.setattr(WaveStepper, "__init__", counted)
+    march = stepper.run(paths, init)
+    assert assemblies and not march.failures  # a run fell back, and finished
+    assert built == []
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["tridiagonal", "superlu"])
+def test_zero_drift_full_newton_of_a_run_equals_its_own_march(monkeypatch, degree):
+    # every frozen correction is rejected here, so every run finishes each
+    # step with full Newton; with a zero drift its Jacobian is the frozen
+    # factor, solved on the run's whole column with the other runs' rows zeroed
+    monkeypatch.setattr(stochwave.stepper, "CHORD_CONTRACTION", 0.0)
+    newton = WaveStepper._newton
+    calls = []
+
+    def counted(self, step, j, *args):
+        calls.append(j)
+        return newton(self, step, j, *args)
+
+    monkeypatch.setattr(WaveStepper, "_newton", counted)
+    members = [_space(l, ZERO, degree) for l in (4, 8, 16)]
+    cfg = SchemeConfig(tau=0.01, n_steps=6)
+    paths = [sample_path(5, k, 6, 0.01) for k in range(3)]
+    march = _assert_runs_match_own_marches(
+        members, ZERO, Diffusion.linear(1.0), cfg, paths, CosineProduct(kx=1)
+    )
+    assert not march.failures and set(calls) == set(range(9))
+
+
 def test_a_failed_run_drops_its_column_and_leaves_the_others_intact(monkeypatch):
     # full Newton meets a Jacobian made indefinite here, so the one run that
     # falls back fails: its column ends, the level-8 run of sample 4 with it
@@ -510,8 +554,6 @@ def test_spaces_and_steppers_are_freed_by_reference_counting():
             stepper = WaveStepper(space, DEG11, Diffusion.linear(1.0), cfg)
             stepper.run(paths, initial_state(space, *init))
             refs += [weakref.ref(space), weakref.ref(stepper)]
-        assert stepper._parts  # the sum's fallback built its member's stepper
-        refs.append(weakref.ref(stepper._parts[0]))
         del members, space, stepper
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
