@@ -89,9 +89,11 @@ class PolynomialDrift:
             acc = acc * u + j * self.coeffs[j - 1]
         return acc
 
-    def potential(self, u):
+    def potential(self, u, out=None):
         """V(u) = -sum a_j/(j+1) u^{j+1}, by Horner evaluation from the top
-        nonzero coefficient; zero coefficients add nothing and are skipped."""
+        nonzero coefficient; zero coefficients add nothing and are skipped.
+        Written into ``out`` if given (an array of u's shape that shares no
+        memory with u), and returned."""
         u = np.asarray(u, dtype=float)
         acc = None
         for j in range(self.q, 0, -1):
@@ -101,9 +103,12 @@ class PolynomialDrift:
                     acc -= aj / (j + 1)
                 acc *= u
             elif aj != 0.0:
-                acc = -(aj / (j + 1)) * u
+                acc = np.multiply(-(aj / (j + 1)), u, out=out)
         if acc is None:
-            return np.zeros(u.shape)
+            if out is None:
+                return np.zeros(u.shape)
+            out.fill(0.0)
+            return out
         acc *= u
         return acc
 

@@ -298,19 +298,25 @@ class FeSpace:
     def mass_solve(self) -> Callable[[np.ndarray], np.ndarray]:
         return spd_solver(self.mass, self.offsets)
 
-    @cached_property
-    def qpoint_product(self) -> CsrProduct:
-        """Q with (Q c)[cell * nq + q] = value of c at quadrature point q of cell."""
+    def point_matrix(self, local: np.ndarray) -> sp.csr_matrix:
+        """P with (P c)[cell * nq + q] = sum over l of local[cell, q, l] c[cell_dofs[cell, l]].
+
+        ``local`` broadcasts to (n_cells, nq, n_local): the local basis
+        values give Q, the x-derivatives of the local basis its derivative.
+        """
         nc, nl = self.cell_dofs.shape
         nq = self.phi.shape[1]
         rows = np.broadcast_to(np.arange(nc * nq).reshape(nc, nq, 1), (nc, nq, nl))
         cols = np.broadcast_to(self.cell_dofs[:, None, :], (nc, nq, nl))
-        vals = np.broadcast_to(self.phi.T, (nc, nq, nl))
-        return CsrProduct(
-            sp.coo_matrix(
-                (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nc * nq, self.n_dofs)
-            ).tocsr()
-        )
+        vals = np.broadcast_to(local, (nc, nq, nl))
+        return sp.coo_matrix(
+            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nc * nq, self.n_dofs)
+        ).tocsr()
+
+    @cached_property
+    def qpoint_product(self) -> CsrProduct:
+        """Q with (Q c)[cell * nq + q] = value of c at quadrature point q of cell."""
+        return CsrProduct(self.point_matrix(self.phi.T))
 
     @cached_property
     def load_product(self) -> CsrProduct:

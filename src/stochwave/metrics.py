@@ -308,7 +308,11 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
     With zero drift and noise, cosine initial displacement and zero initial
     velocity, the solution is `LinearWaveSolution` with the cosine's
     frequency.  Errors are quadrature norms of u_h - u on each level's own
-    space, along one path whose increments are all 0.
+    space, along one path whose increments are all 0.  All levels march as
+    one direct sum.  A window of nodes takes one product by the stacked
+    [Q; G] (values and x-derivatives at the points) and one that sums each
+    (error kind, level) over that level's weighted points in point order, so
+    a level's numbers depend neither on the other levels nor on the window.
     """
     problems = analytic_problems(problem) + ladder_problems("spatial", study.levels, [study.tau])
     if problems:
@@ -318,34 +322,41 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
     cfg = problem.scheme_config(tau, study.T)
     spaces = problem.spaces(levels)
     space = direct_sum([spaces[l] for l in levels])
-    grad_phys = space.grad_phys[..., 0]
-    # the quadrature points and weights, one row per point in the order of Q
-    xq, w = space.qpoints.reshape(-1, 1), space.wdet.reshape(-1, 1)
-    points = space.point_offsets
-    worst = np.zeros((3, len(levels)))  # per level, the largest squared L2, H1, d_t errors
-    before = None  # the error values of the node before the window
-
-    def quadrature(vals: np.ndarray) -> np.ndarray:
-        """Per level and node, the weighted sum of its points' values: each
-        sum over a contiguous row of that level's points, so the bits do not
-        depend on the other levels or nodes (see `column_sums`)."""
-        rows = np.ascontiguousarray((vals * w).T)
-        return np.array([rows[:, a:b].sum(axis=1) for a, b in zip(points[:-1], points[1:])])
+    n_q = space.wdet.size
+    G = space.point_matrix(space.grad_phys[..., 0].transpose(0, 2, 1))  # d/dx at the points
+    values_and_dx = CsrProduct(sp.vstack([space.qpoint_product.matrix, G], format="csr"))
+    # row (kind, level) holds the level's weights over the kind's block of points
+    L, points = len(levels), space.point_offsets
+    cols = np.arange(3 * n_q)
+    rows = cols // n_q * L + np.searchsorted(points, cols % n_q, side="right") - 1
+    weighted_sums = CsrProduct(
+        sp.csr_matrix((np.tile(space.wdet.ravel(), 3), (rows, cols)), shape=(3 * L, 3 * n_q))
+    )
+    xq = space.qpoints.reshape(-1, 1)  # one row per point, in the order of Q
+    worst = np.zeros((3, L))  # per level, the largest squared L2, H1, d_t errors
+    before = np.empty(n_q)  # the value error of the node before the window
+    buffer = np.empty(0)
 
     def reduce(n0, live, Un, Vn):
-        nonlocal before
+        nonlocal buffer
         k = Un.shape[0]
-        U = Un[:, 0].T  # one column per node
+        if buffer.size < 3 * n_q * k:
+            buffer = np.empty(3 * n_q * k)
+        errors = buffer[: 3 * n_q * k].reshape(3 * n_q, k)
+        e_val, e_dx, e_dt = errors[:n_q], errors[n_q : 2 * n_q], errors[2 * n_q :]
         times = np.arange(n0, n0 + k) * tau
-        e_val = space.qpoint_product(U) - exact.value(xq, times)
-        grad = np.einsum("cln,clq->cqn", U[space.cell_dofs], grad_phys).reshape(-1, k)
-        e_grad = grad - exact.dx(xq, times)
-        joined = e_val if before is None else np.concatenate([before, e_val], axis=1)
-        de = np.diff(joined, axis=1) / tau
-        before = e_val[:, -1:]
-        for row, e in zip(worst, (e_val, e_grad, de)):
-            if e.shape[1]:  # node 0 alone has no step
-                np.maximum(row, quadrature(e * e).max(axis=1), out=row)
+        at_points = values_and_dx(Un[:, 0].T)  # one column per node
+        np.subtract(at_points[:n_q], exact.value(xq, times), out=e_val)
+        np.subtract(at_points[n_q:], exact.dx(xq, times), out=e_dx)
+        np.subtract(e_val[:, 1:], e_val[:, :-1], out=e_dt[:, 1:])
+        if n0:
+            np.subtract(e_val[:, 0], before, out=e_dt[:, 0])
+        else:  # node 0 alone has no step: a zero raises no maximum
+            e_dt[:, 0] = 0.0
+        e_dt /= tau
+        before[:] = e_val[:, -1]
+        errors *= errors
+        np.maximum(worst, weighted_sums(errors).max(axis=1).reshape(3, L), out=worst)
 
     # all levels march as one column: a run per level, one path of zero increments
     traj = problem.march(space, cfg, [BrownianPath(tau, np.zeros(cfg.n_steps))], reduce)

@@ -649,7 +649,7 @@ class _Ledger:
         np.multiply(U, B[n : 2 * n], out=E[n : 2 * n])
         np.multiply(V, MV, out=E[2 * n : 3 * n])
         if self.potential is not None:
-            E[3 * n : 3 * n + B.shape[0] - 2 * n] = self.potential(B[2 * n :])
+            self.potential(B[2 * n :], out=E[3 * n : 3 * n + B.shape[0] - 2 * n])
         return E
 
     def _hamiltonian(self, sums):

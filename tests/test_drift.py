@@ -222,6 +222,9 @@ def test_kernels_keep_the_bits_of_plain_horner(drift):
     before = base.copy()
     for u in (a, b, 0.7, 0.0):
         assert np.array_equal(drift.potential(u), reference_potential(drift, u))
+    buf = np.full(a.shape, np.nan)  # the ledger's row block of its product array
+    assert drift.potential(a, out=buf) is buf
+    assert buf.tobytes() == drift.potential(a).tobytes()  # bit for bit, signed zeros too
     for x, y in ((a, b), (b, a), (a, a), (1.7, 0.3), (0.0, 0.0)):
         assert np.array_equal(
             drift.potential_quotient(x, y), reference_potential_quotient(drift, x, y)

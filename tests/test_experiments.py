@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stochwave.stepper
 from stochwave.cli import main
 from stochwave.diffusion import Diffusion
 from stochwave.drift import SCHEMES, PolynomialDrift
@@ -368,6 +369,19 @@ def test_cli_warns_when_the_energy_contract_is_broken(tmp_path, capsys):
     assert "(in lin-det-check_analytic_rates.csv)" in warning[0]  # the worst study's CSV
     assert main(["--preset", "lin-det-check", "--out", str(tmp_path)]) == 0
     assert "warning" not in capsys.readouterr().err
+
+
+def test_cli_exits_1_when_the_computation_fails(tmp_path, capsys, monkeypatch):
+    # no correction is allowed, so every sample's first step fails
+    monkeypatch.setattr(stochwave.stepper, "NEWTON_MAX_ITER", 0)
+    assert main(["--preset", "test3a", "--samples", "2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: 2/2 samples failed")
+
+
+def test_cli_scheme_override_reaches_the_manifest(tmp_path):
+    assert main(["--preset", "lin-det-check", "--scheme", "implicit", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "lin-det-check_manifest.json").read_text())
+    assert manifest["config"]["scheme"] == "implicit"
 
 
 def test_cli_invalid_drift_exits_2(tmp_path, capsys):

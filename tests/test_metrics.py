@@ -300,6 +300,15 @@ def test_analytic_table_does_not_depend_on_the_block_width(monkeypatch):
     assert all(np.array_equal(t, tables[0]) for t in tables[1:])
 
 
+def test_analytic_table_levels_do_not_depend_on_the_other_levels():
+    # each level marches as its own run and sums over its own points only
+    problem = _problem(ZERO, Diffusion.zero())
+    wide = analytic_error_table(problem, AnalyticStudy(levels=[8, 16, 32], tau=1e-3, T=0.05))
+    narrow = analytic_error_table(problem, AnalyticStudy(levels=[16, 32], tau=1e-3, T=0.05))
+    for name in ("l2", "h1", "dtl2"):
+        assert np.array_equal(getattr(wide, name)[1:], getattr(narrow, name)), name
+
+
 def test_analytic_table_validates_ladder():
     for levels in ([8, 12], [], [0, 0]):
         with pytest.raises(ValueError, match="levels"):

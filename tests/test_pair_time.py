@@ -97,3 +97,43 @@ def test_summary_quartiles_wins_and_claim(pair_time):
     assert narrow["new_wins"] == 9 and not narrow["claim_holds"]  # gap 1 < IQR 2
     lost = pair_time.summary("lost", old, [x - 3.0 for x in old[:8]] + [15.0, 15.0])
     assert lost["new_wins"] == 8 and not lost["claim_holds"]
+
+
+def test_pairs_alternate_the_tree_that_runs_first(pair_time):
+    order = []
+    old, new = (lambda: order.append("old")), (lambda: order.append("new"))
+    pair_time.pairs(old, new, reps=2)
+    assert order[2:] == ["old", "new", "new", "old"]  # after one warm-up call each
+    order.clear()
+    pair_time.pairs(old, new, reps=2, new_first=True)
+    assert order[2:] == ["new", "old", "old", "new"]
+
+
+def test_a_losing_row_is_rerun_once_with_each_tree_first(pair_time, monkeypatch, capsys):
+    fast, slow = [1.0] * 10, [2.0] * 10
+    mixed = [1.0, 3.0] * 5  # the old tree wins 5 of 10 against ``[2.0] * 10``
+    results = iter([(fast, slow), (mixed, slow), (fast, [2.0] * 9 + [0.5])])
+    calls = []
+
+    def fake_run_apart(old_tree, new_tree, kind, arg, reps, new_first=False):
+        calls.append(new_first)
+        t_old, t_new = next(results)
+        return {"old": t_old, "new": t_new, "pid": 0}
+
+    monkeypatch.setattr(pair_time, "run_apart", fake_run_apart)
+    row = pair_time.time_row(None, None, "slower", "cli", [], reps=10)
+    assert calls == [False, False, True]  # the first run, then old first, then new first
+    assert row["loses"] and [r["loses"] for r in row["reruns"]] == [False, True]
+    assert row["loss_holds"]  # two of the three runs lost
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert "2 of 3 runs lost" in verdict and "loss holds" in verdict
+    assert "old won 10/10" in verdict and "old won 5/10" in verdict and "old won 9/10" in verdict
+
+    results = iter([(fast, slow), (mixed, slow), (mixed, slow)])
+    row = pair_time.time_row(None, None, "noise", "cli", [], reps=10)
+    assert not row["loss_holds"]
+    assert "1 of 3 runs lost" in capsys.readouterr().out.splitlines()[-1]
+
+    results, calls[:] = iter([(slow, fast)]), []
+    row = pair_time.time_row(None, None, "faster", "cli", [], reps=10)
+    assert calls == [False] and "reruns" not in row  # a row that wins is not rerun

@@ -27,7 +27,11 @@ per-pair ratios old / new (above 1: the new tree is faster) and the number
 of pairs the new tree won (a tie counts for neither).  A speed claim holds
 when the new tree wins at least nine tenths of the pairs and the gap
 between the medians exceeds the old tree's interquartile range; each row
-says whether it does.  BLAS runs on one thread.
+says whether it does.  Ten pairs can read a loss of nine on code that did
+not change, so a row whose old tree wins at least nine tenths of the pairs
+is rerun alone, once with each tree first, and a verdict line names all
+three runs: the loss holds when at least two of them lose.  BLAS runs on one
+thread.
 """
 
 from __future__ import annotations
@@ -144,12 +148,13 @@ def cli_run(tree, args: list[str], out: Path):
     return call
 
 
-def pairs(old, new, reps: int) -> tuple[list[float], list[float]]:
-    """Wall times of ``reps`` alternating pairs; odd pairs run new first."""
+def pairs(old, new, reps: int, new_first: bool = False) -> tuple[list[float], list[float]]:
+    """Wall times of ``reps`` alternating pairs; odd pairs run new first, or
+    even pairs with ``new_first``."""
     old(), new()  # warm both
     times = {old: [], new: []}
     for i in range(reps):
-        for fn in (old, new) if i % 2 == 0 else (new, old):
+        for fn in (new, old) if (i % 2 == 1) != new_first else (old, new):
             t = time.perf_counter()
             fn()
             times[fn].append(time.perf_counter() - t)
@@ -168,11 +173,11 @@ print(json.dumps(tool.run_job(json.load(sys.stdin))))
 """
 
 
-def run_apart(old_tree, new_tree, kind: str, arg, reps: int) -> dict:
+def run_apart(old_tree, new_tree, kind: str, arg, reps: int, new_first: bool = False) -> dict:
     """The pairs of one row, timed in a fresh Python process that loads both
     trees anew (see `run_job`): ``{"old": [...], "new": [...], "pid": ...}``."""
     trees = [str(Path(tree.__file__).parents[1]) for tree in (old_tree, new_tree)]
-    job = {"trees": trees, "kind": kind, "arg": arg, "reps": reps}
+    job = {"trees": trees, "kind": kind, "arg": arg, "reps": reps, "new_first": new_first}
     done = subprocess.run(
         [sys.executable, "-c", _CHILD, __file__],
         input=json.dumps(job), capture_output=True, text=True,
@@ -187,16 +192,17 @@ def run_job(job: dict) -> dict:
     ``analytic`` table (up to time ``arg``) or the ``cli`` arguments ``arg``."""
     old_tree = load_tree(job["trees"][0], "stochwave_old")
     new_tree = load_tree(job["trees"][1], "stochwave_new")
-    kind, arg, reps = job["kind"], job["arg"], job["reps"]
-    if kind == "case":
-        case = Case(**{**arg, "levels": tuple(arg["levels"])})
-        t_old, t_new = pairs(stepping_run(old_tree, case), stepping_run(new_tree, case), reps)
-    elif kind == "analytic":
-        t_old, t_new = pairs(analytic_run(old_tree, arg)[0], analytic_run(new_tree, arg)[0], reps)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
+    kind, arg = job["kind"], job["arg"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "case":
+            case = Case(**{**arg, "levels": tuple(arg["levels"])})
+            old, new = stepping_run(old_tree, case), stepping_run(new_tree, case)
+        elif kind == "analytic":
+            old, new = analytic_run(old_tree, arg)[0], analytic_run(new_tree, arg)[0]
+        else:
             old = cli_run(old_tree, arg, Path(tmp, "old"))
-            t_old, t_new = pairs(old, cli_run(new_tree, arg, Path(tmp, "new")), reps)
+            new = cli_run(new_tree, arg, Path(tmp, "new"))
+        t_old, t_new = pairs(old, new, job["reps"], job["new_first"])
     return {"old": t_old, "new": t_new, "pid": os.getpid()}
 
 
@@ -210,7 +216,8 @@ def quartiles(times: list[float]) -> tuple[float, float]:
 
 def summary(name: str, old: list[float], new: list[float], per: int = 1) -> dict:
     """Each tree's median and quartiles (per ``per`` units), the median pair
-    ratio old / new, the pairs the new tree won and whether a claim holds."""
+    ratio old / new, the pairs each tree won, whether a claim holds and
+    whether the row loses (the old tree won nine tenths of the pairs)."""
     old_q1, old_q3 = (q / per for q in quartiles(old))
     new_q1, new_q3 = (q / per for q in quartiles(new))
     row = {
@@ -223,11 +230,13 @@ def summary(name: str, old: list[float], new: list[float], per: int = 1) -> dict
         "new_q3": new_q3,
         "ratio": statistics.median(a / b for a, b in zip(old, new)),
         "new_wins": sum(b < a for a, b in zip(old, new)),
+        "old_wins": sum(a < b for a, b in zip(old, new)),
         "pairs": len(old),
     }
     row["claim_holds"] = (
         row["new_wins"] >= 0.9 * row["pairs"] and row["old"] - row["new"] > old_q3 - old_q1
     )
+    row["loses"] = row["old_wins"] >= 0.9 * row["pairs"]
     print(
         f"{name:32s} old {row['old']:.4g} s [{old_q1:.4g}, {old_q3:.4g}]  "
         f"new {row['new']:.4g} s [{new_q1:.4g}, {new_q3:.4g}]  "
@@ -238,29 +247,57 @@ def summary(name: str, old: list[float], new: list[float], per: int = 1) -> dict
     return row
 
 
+def time_row(old_tree, new_tree, name: str, kind: str, arg, reps: int, per: int = 1) -> dict:
+    """The summary of one row's pairs.  A row that loses is rerun alone, once
+    with each tree first; its summary then lists the reruns' summaries under
+    ``reruns``, ``loss_holds`` says whether two of the three runs lost, and a
+    verdict line names all three."""
+    t = run_apart(old_tree, new_tree, kind, arg, reps)
+    row = summary(name, t["old"], t["new"], per)
+    if not row["loses"]:
+        return row
+    runs = [row]
+    for first in ("old", "new"):
+        t = run_apart(old_tree, new_tree, kind, arg, reps, new_first=first == "new")
+        runs.append(summary(f"{name} (rerun, {first} first)", t["old"], t["new"], per))
+    row["reruns"] = runs[1:]
+    lost = sum(r["loses"] for r in runs)
+    row["loss_holds"] = lost >= 2
+    named = ", ".join(
+        f"{label} {r['ratio']:.3f} (old won {r['old_wins']}/{r['pairs']})"
+        for label, r in zip(("first run", "old first", "new first"), runs)
+    )
+    print(
+        f"{name:32s} verdict: {lost} of 3 runs lost ({named}); "
+        f"loss {'holds' if row['loss_holds'] else 'not confirmed'}",
+        flush=True,
+    )
+    return row
+
+
 def time_cases(old_tree, new_tree, cases, reps: int) -> list[dict]:
     """Pairs of ``WaveStepper.run`` per case, reported per sample-step."""
-    rows = []
-    for case in cases:
-        t = run_apart(old_tree, new_tree, "case", asdict(case), reps)
-        rows.append(summary(case.name + " /step", t["old"], t["new"], case.samples * case.steps))
-    return rows
+    return [
+        time_row(
+            old_tree, new_tree, case.name + " /step", "case", asdict(case), reps,
+            case.samples * case.steps,
+        )
+        for case in cases
+    ]
 
 
 def time_analytic(old_tree, new_tree, reps: int, T: float | None = None) -> dict:
     """Pairs of the ``lin-det-check`` analytic table, reported per sample-step."""
     _, steps = analytic_run(new_tree, T)
-    t = run_apart(old_tree, new_tree, "analytic", T, reps)
-    return summary("analytic lin-det-check /step", t["old"], t["new"], steps)
+    return time_row(old_tree, new_tree, "analytic lin-det-check /step", "analytic", T, reps, steps)
 
 
 def time_workloads(old_tree, new_tree, workloads, reps: int) -> list[dict]:
     """Pairs of whole CLI calls per workload."""
-    rows = []
-    for name, args in workloads.items():
-        t = run_apart(old_tree, new_tree, "cli", args, reps)
-        rows.append(summary("cli " + name, t["old"], t["new"]))
-    return rows
+    return [
+        time_row(old_tree, new_tree, "cli " + name, "cli", args, reps)
+        for name, args in workloads.items()
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
