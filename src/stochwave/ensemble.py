@@ -53,7 +53,9 @@ def sample_blocks(n_samples: int, workers: int, points_per_sample: int) -> list[
     """Contiguous index blocks, enough for every worker.
 
     A block holds at most BLOCK_POINTS // points_per_sample samples, so that
-    its (nc, nq, S) quadrature arrays stay within BLOCK_POINTS doubles.
+    the (nc, nq, S) quadrature arrays of its finest space, whose points the
+    drivers pass (a rate table its reference's), stay within BLOCK_POINTS
+    doubles; a spatial rate block's march adds its coarser rows to them.
     """
     size = max(1, min(BLOCK_POINTS // points_per_sample, -(-n_samples // max(1, workers))))
     return [range(i, min(i + size, n_samples)) for i in range(0, n_samples, size)]

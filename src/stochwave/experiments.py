@@ -103,6 +103,8 @@ _TAGS = {
     RateStudy: "rates", StabilityStudy: "stability", AnalyticStudy: "analytic",
     Constant: "constant", CosineProduct: "cosine", TentBump: "tent",
 }
+# The kinds of study an experiment runs.
+_STUDIES = (RateStudy, StabilityStudy, AnalyticStudy)
 # The drift's lam is written "lambda", and "lam" is read as an alias.
 _RENAMED = {(PolynomialDrift, "lam"): "lambda"}
 # threads is an execution detail: results are independent of it, so it stays
@@ -242,6 +244,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             errors.extend(f"{p}: {msg}" for msg in analytic_problems(cfg.problem()))
             taus = [s.tau]
         else:
+            kind = type(s).__name__
+            errors.append(f"{p}: expected a rate, stability or analytic study, got {kind}")
             continue
         errors.extend(f"{p}.{msg}" for msg in ladder)
         for t in taus:
@@ -253,27 +257,25 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     return errors
 
 
-def _csv_names(cfg: ExperimentConfig) -> list[list[str]]:
-    """Per study, the CSV files it writes: ``<name>_<label>.csv``, and for a
+def _csv_names(name: str, study) -> list[str]:
+    """The CSV files a study writes: ``<name>_<label>.csv``, and for a
     stability study with a companion ``<name>_<label>_deterministic.csv``."""
-    names = []
-    for s in cfg.studies:
-        companion = isinstance(s, StabilityStudy) and s.deterministic_companion
-        suffixes = ["", "_deterministic"] if companion else [""]
-        names.append([f"{cfg.name}_{s.label}{x}.csv" for x in suffixes])
-    return names
+    companion = isinstance(study, StabilityStudy) and study.deterministic_companion
+    suffixes = ["", "_deterministic"] if companion else [""]
+    return [f"{name}_{study.label}{x}.csv" for x in suffixes]
 
 
 def _output_problems(cfg: ExperimentConfig) -> list[str]:
     """Names that are no plain file name part, and CSV files two studies would write."""
     errors = []
-    labels = [(f"studies[{i}].label", s.label) for i, s in enumerate(cfg.studies)]
+    studies = [(i, s) for i, s in enumerate(cfg.studies) if isinstance(s, _STUDIES)]
+    labels = [(f"studies[{i}].label", s.label) for i, s in studies]
     for path, part in [("name", cfg.name), *labels]:
         if not part or "/" in part or "\\" in part:
             errors.append(f"{path}: must be non-empty, with no '/' or '\\', got {part!r}")
     writer: dict[str, int] = {}
-    for i, names in enumerate(_csv_names(cfg)):
-        for name in names:
+    for i, s in studies:
+        for name in _csv_names(cfg.name, s):
             j = writer.setdefault(name, i)
             if j != i:
                 errors.append(f"studies[{i}].label: {name} is also written by studies[{j}]")
@@ -509,7 +511,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
     violation = -np.inf
     worst: list[str] = []
     failures = 0
-    for study, names in zip(cfg.studies, _csv_names(cfg), strict=True):
+    for study in cfg.studies:
+        names = _csv_names(cfg.name, study)
         run_study = _stability_csvs if isinstance(study, StabilityStudy) else _rate_csvs
         run, csvs = run_study(problem, study, cfg)
         for name, (lines, columns) in zip(names, csvs, strict=True):

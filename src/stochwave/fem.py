@@ -7,7 +7,7 @@ stacked cells of several spaces, so that one march can step them all: its
 coefficient vector stacks theirs, and the one assembly of `FeSpace` gives
 it block-diagonal operators.  `CsrProduct` applies a sparse operator to a
 dense block through scipy's compiled CSR kernel, without the dispatch of
-``@``.
+``@``; `segment_sums` builds one that sums each column by segments.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "direct_sum",
     "load_vector",
     "l2_project",
+    "segment_sums",
     "transfer_matrix",
 ]
 
@@ -149,6 +150,13 @@ class CsrProduct:
         Y = np.zeros((m, shape[1]))
         _sparsetools.csr_matvecs(m, n, shape[1], *self._csr, X, Y)
         return Y
+
+
+def segment_sums(values: np.ndarray, bounds: np.ndarray) -> CsrProduct:
+    """S with (S X)[r] = the sum of values[i] X[i] over i in bounds[r]:bounds[r + 1],
+    in order of i: a sum's bits depend on its own segment of its column alone."""
+    shape = (len(bounds) - 1, len(values))
+    return CsrProduct(sp.csr_matrix((values, np.arange(len(values)), bounds), shape))
 
 
 # ---------------------------------------------------------------------------

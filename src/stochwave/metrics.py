@@ -5,7 +5,9 @@ stochastic problem, so each sample is rerun on a reference discretization a
 few refinement levels beyond the finest table row, driven by the same
 Brownian path (exact coarsening keeps the coupling).  Errors are measured on
 the reference space; rates, not absolute magnitudes, are the reproducible
-quantity.
+quantity.  The reference is one more run of a sample block: a spatial
+ladder's rows march with it on one direct sum, a temporal ladder's rows one
+by one after it, and each row is compared with it a window at a time.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from .ensemble import (
     quadrature_degree_for,
     tree_sum,
 )
-from .fem import CsrProduct, FeSpace, direct_sum, transfer_matrix
+from .fem import CsrProduct, FeSpace, direct_sum, segment_sums, transfer_matrix
 from .fields import Constant, CosineProduct, LinearWaveSolution
 from .noise import BrownianPath, coarsen, sample_path
-from .stepper import column_sums
 
 __all__ = [
     "RateStudy",
@@ -53,14 +54,16 @@ def _error_sq(
     Vr: np.ndarray,
     MK: CsrProduct,
     M: CsrProduct,
+    sums: CsrProduct,
 ) -> np.ndarray:
     """Squared (L2, H1-seminorm, velocity L2) errors, one triple per column.
 
     The columns of the coarse blocks Uc, Vc are lifted to the reference space
     by E (None when the spaces coincide) and compared with the matching
     columns of Ur, Vr.  MK is the stacked [M; K] of the reference space and
-    M its mass.  Returns shape (3, n_columns).  The velocity error is
-    each solution's own difference quotient compared at a shared node.  With
+    M its mass, and ``sums`` adds up each column's three blocks of products
+    in row order.  Returns shape (3, n_columns).  The velocity error is each
+    solution's own difference quotient compared at a shared node.  With
     equal time steps this is identical to differencing the displacement
     error at consecutive nodes; across step sizes it avoids the
     Brownian-bridge mismatch that a cross-step difference quotient would
@@ -69,15 +72,16 @@ def _error_sq(
     if E is not None:
         Uc, Vc = E(Uc), E(Vc)
     eu, ev = Uc - Ur, Vc - Vr
-    n = eu.shape[0]
-    MKeu = MK(eu)
-    return column_sums(np.stack([eu * MKeu[:n], eu * MKeu[n:], ev * M(ev)], axis=1))
+    products = np.concatenate([MK(eu), M(ev)])  # the rows of M eu, K eu and M ev
+    products *= np.concatenate([eu, eu, ev])
+    return sums(products)
 
 
-def _error_products(space: FeSpace) -> tuple[CsrProduct, CsrProduct]:
-    """The stacked [M; K] and M products that `_error_sq` measures with."""
-    M = space.mass
-    return CsrProduct(sp.vstack([M, space.stiffness], format="csr")), CsrProduct(M)
+def _error_products(space: FeSpace) -> tuple[CsrProduct, CsrProduct, CsrProduct]:
+    """`_error_sq`'s stacked [M; K] and M products and the sums of its products."""
+    M, n = space.mass, space.n_dofs
+    MK = CsrProduct(sp.vstack([M, space.stiffness], format="csr"))
+    return MK, CsrProduct(M), segment_sums(np.ones(3 * n), np.arange(4) * n)
 
 
 def sup_rms(squared: np.ndarray) -> float:
@@ -142,80 +146,75 @@ def _rate_batch(task: tuple[tuple, range]) -> list[SampleRecord]:
     """Per-sample squared error series for every table row (one sample block).
 
     The payload is the problem and the (level, scheme config) pairs of the
-    reference and the rows.  The block steps the reference first and keeps
-    the nodes some row reads.  The rows that share a scheme config (a
-    spatial ladder's) then step the samples still running as one march on
-    the direct sum of their spaces, and each temporal row as a march of its
-    own; every row reduces its errors to per-node norms as it goes, so no
-    row's states are stored.
+    runs: the reference is run 0, the rows follow.  The runs that share a
+    scheme config step the samples still running as one march on the direct
+    sum of their spaces, the reference's config first and the reference the
+    first member of its sum: a spatial block is one march, a temporal block
+    the reference's march and one per row.  In the reference's march the
+    observer first keeps the window's nodes that some row reads; then, in
+    every march, it compares each row with the kept nodes and reduces its
+    errors to per-node norms, so no row's states are stored.
     """
-    (problem, ((ref_level, ref_cfg), *rows)), indices = task
+    (problem, runs), indices = task
+    ref_level, ref_cfg = runs[0]
     S = len(indices)
-    spaces = problem.spaces([l for l, _ in rows] + [ref_level])
+    spaces = problem.spaces([l for l, _ in runs])
     ref_space = spaces[ref_level]
-    MKref, Mref = _error_products(ref_space)
-    factors = [round(cfg.tau / ref_cfg.tau) for _, cfg in rows]
-    stride = math.gcd(*factors)
+    products = _error_products(ref_space)
+    stride = math.gcd(*(round(cfg.tau / ref_cfg.tau) for _, cfg in runs[1:]))
     shape = (ref_cfg.n_steps // stride + 1, S, ref_space.n_dofs)
     Ur, Vr = np.empty(shape), np.empty(shape)
-
-    def keep(n0, live, U, V):
-        first = -n0 % stride  # the window's first node that a row reads
-        m = (n0 + first) // stride
-        U, V = U[first::stride], V[first::stride]
-        Ur[m : m + len(U), live] = U
-        Vr[m : m + len(V), live] = V
-
     ref_paths = [
         sample_path(problem.master_seed, idx, ref_cfg.n_steps, ref_cfg.tau) for idx in indices
     ]
     violation = np.full(S, -np.inf)
     failure: dict[int, str] = {}
-
-    def absorb(traj, alive):
-        # a run of the march is one (row, sample) pair, row-major
-        np.maximum.at(violation, alive[traj.samples % alive.size], traj.max_energy_violation)
-        for run in sorted(traj.failures):  # the first row a sample fails on names it
-            failure.setdefault(int(alive[run % alive.size]), str(traj.failures[run]))
-
-    absorb(problem.march(ref_space, ref_cfg, ref_paths, keep), np.arange(S))
-    groups: dict = {}  # the rows of each scheme config, in row order
-    for i, (_, cfg) in enumerate(rows):
-        groups.setdefault(cfg, []).append(i)
-    errs = [None] * len(rows)
-    for cfg, group in groups.items():
+    errs = {i: np.empty((3, S, cfg.n_steps + 1)) for i, (_, cfg) in enumerate(runs[1:], 1)}
+    for cfg in dict.fromkeys(c for _, c in runs):  # each scheme config, in run order
+        group = [i for i, (_, c) in enumerate(runs) if c == cfg]
         alive = np.array([p for p in range(S) if p not in failure], dtype=np.int64)
         if not alive.size:
             break
-        members = [spaces[rows[i][0]] for i in group]
+        members = [spaces[runs[i][0]] for i in group]
         space = direct_sum(members)
-        lifts = [
-            None if m is ref_space else CsrProduct(transfer_matrix(m, ref_space))
-            for m in members
-        ]
-        for i in group:
-            errs[i] = np.empty((3, S, cfg.n_steps + 1))
-        factor = factors[group[0]]
+        keeps = group[0] == 0  # the reference's march, which keeps what the rows read
+        rows = [
+            (i, None if m is ref_space else CsrProduct(transfer_matrix(m, ref_space)), a, b)
+            for i, m, a, b in zip(group, members, space.offsets, space.offsets[1:])
+        ][keeps:]
+        factor = round(cfg.tau / ref_cfg.tau)
 
-        def compare(n0, live, U, V):
-            # one column per (node, sample) of the window, node-major
+        def observe(n0, live, U, V):
             k, s = U.shape[:2]
             pos = alive[live]
+            if keeps:
+                first = -n0 % stride  # the window's first node that a row reads
+                m = (n0 + first) // stride
+                kept = U[first::stride, :, : ref_space.n_dofs]
+                Ur[m : m + len(kept), pos] = kept
+                Vr[m : m + len(kept), pos] = V[first::stride, :, : ref_space.n_dofs]
+            if not rows:
+                return
+            # one column per (node, sample) of the window, node-major
             at = np.ix_(np.arange(n0, n0 + k) * (factor // stride), pos)
             Urc, Vrc = (X.reshape(k * s, -1).T for X in (Ur[at], Vr[at]))
-            for i, E, a, b in zip(group, lifts, space.offsets, space.offsets[1:]):
+            for i, E, a, b in rows:
                 Uc, Vc = (X[..., a:b].reshape(k * s, -1).T for X in (U, V))
-                sq = _error_sq(E, Uc, Vc, Urc, Vrc, MKref, Mref)
+                sq = _error_sq(E, Uc, Vc, Urc, Vrc, *products)
                 errs[i][:, pos, n0 : n0 + k] = sq.reshape(3, k, s).transpose(0, 2, 1)
 
         # every row path is the exactly-summed reference path
         paths = [coarsen(ref_paths[p], factor) if factor > 1 else ref_paths[p] for p in alive]
-        absorb(problem.march(space, cfg, paths, compare), alive)
+        traj = problem.march(space, cfg, paths, observe)
+        # a run of the march is one (member, sample) pair, member-major
+        np.maximum.at(violation, alive[traj.samples % alive.size], traj.max_energy_violation)
+        for run in sorted(traj.failures):  # the first run a sample fails on names it
+            failure.setdefault(int(alive[run % alive.size]), str(traj.failures[run]))
     # a row is left unstepped only when every sample has failed
     return [
         SampleRecord(
             idx,
-            tuple((e[0, pos], e[1, pos], e[2, pos, 1:]) for e in errs if e is not None),
+            tuple((e[0, pos], e[1, pos], e[2, pos, 1:]) for e in errs.values()),
             float(violation[pos]),
             failure.get(pos),
         )
@@ -325,12 +324,11 @@ def analytic_error_table(problem: ProblemSpec, study: AnalyticStudy) -> ErrorTab
     n_q = space.wdet.size
     G = space.point_matrix(space.grad_phys[..., 0].transpose(0, 2, 1))  # d/dx at the points
     values_and_dx = CsrProduct(sp.vstack([space.qpoint_product.matrix, G], format="csr"))
-    # row (kind, level) holds the level's weights over the kind's block of points
+    # row (kind, level) sums the level's weighted points of the kind's block
     L, points = len(levels), space.point_offsets
-    cols = np.arange(3 * n_q)
-    rows = cols // n_q * L + np.searchsorted(points, cols % n_q, side="right") - 1
-    weighted_sums = CsrProduct(
-        sp.csr_matrix((np.tile(space.wdet.ravel(), 3), (rows, cols)), shape=(3 * L, 3 * n_q))
+    weighted_sums = segment_sums(
+        np.tile(space.wdet.ravel(), 3),
+        np.concatenate([points[:-1], n_q + points[:-1], 2 * n_q + points]),
     )
     xq = space.qpoints.reshape(-1, 1)  # one row per point, in the order of Q
     worst = np.zeros((3, L))  # per level, the largest squared L2, H1, d_t errors

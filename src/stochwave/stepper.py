@@ -132,7 +132,7 @@ import scipy.sparse as sp
 
 from .diffusion import Diffusion
 from .drift import FULLY_IMPLICIT, MODIFIED_CN, SCHEMES, PolynomialDrift
-from .fem import CsrProduct, FeSpace, assemble_weighted_mass, l2_project
+from .fem import CsrProduct, FeSpace, assemble_weighted_mass, l2_project, segment_sums
 from .linsolve import LinearSolveError, spd_solver
 from .noise import BrownianPath
 
@@ -141,7 +141,6 @@ __all__ = [
     "Trajectory",
     "WaveStepper",
     "NewtonDivergedError",
-    "column_sums",
     "initial_state",
 ]
 
@@ -244,17 +243,6 @@ class Trajectory:
         return np.max(self.energy_residuals / scale, axis=-1)
 
 
-def column_sums(X: np.ndarray) -> np.ndarray:
-    """Sums over axis 0, one per remaining index, each from its own contiguous copy.
-
-    numpy sums a contiguous row pairwise but a strided column sequentially,
-    and a lone column counts as contiguous; summing rows of the transposed
-    copy gives every column the same bits whatever else shares the block.
-    """
-    rows = np.ascontiguousarray(X.reshape(X.shape[0], -1).T)
-    return rows.sum(axis=1).reshape(X.shape[1:])
-
-
 def initial_state(space: FeSpace, h1: Callable, h2: Callable) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients (u^0, v^0) of the initial displacement and velocity
     projected onto the space: of a direct sum, onto each member (its mass
@@ -315,10 +303,10 @@ class WaveStepper:
         ones = (np.diff(offsets), np.ones(space.n_dofs))
         weights = (np.diff(points), space.wdet.ravel())
         blocks = [ones] * 3 + ([] if self._drift_is_zero else [weights]) + [ones] * (2 + self._noisy)
-        bounds = np.cumsum([0, *np.concatenate([size for size, _ in blocks])])
-        data = np.concatenate([values for _, values in blocks])
-        sums = sp.csr_matrix((data, np.arange(data.size), bounds), (bounds.size - 1, data.size))
-        self.ledger_sums = CsrProduct(sums)
+        self.ledger_sums = segment_sums(
+            np.concatenate([values for _, values in blocks]),
+            np.cumsum([0, *np.concatenate([size for size, _ in blocks])]),
+        )
         w0 = self._jacobian_weight(np.zeros(1), np.zeros(1))[0]
         self._frozen_solve = spd_solver(self.A - self._tau2 * w0 * M, offsets)
         self._frozen_is_exact = drift.is_linear

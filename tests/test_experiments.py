@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stochwave.ensemble
 import stochwave.stepper
 from stochwave.cli import main
 from stochwave.diffusion import Diffusion
@@ -22,6 +23,7 @@ from stochwave.experiments import (
     validate_config,
 )
 from stochwave.fields import Constant, CosineProduct, TentBump
+from stochwave.noise import BrownianPath, sample_path
 
 
 def _tiny_rate_config(threads=1, seed=77):
@@ -208,6 +210,15 @@ def test_validation_bad_ladder():
     assert any("studies[0]" in p for p in problems)
 
 
+def test_validation_reports_an_entry_that_is_no_study():
+    # a study left as its JSON form is named, and no file name is asked of it
+    cfg = _tiny_rate_config()
+    cfg.studies.append({"kind": "analytic"})
+    assert validate_config(cfg) == [
+        "studies[2]: expected a rate, stability or analytic study, got dict"
+    ]
+
+
 def test_validation_non_integral_steps():
     cfg = _tiny_rate_config()
     cfg.studies[1].tau = 0.03
@@ -378,6 +389,29 @@ def test_cli_exits_1_when_the_computation_fails(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: 2/2 samples failed")
 
 
+def test_cli_notes_failed_samples_within_the_bound(tmp_path, capsys, monkeypatch):
+    # sample 1 of 20 meets a huge increment, and full Newton a Jacobian made
+    # indefinite here: one failure is within the tolerated tenth
+    def path(seed, idx, n_steps, tau):
+        p = sample_path(seed, idx, n_steps, tau)
+        if idx != 1:
+            return p
+        inc = p.increments.copy()
+        inc[2] = 1e3
+        return BrownianPath(tau, inc)
+
+    monkeypatch.setattr(stochwave.ensemble, "sample_path", path)
+    monkeypatch.setattr(
+        stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
+    )
+    cfg = _with_study(StabilityStudy(level=4, tau=0.02, T=0.1))
+    cfg.n_samples = 20
+    cfg_file = tmp_path / "exp.json"
+    cfg_file.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+    assert "note: 1 sample(s) hit Newton failures" in capsys.readouterr().out
+
+
 def test_cli_scheme_override_reaches_the_manifest(tmp_path):
     assert main(["--preset", "lin-det-check", "--scheme", "implicit", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "lin-det-check_manifest.json").read_text())
@@ -438,6 +472,14 @@ _STABILITY = {"kind": "stability", "level": 4, "tau": 0.02, "T": 0.1}
         ({**_raw_study(level=4), "h1": "zero"}, "h1: expected object, got 'zero'"),
         ({**_raw_study(level=4), "studies": {"kind": "stability"}}, "studies: expected list"),
         ({**_raw_study(level=4), "studies": ["stability"]}, "studies[0]: expected object"),
+        (
+            {**_raw_study(level=4), "studies": [{"kind": "ratez"}]},
+            "studies[0].kind: expected one of ['analytic', 'rates', 'stability'], got 'ratez'",
+        ),
+        ({**_raw_study(level=4), "studies": []}, "studies: at least one study is required"),
+        ({**_raw_study(level=4), "drift": [-1.0, 0.0, -1.0]}, "drift: expected object"),
+        ({**_raw_study(level=4), "dimension": 3}, "dimension: must be 1 or 2, got 3"),
+        ({**_raw_study(level=4), "degree": 3}, "degree: must be 1 or 2, got 3"),
         ({**_raw_study(level=4), "h1": {"kind": "cosine", "kx": "1"}}, "h1.kx: expected int"),
         (
             {**_raw_study(level=4), "diffusion": {"kind": "linear", "c": "1"}},
@@ -489,7 +531,8 @@ _STABILITY = {"kind": "stability", "level": 4, "tau": 0.02, "T": 0.1}
         "analytic-ladder", "stability-level-0", "empty-levels", "empty-taus",
         "analytic-2d-tent", "unknown-field", "wrong-type", "missing-field", "unknown-h1-field",
         "unknown-top-level-key", "unknown-drift-key", "unknown-diffusion-key",
-        "h1-not-an-object", "studies-not-a-list", "study-not-an-object", "h1-kx-string",
+        "h1-not-an-object", "studies-not-a-list", "study-not-an-object", "unknown-study-kind",
+        "no-study", "drift-not-an-object", "dimension-3", "degree-3", "h1-kx-string",
         "diffusion-c-string", "n-samples-float", "n-samples-bool", "master-seed-float",
         "name-int", "drift-coeff-string", "unknown-diffusion-kind", "smoothed-abs-epsilon-0",
         "drift-no-coefficients", "zero-field-with-value", "newton-abs-tol-negative",

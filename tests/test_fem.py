@@ -350,6 +350,11 @@ def test_direct_sum_operators_apply_each_members_own(dim, degree):
         assert np.array_equal(got, np.concatenate([l2_project(m, h) for m in members]))
 
 
+def test_a_space_of_degree_3_is_refused():
+    with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):
+        FeSpace(build_interval_mesh(4), 3)
+
+
 def test_a_direct_sum_of_unlike_members_is_refused():
     p1 = FeSpace(build_interval_mesh(4), 1)
     for other in (

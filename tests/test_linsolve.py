@@ -99,6 +99,10 @@ def test_singular_matrix_raises():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(LinearSolveError):
         spd_solver(A)
+    # wider than tridiagonal, with a positive diagonal: SuperLU finds it singular
+    A = sp.csr_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
+    with pytest.raises(LinearSolveError, match="sparse factorisation failed"):
+        spd_solver(A)
 
 
 def test_nonpositive_diagonal_raises():

@@ -20,7 +20,7 @@ from stochwave.metrics import (
     sup_rms,
 )
 from stochwave.noise import BrownianPath, coarsen, sample_path
-from stochwave.stepper import SchemeConfig, WaveStepper, initial_state
+from stochwave.stepper import NewtonDivergedError, SchemeConfig, WaveStepper, initial_state
 from oracles import error_norms, evaluate
 from stepping import run_states
 
@@ -143,9 +143,10 @@ def test_rate_rows_match_error_norms_of_stored_states(mode):
 
 
 def test_a_rate_block_builds_one_space_and_stepper_per_march(monkeypatch):
-    # test1a's ladders, two samples: the spatial rows share one direct sum,
-    # which is both projected onto and stepped; a temporal table marches its
-    # reference and each of its six rows on the one plain space
+    # test1a's ladders, two samples: the spatial rows and their reference
+    # share one direct sum, which is both projected onto and stepped; a
+    # temporal table marches its reference and each of its six rows on the
+    # one plain space
     built = {"sums": 0, "steppers": 0}
 
     def counting(cls, key):
@@ -161,7 +162,7 @@ def test_a_rate_block_builds_one_space_and_stepper_per_march(monkeypatch):
     counting(WaveStepper, "steppers")
     cfg = preset_config("test1a")
     spatial, temporal = cfg.studies
-    want = {"spatial": {"sums": 1, "steppers": 2}, "temporal": {"sums": 0, "steppers": 7}}
+    want = {"spatial": {"sums": 1, "steppers": 1}, "temporal": {"sums": 0, "steppers": 7}}
     for study in (spatial, temporal):
         built.update(sums=0, steppers=0)
         table = convergence_table(cfg.problem(), study, n_samples=2, threads=1)
@@ -222,6 +223,8 @@ def test_convergence_table_validates_ladders():
         table(mode="spatial", levels=[4, 8], taus=[0.01, 0.005])
     with pytest.raises(ValueError):
         table(mode="temporal", levels=[8], taus=[0.1, 0.04])
+    with pytest.raises(ValueError, match="single level"):
+        table(mode="temporal", levels=[8, 16], taus=[0.1, 0.05])
     with pytest.raises(ValueError):
         table(mode="sideways", levels=[4], taus=[0.01])
     # a reference no finer than the finest row would make that row's error 0
@@ -242,7 +245,10 @@ def test_convergence_table_rejects_empty_sample_set():
 
 def test_convergence_table_contains_linear_solve_failure(monkeypatch):
     # sample 1's reference path meets a huge increment: its frozen correction
-    # is rejected and full Newton meets a Jacobian made indefinite here
+    # is rejected and full Newton meets a Jacobian made indefinite here.  A
+    # spatial table's rows share that path and march with the reference, so
+    # the sample is dropped with its whole column; either way the other
+    # samples keep the bits of a block in which nothing fails
     def path(seed, idx, n_steps, tau):
         p = sample_path(seed, idx, n_steps, tau)
         if idx != 1:
@@ -251,19 +257,50 @@ def test_convergence_table_contains_linear_solve_failure(monkeypatch):
         inc[3] = 1e3
         return BrownianPath(tau, inc)
 
-    monkeypatch.setattr(stochwave.metrics, "sample_path", path)
+    records = []
+    batch = stochwave.metrics._rate_batch
     monkeypatch.setattr(
-        stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
+        stochwave.metrics, "_rate_batch", lambda task: records.append(batch(task)) or records[-1]
     )
     problem = _problem(CUBIC, Diffusion.linear(1.0), master_seed=3)
-    study = RateStudy(mode="temporal", levels=[8], taus=[0.1, 0.05], T=0.2)
-    with monkeypatch.context() as m:
-        m.setattr(stochwave.ensemble, "MAX_FAILURE_FRACTION", 0.5)
-        table = convergence_table(problem, study, n_samples=3, threads=1)
-    assert table.n_failures == 1
-    assert table.n_samples == 2
-    with pytest.raises(EnsembleFailureError, match="non-positive diagonal"):
+    for study in (
+        RateStudy(mode="spatial", levels=[4, 8], taus=[0.05], T=0.2),
+        RateStudy(mode="temporal", levels=[8], taus=[0.1, 0.05], T=0.2),
+    ):
+        records.clear()
         convergence_table(problem, study, n_samples=3, threads=1)
+        with monkeypatch.context() as m:
+            m.setattr(stochwave.metrics, "sample_path", path)
+            m.setattr(
+                stochwave.stepper, "assemble_weighted_mass", lambda space, w: 1e30 * space.mass
+            )
+            with pytest.raises(EnsembleFailureError, match="non-positive diagonal"):
+                convergence_table(problem, study, n_samples=3, threads=1)
+            m.setattr(stochwave.ensemble, "MAX_FAILURE_FRACTION", 0.5)
+            table = convergence_table(problem, study, n_samples=3, threads=1)
+        assert table.n_failures == 1
+        assert table.n_samples == 2
+        clean, failing = records[0], records[-1]
+        assert [r.failure is None for r in failing] == [True, False, True]
+        for pos in (0, 2):
+            for want, got in zip(clean[pos].series, failing[pos].series, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
+
+
+def test_a_block_whose_samples_all_fail_steps_no_row(monkeypatch):
+    # no correction is allowed, so every reference run fails at its first
+    # step; the temporal rows, which would march after it, never step
+    marches = []
+    march = ProblemSpec.march
+    monkeypatch.setattr(
+        ProblemSpec, "march", lambda self, space, cfg, *args: marches.append(cfg.tau)
+        or march(self, space, cfg, *args)
+    )
+    monkeypatch.setattr(stochwave.stepper, "NEWTON_MAX_ITER", 0)
+    study = RateStudy(mode="temporal", levels=[8], taus=[0.1, 0.05], T=0.2)
+    with pytest.raises(EnsembleFailureError, match="2/2 samples failed"):
+        convergence_table(_problem(CUBIC, Diffusion.linear(1.0)), study, n_samples=2, threads=1)
+    assert marches == [0.025]  # the reference's alone
 
 
 def test_convergence_table_thread_determinism():
@@ -307,6 +344,15 @@ def test_analytic_table_levels_do_not_depend_on_the_other_levels():
     narrow = analytic_error_table(problem, AnalyticStudy(levels=[16, 32], tau=1e-3, T=0.05))
     for name in ("l2", "h1", "dtl2"):
         assert np.array_equal(getattr(wide, name)[1:], getattr(narrow, name)), name
+
+
+def test_analytic_table_raises_the_failure_of_its_march(monkeypatch):
+    # no correction is allowed, so the march fails at its first step
+    monkeypatch.setattr(stochwave.stepper, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(NewtonDivergedError, match="step 0"):
+        analytic_error_table(
+            _problem(ZERO, Diffusion.zero()), AnalyticStudy(levels=[4, 8], tau=1e-3, T=0.01)
+        )
 
 
 def test_analytic_table_validates_ladder():

@@ -52,13 +52,13 @@ def test_a_row_is_timed_in_a_process_of_its_own(pair_time):
 
 def test_one_pair_of_a_short_ladder_march(pair_time, capsys):
     (ladder,) = [case for case in pair_time.CASES if len(case.levels) > 1]
-    assert (ladder.preset, ladder.levels) == ("test1a", (4, 8, 16, 32, 64))
+    assert (ladder.preset, ladder.levels) == ("test1a", (4, 8, 16, 32, 64, 128))
     assert (ladder.samples, ladder.tau, ladder.steps) == (4, 1e-3, 500)
     old = pair_time.load_tree(ROOT / "src", "stochwave_pair_old")
     new = pair_time.load_tree(ROOT / "src", "stochwave_pair_new")
     short = dataclasses.replace(ladder, name="ladder smoke", steps=5)
     traj = pair_time.stepping_run(new, short)()
-    assert traj.samples.tolist() == list(range(5 * 4))  # one run per level and sample
+    assert traj.samples.tolist() == list(range(6 * 4))  # one run per level and sample
     (row,) = pair_time.time_cases(old, new, [short], reps=1)
     assert row["case"] == "ladder smoke /step" and row["pairs"] == 1
     assert row["old"] > 0 and row["new"] > 0

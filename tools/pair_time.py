@@ -76,8 +76,9 @@ CASES = [
     Case("test1a ref L128 S2", "test1a", (128,), 2, 0.1 / 128, 512),
     Case("test3a L16 S4", "test3a", (16,), 4, 0.01, 100),
     Case("test2 ref L512 S8 (400 steps)", "test2", (512,), 8, 0.1 / 512, 400, paper_scale=True),
-    # test1a's spatial ladder, whose runs of four samples share columns
-    Case("test1a ladder L4-64 S4", "test1a", (4, 8, 16, 32, 64), 4, 1e-3, 500),
+    # test1a's spatial ladder and its reference, whose runs of four samples
+    # share columns: the march of a spatial rate block
+    Case("test1a ladder L4-128 S4", "test1a", (4, 8, 16, 32, 64, 128), 4, 1e-3, 500),
 ]
 
 # The benchmark's workloads (bench/run.py), as CLI arguments.
